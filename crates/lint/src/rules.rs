@@ -704,8 +704,20 @@ fn aq008_unordered_iteration(ctx: &FileCtx, out: &mut Vec<Finding>) {
     }
 }
 
-/// AQ009: `unsafe` anywhere, tests included.
+/// AQ009: `unsafe` anywhere, tests included. One structural exemption: an
+/// integration-test file that installs a `#[global_allocator]`. `GlobalAlloc`
+/// is an unsafe trait, so a test that pins "allocation-free" with an exact
+/// count (`tests/trace_alloc.rs`) cannot be written without the keyword; such
+/// a file is its own crate, and nothing the simulator ships links it.
 fn aq009_unsafe(ctx: &FileCtx, out: &mut Vec<Finding>) {
+    let installs_allocator = || {
+        ctx.code
+            .iter()
+            .any(|&i| ctx.toks[i].kind == TokKind::Ident && ctx.toks[i].text == "global_allocator")
+    };
+    if ctx.whole_file_test && installs_allocator() {
+        return;
+    }
     for &i in &ctx.code {
         let t = &ctx.toks[i];
         if t.kind == TokKind::Ident && t.text == "unsafe" {
@@ -1185,6 +1197,15 @@ fn f() {
     fn aq009_and_aq010() {
         assert_eq!(
             rules_of(&run("crates/core/src/lib.rs", "unsafe { std::hint::unreachable_unchecked() }")),
+            vec!["AQ009"]
+        );
+        // An unsafe trait impl is the only way to a counting allocator; only
+        // an integration test may carry one.
+        let counting = "unsafe impl GlobalAlloc for C {}\n#[global_allocator]\nstatic G: C = C;";
+        assert!(run("tests/trace_alloc.rs", counting).is_empty());
+        assert_eq!(rules_of(&run("crates/core/src/lib.rs", counting)), vec!["AQ009"]);
+        assert_eq!(
+            rules_of(&run("tests/other.rs", "unsafe impl Send for C {}")),
             vec!["AQ009"]
         );
         assert_eq!(

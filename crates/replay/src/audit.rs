@@ -254,7 +254,7 @@ fn delay_bound_checks(
     let Some(port) = recon.ports.get_mut(&key) else {
         return skip_all(format!("bottleneck port {key} missing from reconstruction"));
     };
-    let total_bytes: u64 = port.classes.values().map(|c| c.enq_bytes).sum();
+    let total_bytes = port.enq_bytes();
     if total_bytes == 0 {
         return skip_all(format!("no bytes enqueued at bottleneck port {key}"));
     }
@@ -320,7 +320,10 @@ fn region_check(recon: &Reconstruction, params: &BoundParams, opts: &AuditOption
     // RPC layer, else wire bytes per class at the bottleneck port.
     let n = params.weights.len();
     let (shares, source) = {
-        let total: u64 = recon.qos.values().map(|q| q.issued_bytes).sum();
+        let total = recon
+            .qos
+            .values()
+            .fold(0u64, |sum, q| sum.saturating_add(q.issued_bytes));
         if total > 0 {
             let s: Vec<f64> = (0..n as u64)
                 .map(|q| {
@@ -333,7 +336,7 @@ fn region_check(recon: &Reconstruction, params: &BoundParams, opts: &AuditOption
             (s, "admitted RPC bytes")
         } else if let Some(key) = recon.bottleneck_port() {
             let port = &recon.ports[key];
-            let total: u64 = port.classes.values().map(|c| c.enq_bytes).sum();
+            let total = port.enq_bytes();
             if total == 0 {
                 return Check::skip(name, "no traffic in trace".into());
             }

@@ -12,10 +12,16 @@
 //! Reconstruction is resilient rather than strict: malformed lines, gaps,
 //! and inconsistencies are *counted* (and surfaced by the `trace_integrity`
 //! audit check) instead of aborting, so a corrupted trace yields a FAIL
-//! verdict with diagnostics rather than a parse error. The one hard error
-//! is the schema contract: a missing or unsupported `trace_header`.
+//! verdict with diagnostics rather than a parse error. The hard errors are
+//! the schema contract — a missing or unsupported `trace_header` — and an
+//! I/O failure of the reader itself.
+//!
+//! The stream is read as bytes, one line at a time into one reused buffer,
+//! so a line that is not UTF-8 is one more counted parse error; nothing
+//! per line is allocated (see [`crate::trace::RawEvent`]).
 
-use crate::trace::{check_header, parse_line, RawEvent};
+use crate::json::Value;
+use crate::trace::{check_header, parse_line, Kind, RawEvent};
 use aequitas_stats::Percentiles;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::BufRead;
@@ -52,11 +58,11 @@ pub struct RunInfo {
 impl RunInfo {
     fn from_event(ev: &RawEvent) -> RunInfo {
         RunInfo {
-            experiment: ev.str("experiment").unwrap_or("?").to_string(),
+            experiment: ev.str("experiment").map_or_else(|| "?".into(), String::from),
             hosts: ev.u64("hosts").unwrap_or(0),
             classes: ev.u64("classes").unwrap_or(0),
-            weights: ev.arr_f64("weights").unwrap_or_default(),
-            slos_per_mtu_ps: ev.arr_u64("slos_per_mtu_ps").unwrap_or_default(),
+            weights: ev.arr("weights", Value::as_f64).unwrap_or_default(),
+            slos_per_mtu_ps: ev.arr("slos_per_mtu_ps", Value::as_u64).unwrap_or_default(),
             slo_percentile: ev.num("slo_percentile").unwrap_or(0.0),
             warmup_ps: ev.u64("warmup_ps").unwrap_or(0),
             duration_ps: ev.u64("duration_ps").unwrap_or(0),
@@ -70,7 +76,7 @@ impl RunInfo {
 
 /// Identifies one egress port: `node` is the serialized node label
 /// (`host3`, `switch0`), `port` the egress port index.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PortKey {
     /// Node label as serialized in the trace.
     pub node: String,
@@ -126,6 +132,14 @@ pub struct PortTimeline {
 }
 
 impl PortTimeline {
+    /// Bytes accepted into the port's queues, all classes together
+    /// (saturating: byte counts are whatever the trace claims).
+    pub fn enq_bytes(&self) -> u64 {
+        self.classes
+            .values()
+            .fold(0, |sum, c| sum.saturating_add(c.enq_bytes))
+    }
+
     /// Backlog in bytes at simulated time `t_ps` (last event at or before
     /// `t_ps`; 0 before the first event).
     pub fn backlog_at(&self, t_ps: u64) -> u64 {
@@ -238,11 +252,51 @@ pub struct Reconstruction {
     pub last_t_ps: u64,
 }
 
+/// The ports of a reconstruction under way, in first-seen order. A packet
+/// event resolves the `(node, port)` it names to a position in `slots`
+/// through the ordered `index`, looked up with the scratch `key` rebuilt in
+/// place per event — nothing is allocated unless the port is new.
+#[derive(Default)]
+struct Ports {
+    slots: Vec<(PortKey, PortTimeline)>,
+    index: BTreeMap<PortKey, usize>,
+    key: PortKey,
+}
+
+impl Ports {
+    /// The timeline of the port `ev` names, created on first sight.
+    fn of(&mut self, ev: &RawEvent) -> Option<&mut PortTimeline> {
+        let node = ev.str("node")?;
+        self.key.node.clear();
+        self.key.node.push_str(&node);
+        self.key.port = ev.u64("port")?;
+        let at = match self.index.get(&self.key) {
+            Some(&at) => at,
+            None => {
+                self.index.insert(self.key.clone(), self.slots.len());
+                self.slots.push((self.key.clone(), PortTimeline::default()));
+                self.slots.len() - 1
+            }
+        };
+        self.slots.get_mut(at).map(|(_, timeline)| timeline)
+    }
+}
+
+/// `class`, `bytes`, `backlog_bytes` and the port timeline of a queue event.
+/// Fields first: a line missing one must not create its port.
+fn queue_event<'p>(
+    ev: &RawEvent,
+    ports: &'p mut Ports,
+) -> Option<(u64, u64, u64, &'p mut PortTimeline)> {
+    let (class, bytes, backlog) = (ev.u64("class")?, ev.u64("bytes")?, ev.u64("backlog_bytes")?);
+    Some((class, bytes, backlog, ports.of(ev)?))
+}
+
 impl Reconstruction {
     /// Reconstruct from a JSONL stream. The first line must be a valid
     /// `trace_header` with a supported version; everything after that is
     /// processed tolerantly with problems counted in [`Integrity`].
-    pub fn from_reader(r: impl BufRead) -> Result<Reconstruction, String> {
+    pub fn from_reader(mut r: impl BufRead) -> Result<Reconstruction, String> {
         let mut recon = Reconstruction {
             epochs: 1,
             ..Reconstruction::default()
@@ -250,12 +304,29 @@ impl Reconstruction {
         let mut expected_seq: Option<u64> = None;
         let mut last_t: u64 = 0;
         let mut saw_header = false;
-        for (idx, line) in r.lines().enumerate() {
-            let line = line.map_err(|e| format!("I/O error reading trace: {e}"))?;
+        // Known kinds are counted densely and named once, at the end.
+        let mut kind_counts = [0u64; Kind::KNOWN.len()];
+        // Keyed into `recon.ports` once, at the end.
+        let mut ports = Ports::default();
+        let mut buf = Vec::new();
+        for line_no in 1u64.. {
+            buf.clear();
+            let n = r
+                .read_until(b'\n', &mut buf)
+                .map_err(|e| format!("I/O error reading trace: {e}"))?;
+            if n == 0 {
+                break;
+            }
+            // Line terminators as `BufRead::lines` strips them.
+            let mut line = buf.strip_suffix(b"\n").unwrap_or(&buf);
+            line = line.strip_suffix(b"\r").unwrap_or(line);
             if line.is_empty() {
                 continue;
             }
-            let ev = match parse_line(&line) {
+            let parsed = std::str::from_utf8(line)
+                .map_err(|e| format!("invalid UTF-8 at byte {}", e.valid_up_to()))
+                .and_then(parse_line);
+            let ev = match parsed {
                 Ok(ev) => ev,
                 Err(e) => {
                     if !saw_header {
@@ -266,7 +337,7 @@ impl Reconstruction {
                         recon
                             .integrity
                             .parse_error_samples
-                            .push(format!("line {}: {e}", idx + 1));
+                            .push(format!("line {line_no}: {e}"));
                     }
                     continue;
                 }
@@ -274,24 +345,27 @@ impl Reconstruction {
             if !saw_header {
                 recon.schema_version = check_header(&ev)?;
                 saw_header = true;
-            } else if ev.kind == "trace_header" {
+            } else if ev.kind == Kind::TraceHeader {
                 recon.integrity.extra_headers += 1;
             }
             recon.events += 1;
-            *recon.kind_counts.entry(ev.kind.clone()).or_insert(0) += 1;
+            match kind_counts.get_mut(ev.kind as usize) {
+                Some(n) => *n += 1,
+                None => *recon.kind_counts.entry(ev.tag.to_string()).or_insert(0) += 1,
+            }
             if let Some(exp) = expected_seq {
                 if ev.seq != exp {
                     recon.integrity.seq_gaps += 1;
                 }
             }
-            expected_seq = Some(ev.seq + 1);
+            expected_seq = ev.seq.checked_add(1);
             if ev.t_ps < last_t {
                 // A new epoch: sweep harnesses reuse one telemetry handle
                 // across points, so simulated time restarts. Reset queue
                 // state; distributions keep accumulating.
                 recon.integrity.time_regressions += 1;
                 recon.epochs += 1;
-                for port in recon.ports.values_mut() {
+                for (_, port) in &mut ports.slots {
                     for class in port.classes.values_mut() {
                         recon.integrity.epoch_orphans += class.pending.len() as u64;
                         class.pending.clear();
@@ -301,10 +375,16 @@ impl Reconstruction {
             }
             last_t = ev.t_ps;
             recon.last_t_ps = recon.last_t_ps.max(ev.t_ps);
-            recon.apply(&ev);
+            recon.apply(&ev, &mut ports);
         }
         if !saw_header {
             return Err("empty trace: no trace_header line".into());
+        }
+        recon.ports = ports.slots.into_iter().collect();
+        for ((_, tag), n) in Kind::KNOWN.iter().zip(kind_counts) {
+            if n > 0 {
+                recon.kind_counts.insert((*tag).to_string(), n);
+            }
         }
         Ok(recon)
     }
@@ -318,38 +398,32 @@ impl Reconstruction {
 
     fn port_key(ev: &RawEvent) -> Option<PortKey> {
         Some(PortKey {
-            node: ev.str("node")?.to_string(),
+            node: ev.str("node")?.into_owned(),
             port: ev.u64("port")?,
         })
     }
 
-    fn apply(&mut self, ev: &RawEvent) {
-        match ev.kind.as_str() {
-            "trace_header" => {}
-            "run_info" => {
+    fn apply(&mut self, ev: &RawEvent, ports: &mut Ports) {
+        match ev.kind {
+            Kind::TraceHeader => {}
+            Kind::RunInfo => {
                 if self.run_info.is_none() {
                     self.run_info = Some(RunInfo::from_event(ev));
                 }
             }
-            "pkt_enqueue" => {
-                let (Some(key), Some(class), Some(bytes), Some(backlog)) = (
-                    Self::port_key(ev),
-                    ev.u64("class"),
-                    ev.u64("bytes"),
-                    ev.u64("backlog_bytes"),
-                ) else {
+            Kind::PktEnqueue => {
+                let Some((class, bytes, backlog, port)) = queue_event(ev, ports) else {
                     self.integrity.parse_errors += 1;
                     return;
                 };
-                let port = self.ports.entry(key).or_default();
                 port.enq_pkts += 1;
                 let ct = port.classes.entry(class).or_default();
-                ct.enq_bytes += bytes;
+                ct.enq_bytes = ct.enq_bytes.saturating_add(bytes);
                 ct.pending.push_back((ev.t_ps, bytes));
                 if let Some(depth) = ev.u64("depth_pkts") {
                     ct.max_depth_pkts = ct.max_depth_pkts.max(depth);
                 }
-                port.backlog_now += bytes;
+                port.backlog_now = port.backlog_now.saturating_add(bytes);
                 if port.backlog_now != backlog {
                     port.backlog_mismatches += 1;
                     port.backlog_now = backlog;
@@ -357,17 +431,11 @@ impl Reconstruction {
                 port.max_backlog_bytes = port.max_backlog_bytes.max(backlog);
                 port.backlog.push((ev.t_ps, backlog));
             }
-            "pkt_dequeue" => {
-                let (Some(key), Some(class), Some(bytes), Some(backlog)) = (
-                    Self::port_key(ev),
-                    ev.u64("class"),
-                    ev.u64("bytes"),
-                    ev.u64("backlog_bytes"),
-                ) else {
+            Kind::PktDequeue => {
+                let Some((class, bytes, backlog, port)) = queue_event(ev, ports) else {
                     self.integrity.parse_errors += 1;
                     return;
                 };
-                let port = self.ports.entry(key).or_default();
                 port.deq_pkts += 1;
                 let ct = port.classes.entry(class).or_default();
                 match ct.pending.pop_front() {
@@ -385,14 +453,13 @@ impl Reconstruction {
                 }
                 port.backlog.push((ev.t_ps, backlog));
             }
-            "pkt_drop" => {
-                let Some(key) = Self::port_key(ev) else {
+            Kind::PktDrop => {
+                let Some(port) = ports.of(ev) else {
                     self.integrity.parse_errors += 1;
                     return;
                 };
                 // Tail drop: rejected at enqueue, never entered the queue,
                 // so the running backlog is unchanged.
-                let port = self.ports.entry(key).or_default();
                 port.drop_pkts += 1;
                 if let Some(backlog) = ev.u64("backlog_bytes") {
                     if port.backlog_now != backlog {
@@ -401,18 +468,18 @@ impl Reconstruction {
                     }
                 }
             }
-            "fault_pkt_drop" => {
+            Kind::FaultPktDrop => {
                 // Destroyed in transit, i.e. after its dequeue event — the
                 // queue accounting is already settled.
-                if let Some(key) = Self::port_key(ev) {
-                    self.ports.entry(key).or_default().fault_drop_pkts += 1;
+                if let Some(port) = ports.of(ev) {
+                    port.fault_drop_pkts += 1;
                 }
                 self.faults.pkt_drops += 1;
                 if ev.bool("corrupt") == Some(true) {
                     self.faults.corrupt_drops += 1;
                 }
             }
-            "rpc_issue" => {
+            Kind::RpcIssue => {
                 let (Some(host), Some(dst), Some(qos), Some(bytes)) = (
                     ev.u64("host"),
                     ev.u64("dst"),
@@ -428,13 +495,13 @@ impl Reconstruction {
                     self.qos.entry(qos).or_default(),
                 ] {
                     stats.issued += 1;
-                    stats.issued_bytes += bytes;
+                    stats.issued_bytes = stats.issued_bytes.saturating_add(bytes);
                     if downgraded {
                         stats.downgraded_in += 1;
                     }
                 }
             }
-            "rpc_complete" => {
+            Kind::RpcComplete => {
                 let (Some(host), Some(dst), Some(qos), Some(rnl), Some(rnl_per_mtu)) = (
                     ev.u64("host"),
                     ev.u64("dst"),
@@ -469,7 +536,7 @@ impl Reconstruction {
                         .push((ev.t_ps, rnl_per_mtu as f64));
                 }
             }
-            "admit_prob" => {
+            Kind::AdmitProb => {
                 let (Some(host), Some(dst), Some(qos), Some(p)) = (
                     ev.u64("host"),
                     ev.u64("dst"),
@@ -489,7 +556,7 @@ impl Reconstruction {
                 }
                 at.points.push((ev.t_ps, p));
             }
-            "fault_link_down" => {
+            Kind::FaultLinkDown => {
                 if let Some(key) = Self::port_key(ev) {
                     self.faults
                         .link_windows
@@ -498,7 +565,7 @@ impl Reconstruction {
                         .push((ev.t_ps, None));
                 }
             }
-            "fault_link_up" => {
+            Kind::FaultLinkUp => {
                 if let Some(key) = Self::port_key(ev) {
                     let windows = self.faults.link_windows.entry(key).or_default();
                     match windows.last_mut() {
@@ -507,7 +574,7 @@ impl Reconstruction {
                     }
                 }
             }
-            "fault_quota_outage" => {
+            Kind::FaultQuotaOutage => {
                 let (Some(host), Some(down)) = (ev.u64("host"), ev.bool("down")) else {
                     return;
                 };
@@ -521,20 +588,20 @@ impl Reconstruction {
                     }
                 }
             }
-            "warn" => {
+            Kind::Warn => {
                 self.warn_count += 1;
                 if self.warn_samples.len() < 5 {
                     self.warn_samples.push(format!(
                         "[{}] {}",
-                        ev.str("component").unwrap_or("?"),
-                        ev.str("message").unwrap_or("?")
+                        ev.str("component").as_deref().unwrap_or("?"),
+                        ev.str("message").as_deref().unwrap_or("?")
                     ));
                 }
             }
-            "cwnd_update" | "retransmit" => {
+            Kind::CwndUpdate | Kind::Retransmit => {
                 // Counted in kind_counts; no per-event state is rebuilt.
             }
-            _ => self.integrity.unknown_kinds += 1,
+            Kind::Unknown => self.integrity.unknown_kinds += 1,
         }
     }
 
@@ -542,12 +609,11 @@ impl Reconstruction {
     /// the delay-bound audit evaluates. Falls back to any port when the
     /// trace has no switch events.
     pub fn bottleneck_port(&self) -> Option<&PortKey> {
-        let total = |p: &PortTimeline| p.classes.values().map(|c| c.enq_bytes).sum::<u64>();
         self.ports
             .iter()
             .filter(|(k, _)| k.node.starts_with("switch"))
-            .max_by_key(|(_, p)| total(p))
-            .or_else(|| self.ports.iter().max_by_key(|(_, p)| total(p)))
+            .max_by_key(|(_, p)| p.enq_bytes())
+            .or_else(|| self.ports.iter().max_by_key(|(_, p)| p.enq_bytes()))
             .map(|(k, _)| k)
     }
 }
@@ -674,6 +740,52 @@ mod tests {
         assert_eq!(r.integrity.parse_errors, 1);
         assert_eq!(r.integrity.seq_gaps, 1);
         assert_eq!(r.events, 2);
+    }
+
+    /// Regression: `BufRead::lines` turned one stray byte into an I/O error
+    /// that aborted the whole reconstruction.
+    #[test]
+    fn non_utf8_line_is_counted_not_fatal() {
+        let mut t = header();
+        t += &enq(1, 100, 0, 1000, 1000);
+        t += &deq(2, 200, 0, 1000, 0);
+        t += &enq(3, 300, 0, 1000, 1000);
+        let mut bytes = t.into_bytes();
+        let mid = bytes.len() - 60; // inside line 4
+        bytes[mid] = 0xff;
+        let r = Reconstruction::from_reader(Cursor::new(bytes)).unwrap();
+        assert_eq!(r.integrity.parse_errors, 1);
+        let sample = &r.integrity.parse_error_samples[0];
+        assert!(sample.starts_with("line 4: invalid UTF-8 at byte"), "{sample}");
+        assert_eq!(r.events, 3);
+        let mut r = r;
+        let report = crate::audit::audit(&mut r, &crate::AuditOptions::default());
+        let integrity = report.checks.iter().find(|c| c.name == "trace_integrity").unwrap();
+        assert_eq!(integrity.status, crate::CheckStatus::Fail, "{integrity:?}");
+    }
+
+    #[test]
+    fn crlf_and_blank_lines_and_a_missing_final_newline_are_tolerated() {
+        let t = header() + &enq(1, 100, 0, 1000, 1000) + "\n" + &deq(2, 200, 0, 1000, 0);
+        let t = t.replace('\n', "\r\n");
+        let r = Reconstruction::from_reader(Cursor::new(t.trim_end().to_string())).unwrap();
+        assert_eq!((r.events, r.integrity.parse_errors, r.integrity.seq_gaps), (3, 0, 0));
+        assert_eq!(r.kind_counts["pkt_dequeue"], 1);
+    }
+
+    #[test]
+    fn unknown_kinds_are_counted_by_tag() {
+        let mut t = header();
+        t += "{\"seq\":1,\"t_ps\":5,\"type\":\"novel\",\"x\":1}\n";
+        t += "{\"seq\":2,\"t_ps\":6,\"type\":\"novel\"}\n";
+        // Missing a field: counted, and no port springs into being.
+        t += "{\"seq\":3,\"t_ps\":7,\"type\":\"pkt_enqueue\",\"node\":\"host1\",\"port\":0,\"class\":0}\n";
+        let r = Reconstruction::from_reader(Cursor::new(t)).unwrap();
+        assert_eq!(r.integrity.unknown_kinds, 2);
+        assert_eq!(r.kind_counts["novel"], 2);
+        assert_eq!(r.kind_counts.len(), 3, "{:?}", r.kind_counts);
+        assert_eq!(r.integrity.parse_errors, 1);
+        assert!(r.ports.is_empty());
     }
 
     #[test]

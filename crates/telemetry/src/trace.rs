@@ -278,6 +278,22 @@ pub enum TraceEvent {
     },
 }
 
+/// A value [`TraceEvent::write_json`] formats by hand: anything but a float.
+trait Put {
+    /// Append the value's JSON rendering to `s`.
+    fn put(self, s: &mut String);
+}
+
+/// Append `,"key":value` for each pair; the key fragment is assembled at
+/// compile time.
+macro_rules! put {
+    ($s:ident, $($key:literal: $value:expr),+) => {{
+        $(
+            $s.push_str(concat!(",\"", $key, "\":"));
+            Put::put($value, $s);
+        )+
+    }};
+}
 impl TraceEvent {
     /// The event's `type` tag as it appears in the JSONL output.
     pub fn type_tag(&self) -> &'static str {
@@ -312,14 +328,21 @@ impl TraceEvent {
     /// Serialize as one JSON object (no trailing newline) appended to `s`.
     /// `seq` and `t_ps` lead every record so downstream tools can sort/merge
     /// streams. Byte-identical to what [`TraceEvent::to_json`] returns.
+    ///
+    /// Keys are literal fragments and everything but a float is formatted by
+    /// hand ([`Put`]): `core::fmt` costs more per integer than the digits
+    /// themselves, and a packet line carries nine. Floats stay on `core::fmt`
+    /// so the `{}`/`{:.4}`/`{:.6}` renderings cannot drift by a digit.
     pub fn write_json(&self, s: &mut String, seq: u64, t_ps: u64) {
-        let _ = write!(s, "{{\"seq\":{seq},\"t_ps\":{t_ps},\"type\":\"{}\"", self.type_tag());
+        s.push_str("{\"seq\":");
+        seq.put(s);
+        put!(s, "t_ps": t_ps);
+        s.push_str(",\"type\":\""); // a tag needs no escaping
+        s.push_str(self.type_tag());
+        s.push('"');
         match self {
             TraceEvent::TraceHeader { schema_version } => {
-                let _ = write!(
-                    s,
-                    ",\"format\":\"aequitas-trace\",\"schema_version\":{schema_version}"
-                );
+                put!(s, "format": "aequitas-trace", "schema_version": *schema_version);
             }
             TraceEvent::RunInfo {
                 experiment,
@@ -335,24 +358,20 @@ impl TraceEvent {
                 rho,
                 period_ps,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"experiment\":\"{}\",\"hosts\":{hosts},\"classes\":{classes},\"weights\":[",
-                    escape_json(experiment)
-                );
+                put!(s, "experiment": experiment.as_str(), "hosts": *hosts, "classes": *classes);
+                s.push_str(",\"weights\":[");
                 for (i, w) in weights.iter().enumerate() {
                     let _ = write!(s, "{}{w}", if i > 0 { "," } else { "" });
                 }
                 s.push_str("],\"slos_per_mtu_ps\":[");
                 for (i, v) in slos_per_mtu_ps.iter().enumerate() {
-                    let _ = write!(s, "{}{v}", if i > 0 { "," } else { "" });
+                    s.push_str(if i > 0 { "," } else { "" });
+                    (*v).put(s);
                 }
-                let _ = write!(
-                    s,
-                    "],\"slo_percentile\":{slo_percentile},\"warmup_ps\":{warmup_ps},\
-                     \"duration_ps\":{duration_ps},\"senders\":{senders},\"mu\":{mu},\
-                     \"rho\":{rho},\"period_ps\":{period_ps}"
-                );
+                let _ = write!(s, "],\"slo_percentile\":{slo_percentile}");
+                put!(s, "warmup_ps": *warmup_ps, "duration_ps": *duration_ps, "senders": *senders);
+                let _ = write!(s, ",\"mu\":{mu},\"rho\":{rho}");
+                put!(s, "period_ps": *period_ps);
             }
             TraceEvent::PktEnqueue {
                 node,
@@ -362,15 +381,10 @@ impl TraceEvent {
                 bytes,
                 depth_pkts,
                 backlog_bytes,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"node\":\"{}{}\",\"port\":{port},\"class\":{class},\"bytes\":{bytes},\
-                     \"depth_pkts\":{depth_pkts},\"backlog_bytes\":{backlog_bytes}",
-                    node.label(),
-                    node_id
-                );
-            }
+            } => put!(
+                s, "node": (*node, *node_id), "port": *port, "class": *class, "bytes": *bytes,
+                "depth_pkts": *depth_pkts, "backlog_bytes": *backlog_bytes
+            ),
             TraceEvent::PktDequeue {
                 node,
                 node_id,
@@ -386,15 +400,10 @@ impl TraceEvent {
                 class,
                 bytes,
                 backlog_bytes,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"node\":\"{}{}\",\"port\":{port},\"class\":{class},\"bytes\":{bytes},\
-                     \"backlog_bytes\":{backlog_bytes}",
-                    node.label(),
-                    node_id
-                );
-            }
+            } => put!(
+                s, "node": (*node, *node_id), "port": *port, "class": *class, "bytes": *bytes,
+                "backlog_bytes": *backlog_bytes
+            ),
             TraceEvent::RpcIssue {
                 host,
                 dst,
@@ -404,11 +413,11 @@ impl TraceEvent {
                 size_bytes,
                 p_admit,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"host\":{host},\"dst\":{dst},\"qos_req\":{qos_req},\"qos_run\":{qos_run},\
-                     \"downgraded\":{downgraded},\"size_bytes\":{size_bytes},\"p_admit\":{p_admit:.6}"
+                put!(
+                    s, "host": *host, "dst": *dst, "qos_req": *qos_req, "qos_run": *qos_run,
+                    "downgraded": *downgraded, "size_bytes": *size_bytes
                 );
+                let _ = write!(s, ",\"p_admit\":{p_admit:.6}");
             }
             TraceEvent::RpcComplete {
                 host,
@@ -418,13 +427,10 @@ impl TraceEvent {
                 size_bytes,
                 rnl_ps,
                 rnl_per_mtu_ps,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"host\":{host},\"dst\":{dst},\"qos_run\":{qos_run},\"downgraded\":{downgraded},\
-                     \"size_bytes\":{size_bytes},\"rnl_ps\":{rnl_ps},\"rnl_per_mtu_ps\":{rnl_per_mtu_ps}"
-                );
-            }
+            } => put!(
+                s, "host": *host, "dst": *dst, "qos_run": *qos_run, "downgraded": *downgraded,
+                "size_bytes": *size_bytes, "rnl_ps": *rnl_ps, "rnl_per_mtu_ps": *rnl_per_mtu_ps
+            ),
             TraceEvent::CwndUpdate {
                 host,
                 dst,
@@ -434,11 +440,9 @@ impl TraceEvent {
                 target_ps,
                 over_target,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"host\":{host},\"dst\":{dst},\"class\":{class},\"cwnd\":{cwnd:.4},\
-                     \"rtt_ps\":{rtt_ps},\"target_ps\":{target_ps},\"over_target\":{over_target}"
-                );
+                put!(s, "host": *host, "dst": *dst, "class": *class);
+                let _ = write!(s, ",\"cwnd\":{cwnd:.4}");
+                put!(s, "rtt_ps": *rtt_ps, "target_ps": *target_ps, "over_target": *over_target);
             }
             TraceEvent::Retransmit {
                 host,
@@ -446,12 +450,7 @@ impl TraceEvent {
                 class,
                 msg_id,
                 seq,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"host\":{host},\"dst\":{dst},\"class\":{class},\"msg_id\":{msg_id},\"seq\":{seq}"
-                );
-            }
+            } => put!(s, "host": *host, "dst": *dst, "class": *class, "msg_id": *msg_id, "seq": *seq),
             TraceEvent::AdmitProb {
                 host,
                 dst,
@@ -459,31 +458,17 @@ impl TraceEvent {
                 p,
                 delta,
             } => {
-                let _ = write!(
-                    s,
-                    ",\"host\":{host},\"dst\":{dst},\"qos\":{qos},\"p\":{p:.6},\"delta\":{delta:.6}"
-                );
+                put!(s, "host": *host, "dst": *dst, "qos": *qos);
+                let _ = write!(s, ",\"p\":{p:.6},\"delta\":{delta:.6}");
             }
             TraceEvent::FaultLinkDown {
                 node,
                 node_id,
                 port,
                 until_ps,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"node\":\"{}{}\",\"port\":{port},\"until_ps\":{until_ps}",
-                    node.label(),
-                    node_id
-                );
-            }
+            } => put!(s, "node": (*node, *node_id), "port": *port, "until_ps": *until_ps),
             TraceEvent::FaultLinkUp { node, node_id, port } => {
-                let _ = write!(
-                    s,
-                    ",\"node\":\"{}{}\",\"port\":{port}",
-                    node.label(),
-                    node_id
-                );
+                put!(s, "node": (*node, *node_id), "port": *port);
             }
             TraceEvent::FaultPktDrop {
                 node,
@@ -492,48 +477,92 @@ impl TraceEvent {
                 class,
                 bytes,
                 corrupt,
-            } => {
-                let _ = write!(
-                    s,
-                    ",\"node\":\"{}{}\",\"port\":{port},\"class\":{class},\"bytes\":{bytes},\
-                     \"corrupt\":{corrupt}",
-                    node.label(),
-                    node_id
-                );
-            }
-            TraceEvent::FaultQuotaOutage { host, down } => {
-                let _ = write!(s, ",\"host\":{host},\"down\":{down}");
-            }
+            } => put!(
+                s, "node": (*node, *node_id), "port": *port, "class": *class, "bytes": *bytes,
+                "corrupt": *corrupt
+            ),
+            TraceEvent::FaultQuotaOutage { host, down } => put!(s, "host": *host, "down": *down),
             TraceEvent::Warn { component, message } => {
-                let _ = write!(
-                    s,
-                    ",\"component\":\"{}\",\"message\":\"{}\"",
-                    escape_json(component),
-                    escape_json(message)
-                );
+                put!(s, "component": component.as_str(), "message": message.as_str());
             }
         }
         s.push('}');
     }
 }
 
-/// Escape a string for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+impl Put for u64 {
+    fn put(mut self, s: &mut String) {
+        // u64::MAX has 20 digits; fill from the back.
+        let mut buf = [0u8; 20];
+        let mut at = buf.len();
+        loop {
+            at -= 1;
+            buf[at] = b'0' + (self % 10) as u8;
+            self /= 10;
+            if self == 0 {
+                break;
             }
-            c => out.push(c),
         }
+        s.push_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"));
     }
-    out
+}
+
+macro_rules! put_as_u64 {
+    ($($int:ty),+) => {$(
+        impl Put for $int {
+            fn put(self, s: &mut String) {
+                (self as u64).put(s); // lossless: none is wider
+            }
+        }
+    )+};
+}
+put_as_u64!(u8, u32, usize);
+
+impl Put for bool {
+    fn put(self, s: &mut String) {
+        s.push_str(if self { "true" } else { "false" });
+    }
+}
+
+/// A string: quoted, and escaped for a JSON string literal — runs of ordinary
+/// characters are copied whole, only the escapes are spelled out.
+impl Put for &str {
+    fn put(self, s: &mut String) {
+        s.push('"');
+        let mut copied = 0;
+        for (at, b) in self.bytes().enumerate() {
+            let esc = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            // Every escaped byte is ASCII, so `copied..at` lies on char
+            // boundaries.
+            s.push_str(&self[copied..at]);
+            if esc.is_empty() {
+                let _ = write!(s, "\\u{b:04x}");
+            } else {
+                s.push_str(esc);
+            }
+            copied = at + 1;
+        }
+        s.push_str(&self[copied..]);
+        s.push('"');
+    }
+}
+
+/// A node label: `"host3"`, `"switch0"`.
+impl Put for (NodeKind, usize) {
+    fn put(self, s: &mut String) {
+        s.push('"');
+        s.push_str(self.0.label());
+        self.1.put(s);
+        s.push('"');
+    }
 }
 
 /// Consumes serialized trace lines. Implementations must be `Send` so a
@@ -600,7 +629,8 @@ impl JsonlWriter {
 
 impl TraceSink for JsonlWriter {
     fn record_line(&mut self, line: &str) {
-        let _ = writeln!(self.w, "{line}");
+        let _ = self.w.write_all(line.as_bytes());
+        let _ = self.w.write_all(b"\n");
     }
     fn flush(&mut self) {
         let _ = self.w.flush();

@@ -52,6 +52,17 @@ cargo clippy -q --offline --all-targets -- -D warnings
 echo "== bench regression gate =="
 scripts/bench_gate.sh
 
+echo "== benchmark (build + self-check) =="
+# benchmark/ is a workspace of its own (BENCHMARK.json runs it from a fresh
+# checkout), so nothing above compiles it: a break in the telemetry/replay
+# API it calls would otherwise surface only at the merge gate. Its unit
+# tests, then the one workload that drives the trace writer and the replay
+# reader end to end; the run exits non-zero if a built-in check fails
+# (traced_slice_matches_untraced_slice, audit_trace_integrity_pass, ...).
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload star33_traced_audit --seed 2022 --seconds 2 --trace 0 > /dev/null
+
 echo "== trace smoke =="
 scripts/trace_smoke.sh
 

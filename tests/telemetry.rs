@@ -6,100 +6,12 @@
 use aequitas::{AequitasConfig, SloTarget};
 use aequitas_experiments::harness::{run_macro, MacroSetup, PolicyChoice};
 use aequitas_netsim::EngineConfig;
+use aequitas_replay::trace::parse_line;
 use aequitas_rpc::{ArrivalProcess, Priority, PrioritySpec, TrafficPattern, WorkloadSpec};
 use aequitas_sim_core::SimDuration;
 use aequitas_telemetry::{FlightRecorder, Telemetry, TelemetryConfig};
 use aequitas_workloads::{QosMapping, SizeDist};
 use std::collections::BTreeSet;
-
-/// Minimal flat-JSON-object parser (the repo deliberately has no serde):
-/// accepts `{"key":value,...}` with string / number / bool values and
-/// returns the fields in order. `None` means the line is not valid JSON of
-/// that shape.
-fn parse_flat_json(line: &str) -> Option<Vec<(String, String)>> {
-    let body = line.strip_prefix('{')?.strip_suffix('}')?;
-    let mut fields = Vec::new();
-    let mut chars = body.chars().peekable();
-    loop {
-        // Key.
-        if chars.next()? != '"' {
-            return None;
-        }
-        let mut key = String::new();
-        loop {
-            match chars.next()? {
-                '"' => break,
-                '\\' => {
-                    key.push('\\');
-                    key.push(chars.next()?);
-                }
-                c => key.push(c),
-            }
-        }
-        if chars.next()? != ':' {
-            return None;
-        }
-        // Value: string, array of bare tokens (run_info's weights/SLOs), or
-        // a bare token up to ',' at top level.
-        let mut value = String::new();
-        if chars.peek() == Some(&'[') {
-            value.push(chars.next()?);
-            loop {
-                let c = chars.next()?;
-                value.push(c);
-                if c == ']' {
-                    break;
-                }
-            }
-            let body = &value[1..value.len() - 1];
-            let ok = body.is_empty() || body.split(',').all(|v| v.parse::<f64>().is_ok());
-            if !ok {
-                return None;
-            }
-        } else if chars.peek() == Some(&'"') {
-            chars.next();
-            loop {
-                match chars.next()? {
-                    '"' => break,
-                    '\\' => {
-                        let esc = chars.next()?;
-                        if !matches!(esc, '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' | 'u') {
-                            return None;
-                        }
-                        value.push(esc);
-                    }
-                    c if (c as u32) < 0x20 => return None, // raw control char
-                    c => value.push(c),
-                }
-            }
-        } else {
-            while let Some(&c) = chars.peek() {
-                if c == ',' {
-                    break;
-                }
-                value.push(c);
-                chars.next();
-            }
-            let ok = value.parse::<f64>().is_ok() || value == "true" || value == "false";
-            if !ok {
-                return None;
-            }
-        }
-        fields.push((key, value));
-        match chars.next() {
-            None => return Some(fields),
-            Some(',') => continue,
-            Some(_) => return None,
-        }
-    }
-}
-
-fn field<'a>(fields: &'a [(String, String)], key: &str) -> Option<&'a str> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v.as_str())
-}
 
 /// An overloaded Aequitas run: enough pressure that every event family
 /// (enqueue/dequeue/drop, issue/complete/downgrade, cwnd, admit-prob
@@ -155,23 +67,20 @@ fn traced_run_emits_valid_monotone_jsonl_and_metrics() {
     let mut last_t: u64 = 0;
     let mut types = BTreeSet::new();
     for line in &lines {
-        let fields = parse_flat_json(line).unwrap_or_else(|| panic!("bad JSON: {line}"));
-        // Stable leading fields.
-        assert_eq!(fields[0].0, "seq", "{line}");
-        assert_eq!(fields[1].0, "t_ps", "{line}");
-        assert_eq!(fields[2].0, "type", "{line}");
-        let seq: u64 = fields[0].1.parse().unwrap();
-        let t_ps: u64 = fields[1].1.parse().unwrap();
+        // The replay reader — independent of the emitter — accepts a line
+        // only if it leads with `seq`, `t_ps`, `type`, in that order.
+        let ev = parse_line(line).unwrap_or_else(|e| panic!("bad trace line ({e}): {line}"));
         if let Some(prev) = last_seq {
-            assert_eq!(seq, prev + 1, "seq gap at {line}");
+            assert_eq!(ev.seq, prev + 1, "seq gap at {line}");
         }
-        last_seq = Some(seq);
+        last_seq = Some(ev.seq);
         assert!(
-            t_ps >= last_t,
-            "timestamps went backwards: {t_ps} < {last_t} at {line}"
+            ev.t_ps >= last_t,
+            "timestamps went backwards: {} < {last_t} at {line}",
+            ev.t_ps
         );
-        last_t = t_ps;
-        types.insert(field(&fields, "type").unwrap().to_string());
+        last_t = ev.t_ps;
+        types.insert(ev.tag.into_owned());
     }
     // Packet, RPC, transport, and controller families are all present.
     for required in [
@@ -278,7 +187,7 @@ fn jsonl_writer_produces_a_readable_file() {
     let text = std::fs::read_to_string(&path).unwrap();
     let mut n = 0;
     for line in text.lines() {
-        assert!(parse_flat_json(line).is_some(), "bad JSON line: {line}");
+        assert!(parse_line(line).is_ok(), "bad trace line: {line}");
         n += 1;
     }
     assert!(n > 100, "only {n} lines in {}", path.display());
