@@ -86,6 +86,42 @@ fn bench_event_queue(c: &mut Criterion) {
         });
     }
     g.finish();
+
+    // The regime whole experiments actually run in (`tests/queue_traffic.rs`
+    // prints it): 4 096 live events whose delays come from the engine's own
+    // mix — same instant, ACK and MTU serialisation, propagation, host
+    // delay, pacing, and rare retransmit scans and burst gaps — weighted to a
+    // mean of ~2.8 us, i.e. ~23 events per 16 ns bucket, with a fifth of the
+    // schedules landing in the bucket being drained.
+    let mut g = c.benchmark_group("event_queue_hold_dense");
+    for (label, kind) in [("heap", QueueKind::Heap), ("calendar", QueueKind::Calendar)] {
+        g.bench_function(label, |b| {
+            let mut q = EventQueue::with_kind(kind);
+            for i in 0..4096u64 {
+                q.schedule(SimTime::from_ps(i * 683), i);
+            }
+            let mut t = 0u64;
+            b.iter(|| {
+                let ev = q.pop().expect("pool is never empty");
+                t = t
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(ev.event | 1);
+                let delay_ps = match t >> 58 {
+                    0..=7 => 0,
+                    8..=19 => 5_000,
+                    20..=29 => 80_000,
+                    30..=37 => 333_000,
+                    38..=45 => 500_000,
+                    46..=62 => 2_000_000,
+                    _ if (t >> 50) & 0xff != 0 => 100_000_000,
+                    _ => 10_000_000_000,
+                };
+                q.schedule(q.now() + SimDuration::from_ps(delay_ps), ev.event);
+                black_box(ev.time);
+            });
+        });
+    }
+    g.finish();
 }
 
 fn bench_engine_events(c: &mut Criterion) {

@@ -498,7 +498,7 @@ impl FaultPlan {
                     g.rate_frac
                 ));
             }
-            if !(g.rate_frac < 1.0) && g.jitter_ramp == SimDuration::ZERO {
+            if g.rate_frac >= 1.0 && g.jitter_ramp == SimDuration::ZERO {
                 return Err(format!(
                     "{at}: rule has no effect (rate_frac 1.0 and no jitter ramp)"
                 ));

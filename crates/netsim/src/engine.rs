@@ -5,7 +5,9 @@ use crate::port::{Port, PortStats, SchedulerKind};
 use crate::shard::{Boundary, ShardRole, ShardSpec};
 use crate::topology::{HostId, NodeRef, SwitchId, Topology};
 use aequitas_faults::{FaultPlan, LinkId as FaultLinkId, PacketFate};
-use aequitas_sim_core::{EventQueue, QueueKind, SimDuration, SimRng, SimTime, Slab, SlotId};
+use aequitas_sim_core::{
+    EventQueue, QueueKind, QueueStats, SimDuration, SimRng, SimTime, Slab, SlotId,
+};
 use aequitas_telemetry::{labels, MetricId, NodeKind, Telemetry, TraceEvent};
 use std::sync::Arc;
 
@@ -429,6 +431,13 @@ impl<A: HostAgent> Engine<A> {
     /// Total events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
+    }
+
+    /// Exact work counts of the future-event list (bucket occupancy, sorted
+    /// inserts, overflow). A test and sizing aid, not a telemetry metric:
+    /// exported CSVs do not carry it.
+    pub fn queue_stats(&self) -> QueueStats {
+        self.queue.stats()
     }
 
     /// Immutable access to the agents (for collecting results).

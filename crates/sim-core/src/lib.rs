@@ -22,6 +22,6 @@ pub mod rng;
 pub mod time;
 
 pub use arena::{Slab, SlotId, VecPool};
-pub use event::{EventQueue, QueueKind, ScheduledEvent};
+pub use event::{EventQueue, QueueKind, QueueStats, ScheduledEvent};
 pub use rng::SimRng;
 pub use time::{BitRate, SimDuration, SimTime};

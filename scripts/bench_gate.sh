@@ -48,6 +48,7 @@ baseline_ns() {
 GATED=(
     "event_queue_hold64_heap_ns_per_op:event_queue_hold64/heap"
     "event_queue_hold64_calendar_ns_per_op:event_queue_hold64/calendar"
+    "event_queue_hold_dense_calendar_ns_per_op:event_queue_hold_dense/calendar"
     "engine_rpc_8host_100us_slice_ns:engine_run/rpc_8host_100us_slice"
     "arena_slab_churn32_ns_per_op:arena/slab_churn32"
     "arena_box_churn_baseline_ns_per_op:arena/box_churn_baseline"

@@ -40,6 +40,7 @@ median_ns() {
 }
 HEAP_NS=$(median_ns "event_queue_hold64/heap")
 CAL_NS=$(median_ns "event_queue_hold64/calendar")
+DENSE_NS=$(median_ns "event_queue_hold_dense/calendar")
 SLICE_NS=$(median_ns "engine_run/rpc_8host_100us_slice")
 SLAB_NS=$(median_ns "arena/slab_churn32")
 BOXB_NS=$(median_ns "arena/box_churn_baseline")
@@ -82,6 +83,7 @@ SNAP=$(cat <<EOF
   "sweep_threads": $THREADS,
   "event_queue_hold64_heap_ns_per_op": ${HEAP_NS:-null},
   "event_queue_hold64_calendar_ns_per_op": ${CAL_NS:-null},
+  "event_queue_hold_dense_calendar_ns_per_op": ${DENSE_NS:-null},
   "engine_rpc_8host_100us_slice_ns": ${SLICE_NS:-null},
   "arena_slab_churn32_ns_per_op": ${SLAB_NS:-null},
   "arena_box_churn_baseline_ns_per_op": ${BOXB_NS:-null},

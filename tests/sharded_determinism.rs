@@ -15,7 +15,7 @@ use aequitas_netsim::faults::{
     FaultPlan, GrayDegrade, LinkFlap, LinkSel, LossRule, PodLayout, PodOutage, SwitchOutage,
     Window,
 };
-use aequitas_netsim::{LinkSpec, ShardSpec, Topology};
+use aequitas_netsim::{LinkSpec, QueueKind, ShardSpec, Topology};
 use aequitas_sim_core::{BitRate, SimDuration, SimTime};
 use std::sync::Arc;
 
@@ -54,10 +54,11 @@ fn clos_setup(faults: Option<Arc<FaultPlan>>) -> (MacroSetup, ShardSpec) {
 
 /// (issued_at, completed_at, rnl) per completion, in picoseconds.
 type CompletionLog = Vec<(u64, u64, u64)>;
+type Fingerprint = (u64, u64, CompletionLog, CompletionLog);
 
 /// Every observable of the run, at picosecond resolution. Two fingerprints
 /// are equal iff the simulations were byte-identical.
-fn fingerprint(r: &MacroResult) -> (u64, u64, CompletionLog, CompletionLog) {
+fn fingerprint(r: &MacroResult) -> Fingerprint {
     let enc = |cs: &[aequitas_rpc::RpcCompletion]| {
         cs.iter()
             .map(|c| {
@@ -72,8 +73,14 @@ fn fingerprint(r: &MacroResult) -> (u64, u64, CompletionLog, CompletionLog) {
     (r.issued, r.events, enc(&r.completions), enc(&r.warmup_completions))
 }
 
-fn run(threads: usize, faults: Option<Arc<FaultPlan>>) -> (u64, u64, CompletionLog, CompletionLog) {
-    let (setup, spec) = clos_setup(faults);
+fn run(threads: usize, faults: Option<Arc<FaultPlan>>) -> Fingerprint {
+    run_on(QueueKind::Calendar, threads, faults)
+}
+
+/// `queue` selects the future-event list of every domain engine.
+fn run_on(queue: QueueKind, threads: usize, faults: Option<Arc<FaultPlan>>) -> Fingerprint {
+    let (mut setup, spec) = clos_setup(faults);
+    setup.engine.event_queue = queue;
     fingerprint(&run_macro_sharded(setup, spec, threads))
 }
 
@@ -92,12 +99,10 @@ fn thread_count_is_a_pure_wall_clock_knob() {
     );
 }
 
-/// The fault layer's verdicts are pure functions of (seed, time, entity),
-/// so an active chaos plan — loss everywhere, a host-uplink flap, and a
-/// flap on a *cross-domain* spine→core port — must not break the guarantee.
-#[test]
-fn thread_count_is_invisible_under_chaos() {
-    let plan = Arc::new(
+/// Loss everywhere, a host-uplink flap, and a flap on a *cross-domain*
+/// spine→core port.
+fn chaos_plan() -> Arc<FaultPlan> {
+    Arc::new(
         FaultPlan {
             seed: 99,
             flaps: vec![
@@ -127,7 +132,15 @@ fn thread_count_is_invisible_under_chaos() {
         }
         .validated()
         .expect("chaos plan is well-formed"),
-    );
+    )
+}
+
+/// The fault layer's verdicts are pure functions of (seed, time, entity),
+/// so an active chaos plan — loss everywhere, a host-uplink flap, and a
+/// flap on a *cross-domain* spine→core port — must not break the guarantee.
+#[test]
+fn thread_count_is_invisible_under_chaos() {
+    let plan = chaos_plan();
     let serial = run(1, Some(plan.clone()));
     let threaded = run(4, Some(plan));
     assert_eq!(
@@ -201,4 +214,29 @@ fn thread_count_is_invisible_under_correlated_and_gray_faults() {
         serial, clean,
         "the correlated fault plan should have perturbed the simulation"
     );
+}
+
+/// `EngineConfig::event_queue` also selects the per-domain queues, and the
+/// window protocol is the only caller that peeks a queue and then injects
+/// arrivals earlier than the peeked event. The calendar must match the heap
+/// oracle there too — under the chaos plan, at 1 and N threads.
+#[test]
+fn queue_backend_is_invisible_on_the_sharded_engine() {
+    let oracle = run_on(QueueKind::Heap, 1, Some(chaos_plan()));
+    assert!(
+        oracle.2.len() > 100,
+        "run too small: {} completions",
+        oracle.2.len()
+    );
+    for (queue, threads) in [
+        (QueueKind::Calendar, 1),
+        (QueueKind::Calendar, 4),
+        (QueueKind::Heap, 4),
+    ] {
+        assert_eq!(
+            run_on(queue, threads, Some(chaos_plan())),
+            oracle,
+            "{queue:?} at {threads} threads diverged from the heap at 1 thread"
+        );
+    }
 }
