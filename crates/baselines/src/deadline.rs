@@ -62,19 +62,9 @@ pub fn engine_config() -> EngineConfig {
         switch_buffer_bytes: Some(2 << 20),
         host_buffer_bytes: Some(2 << 20),
         classes: 3,
-    loss_probability: 0.0,
-        loss_seed: 0,
         event_queue: QueueKind::Calendar,
         faults: None,
     }
-}
-
-/// [`engine_config`] with a chaos fault plan attached, so D3/PDQ run under
-/// the same seeded fault schedules as Aequitas in containment experiments.
-pub fn engine_config_with_faults(
-    faults: Option<std::sync::Arc<aequitas_netsim::faults::FaultPlan>>,
-) -> EngineConfig {
-    EngineConfig { faults, ..engine_config() }
 }
 
 /// Deadlines per priority class, following the paper's §6.10 setup (250 µs
@@ -370,21 +360,7 @@ impl DeadlineHost {
             };
             if terminate {
                 let msg = self.msgs.remove(&id).expect("msg exists");
-                let pace = self.pace.remove(&id);
-                aequitas_telemetry::note("baselines.deadline", || {
-                    format!(
-                        "TERM host={} id={:x} age_us={:.1} remaining={} next_seg={}/{} acked={} inflight={} rate_bps={}",
-                        self.host.0,
-                        id,
-                        now.saturating_since(msg.issued_at).as_secs_f64() * 1e6,
-                        msg.remaining_bytes(),
-                        msg.next_seg,
-                        msg.total_segs,
-                        msg.acked,
-                        msg.inflight(),
-                        pace.map(|p| p.rate_bps).unwrap_or(0),
-                    )
-                });
+                self.pace.remove(&id);
                 self.completions.push(msg.completion(now, true));
                 let pkt = self.ctrl(dst, CTRL_FLOW_END, id, 0, now);
                 ctx.send(pkt);

@@ -29,19 +29,9 @@ pub fn engine_config() -> EngineConfig {
         switch_buffer_bytes: Some(2 << 20),
         host_buffer_bytes: Some(2 << 20),
         classes: 3,
-    loss_probability: 0.0,
-        loss_seed: 0,
         event_queue: QueueKind::Calendar,
         faults: None,
     }
-}
-
-/// [`engine_config`] with a chaos fault plan attached, so QJump runs under
-/// the same seeded fault schedules as Aequitas in containment experiments.
-pub fn engine_config_with_faults(
-    faults: Option<std::sync::Arc<aequitas_netsim::faults::FaultPlan>>,
-) -> EngineConfig {
-    EngineConfig { faults, ..engine_config() }
 }
 
 /// Per-class throughput factors (fraction of line rate each class's host

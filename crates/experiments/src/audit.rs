@@ -1,6 +1,6 @@
 //! Opt-in end-of-run self-audit.
 //!
-//! When enabled (CLI `--audit` or `AEQUITAS_AUDIT=1`), the harness replays
+//! When the run context asks for it (CLI `--audit`), the harness replays
 //! the trace a run just wrote through `aequitas-replay` and checks it
 //! against the paper's closed-form bounds (Eq. 1 / Eq. 8, admissible
 //! region, RNL SLOs). A FAIL verdict terminates the process with exit
@@ -8,29 +8,13 @@
 //! run that violated its own model.
 
 use aequitas_telemetry::Telemetry;
-use std::sync::atomic::{AtomicBool, Ordering};
 
-static SELF_AUDIT: AtomicBool = AtomicBool::new(false);
-
-/// Turn the end-of-run self-audit on for this process (the CLI's
-/// `--audit` flag).
-pub fn enable_self_audit() {
-    SELF_AUDIT.store(true, Ordering::Relaxed);
-}
-
-/// Whether the self-audit is enabled, via [`enable_self_audit`] or the
-/// `AEQUITAS_AUDIT` environment variable (any value but `0`).
-pub fn self_audit_enabled() -> bool {
-    SELF_AUDIT.load(Ordering::Relaxed)
-        || std::env::var("AEQUITAS_AUDIT").is_ok_and(|v| v != "0")
-}
-
-/// Harness hook: replay + audit the trace behind `tel` if the self-audit
-/// is enabled. Prints the verdict report; exits 1 on a FAIL verdict.
-/// No-op when disabled, when tracing is off, or when the sink is not
-/// file-backed (nothing to replay).
-pub fn maybe_self_audit(tel: &Telemetry) {
-    if !self_audit_enabled() || !tel.is_enabled() {
+/// Replay + audit the trace behind `tel` ([`crate::harness::RunCtx`] calls
+/// this after a run when its `audit` flag is set). Prints the verdict
+/// report; exits 1 on a FAIL verdict. No-op when tracing is off or the
+/// sink is not file-backed (nothing to replay).
+pub fn self_audit(tel: &Telemetry) {
+    if !tel.is_enabled() {
         return;
     }
     let Some(path) = tel.trace_path() else {

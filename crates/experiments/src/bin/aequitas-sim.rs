@@ -9,7 +9,7 @@
 //! aequitas-sim list
 //! aequitas-sim run fig12
 //! aequitas-sim run fig22 --full
-//! aequitas-sim run all
+//! aequitas-sim run all --threads 8
 //! aequitas-sim run fig11 --trace out.jsonl --metrics out-metrics.csv
 //! ```
 //!
@@ -24,19 +24,30 @@
 //! section of README.md for the schema) and injects it into every engine
 //! the chosen experiment builds.
 //!
+//! `--threads N` sets the worker count for parameter sweeps and the sharded
+//! engine (default: the machine's available parallelism); results are
+//! byte-identical for every value. A traced sweep always runs on one worker
+//! so its points land in the trace whole and in order.
+//!
+//! These flags are the whole run context: `main` parses them into one
+//! [`RunCtx`] and hands it to the experiment — no environment variable or
+//! process-global carries any of it.
+//!
 //! `--audit` (requires `--trace`) replays the trace each traced run just
 //! wrote through `aequitas-replay` and checks it against the paper's
 //! analytical bounds; a FAIL verdict exits 1.
 
-use aequitas_experiments::harness::Scale;
+use aequitas_experiments::harness::{RunCtx, Scale};
 use aequitas_experiments::*;
+use aequitas_netsim::faults::FaultPlan;
 use aequitas_sim_core::SimDuration;
 use aequitas_telemetry::{Telemetry, TelemetryConfig};
+use std::sync::Arc;
 
 struct Entry {
     name: &'static str,
     about: &'static str,
-    run: fn(Scale),
+    run: fn(&RunCtx),
 }
 
 fn entries() -> Vec<Entry> {
@@ -49,7 +60,7 @@ fn entries() -> Vec<Entry> {
         Entry {
             name: "fig03",
             about: "congestion episode: load spike -> RNL spike",
-            run: |s| production::print_fig03(&production::fig03(s)),
+            run: |ctx| production::print_fig03(&production::fig03(ctx)),
         },
         Entry {
             name: "fig04",
@@ -69,18 +80,18 @@ fn entries() -> Vec<Entry> {
         Entry {
             name: "fig10",
             about: "packet simulator vs theory validation",
-            run: |s| theory::print_fig10(&theory::fig10(s)),
+            run: |ctx| theory::print_fig10(&theory::fig10(ctx)),
         },
         Entry {
             name: "fig11",
             about: "achieved RNL tracks the SLO (3-node sweep)",
-            run: |s| slo::print_fig11(&slo::fig11(s)),
+            run: |ctx| slo::print_fig11(&slo::fig11(ctx)),
         },
         Entry {
             name: "fig12",
             about: "33-node SLO compliance (+ fig13 outstanding RPCs)",
-            run: |s| {
-                let mut r = slo::fig12(s);
+            run: |ctx| {
+                let mut r = slo::fig12(ctx);
                 slo::print_fig12(&r);
                 slo::print_fig13(&mut r);
             },
@@ -88,61 +99,61 @@ fn entries() -> Vec<Entry> {
         Entry {
             name: "fig14",
             about: "baseline RNL vs input QoSh-share",
-            run: |s| mix::print_fig14(&mix::fig14(s)),
+            run: |ctx| mix::print_fig14(&mix::fig14(ctx)),
         },
         Entry {
             name: "fig15",
             about: "admitted QoS-mix converges to target",
-            run: |s| mix::print_fig15(&mix::fig15(s)),
+            run: |ctx| mix::print_fig15(&mix::fig15(ctx)),
         },
         Entry {
             name: "fig16",
             about: "admitted share vs burstiness (C/rho fit)",
-            run: |s| mix::print_fig16(&mix::fig16(s)),
+            run: |ctx| mix::print_fig16(&mix::fig16(ctx)),
         },
         Entry {
             name: "fig17",
             about: "fairness across channels (+ fig18 max-min)",
-            run: |s| {
-                fairness::print_fairness("Fig 17", &fairness::fig17(s));
-                fairness::print_fairness("Fig 18", &fairness::fig18(s));
+            run: |ctx| {
+                fairness::print_fairness("Fig 17", &fairness::fig17(ctx));
+                fairness::print_fairness("Fig 18", &fairness::fig18(ctx));
             },
         },
         Entry {
             name: "fig19",
             about: "Aequitas vs strict priority queuing",
-            run: |s| spq::print_fig19(&spq::fig19(s)),
+            run: |ctx| spq::print_fig19(&spq::fig19(ctx)),
         },
         Entry {
             name: "fig20",
             about: "mixed 32/64KB sizes under normalized SLOs",
-            run: |s| sizes_fig::print_fig20(&sizes_fig::fig20(s)),
+            run: |ctx| sizes_fig::print_fig20(&sizes_fig::fig20(ctx)),
         },
         Entry {
             name: "fig21",
             about: "leaf-spine fabric, production sizes, 25x burst",
-            run: |s| large::print_fig21(&large::fig21(s)),
+            run: |ctx| large::print_fig21(&large::fig21(ctx)),
         },
         Entry {
             name: "fig22",
             about: "vs pFabric / QJump / D3 / PDQ / Homa",
-            run: |s| related::print_fig22(&related::fig22(s)),
+            run: |ctx| related::print_fig22(&related::fig22(ctx)),
         },
         Entry {
             name: "fig23",
             about: "20-node testbed analogue",
-            run: |s| large::print_fig23(&large::fig23(s)),
+            run: |ctx| large::print_fig23(&large::fig23(ctx)),
         },
         Entry {
             name: "fig24",
             about: "Phase-1 rollout: misalignment -> 0",
-            run: |_| production::print_fig24(&production::fig24(50)),
+            run: |ctx| production::print_fig24(&production::fig24(ctx, 50)),
         },
         Entry {
             name: "fig28",
             about: "beta sensitivity (Appendix C)",
-            run: |s| {
-                let (a, b) = fairness::fig28_29(s);
+            run: |ctx| {
+                let (a, b) = fairness::fig28_29(ctx);
                 fairness::print_fairness("Fig 28 (beta=0.0015)", &a);
                 fairness::print_fairness("Fig 29 (beta=0.0015)", &b);
             },
@@ -150,12 +161,12 @@ fn entries() -> Vec<Entry> {
         Entry {
             name: "fleet-scale",
             about: "multi-thousand-host Clos on the sharded parallel engine",
-            run: |s| fleet::print_fleet(&fleet::fleet(s)),
+            run: |ctx| fleet::print_fleet(&fleet::fleet(ctx)),
         },
         Entry {
             name: "trace-demo",
             about: "tiny full-stack Aequitas run for telemetry smoke/demo",
-            run: |s| demo::print_trace_demo(&demo::trace_demo(s)),
+            run: |ctx| demo::print_trace_demo(&demo::trace_demo(ctx)),
         },
         Entry {
             name: "guarantee",
@@ -165,116 +176,129 @@ fn entries() -> Vec<Entry> {
         Entry {
             name: "quota",
             about: "extension: centralized RPC quota server",
-            run: |s| ext::print_quota(&ext::quota(s)),
+            run: |ctx| ext::print_quota(&ext::quota(ctx)),
         },
         Entry {
             name: "core-overload",
             about: "extension: spine overload handled with no topology knowledge",
-            run: |s| ext::print_core_overload(&ext::core_overload(s)),
+            run: |ctx| ext::print_core_overload(&ext::core_overload(ctx)),
+        },
+        Entry {
+            name: "adaptive-apps",
+            about: "extension: apps that adapt their marking to downgrade feedback",
+            run: |ctx| ext::print_adaptive(&ext::adaptive_apps(ctx)),
         },
         Entry {
             name: "chaos-flap",
             about: "chaos: uplink flap -> bounded blast radius, re-admission",
-            run: |s| chaos::print_link_flap(&chaos::link_flap(s)),
+            run: |ctx| chaos::print_link_flap(&chaos::link_flap(ctx)),
         },
         Entry {
             name: "chaos-quota",
             about: "chaos: quota-server outage -> decayed-grant fallback",
-            run: |s| chaos::print_quota_outage(&chaos::quota_outage(s)),
+            run: |ctx| chaos::print_quota_outage(&chaos::quota_outage(ctx)),
         },
         Entry {
             name: "chaos-containment",
             about: "chaos: baseline x fault matrix with time-to-SLO-restore",
-            run: |s| chaos::print_containment(&chaos::containment(s)),
+            run: |ctx| chaos::print_containment(&chaos::containment(ctx)),
         },
         Entry {
             name: "ablations",
             about: "design-choice ablations (MD scaling, window, drop, floor)",
-            run: |s| {
-                ext::print_ablation_md_size(&ext::ablation_md_size(s));
-                ext::print_ablation_window(&ext::ablation_window(s));
-                ext::print_ablation_drop(&ext::ablation_drop(s));
-                ext::print_ablation_floor(&ext::ablation_floor(s));
+            run: |ctx| {
+                ext::print_ablation_md_size(&ext::ablation_md_size(ctx));
+                ext::print_ablation_window(&ext::ablation_window(ctx));
+                ext::print_ablation_drop(&ext::ablation_drop(ctx));
+                ext::print_ablation_floor(&ext::ablation_floor(ctx));
             },
         },
     ]
 }
 
+/// The entries `run <name>` visits, in table order: every entry for `all`,
+/// the one named otherwise, `None` for an unknown name.
+fn selected<'a>(table: &'a [Entry], name: &str) -> Option<Vec<&'a Entry>> {
+    if name == "all" {
+        return Some(table.iter().collect());
+    }
+    table.iter().find(|e| e.name == name).map(|e| vec![e])
+}
+
 fn usage() -> ! {
     eprintln!(
-        "usage: aequitas-sim <list | run <name|all>> [--full] \
+        "usage: aequitas-sim <list | run <name|all>> [--full] [--threads N] \
          [--trace PATH] [--metrics PATH] [--sample-us N] [--faults PLAN.toml] [--audit]"
     );
     eprintln!("       aequitas-sim run fig12");
     eprintln!("       aequitas-sim run fig11 --trace out.jsonl --metrics out-metrics.csv");
     eprintln!("       aequitas-sim run chaos-flap --faults plan.toml");
-    eprintln!("       AEQUITAS_FULL=1 aequitas-sim run all");
+    eprintln!("       aequitas-sim run all --full --threads 8");
     std::process::exit(2);
 }
 
-/// Telemetry-related CLI options.
-#[derive(Default)]
-struct TelemetryOpts {
-    trace: Option<String>,
-    metrics: Option<String>,
-    sample_us: Option<u64>,
+/// Parse the value of a flag that takes a positive integer; anything else
+/// is a usage error.
+fn positive(flag: &str, v: &str) -> u64 {
+    match v.parse::<u64>() {
+        Ok(n) if n > 0 => n,
+        _ => {
+            eprintln!("{flag} needs a positive integer, got '{v}'");
+            usage();
+        }
+    }
 }
 
-impl TelemetryOpts {
-    fn wanted(&self) -> bool {
-        self.trace.is_some() || self.metrics.is_some()
+/// Load and validate the `--faults` plan (operator TOML is untrusted input).
+fn load_fault_plan(path: &str) -> Arc<FaultPlan> {
+    let plan = match FaultPlan::from_toml_file(std::path::Path::new(path)) {
+        Ok(plan) => plan,
+        Err(e) => {
+            eprintln!("cannot load fault plan {path}: {e}");
+            std::process::exit(2);
+        }
+    };
+    match plan.validated() {
+        Ok(plan) => Arc::new(plan),
+        Err(e) => {
+            eprintln!("invalid fault plan {path}: {e}");
+            std::process::exit(2);
+        }
     }
+}
 
-    /// Build and install the process-global handle; returns it for the
-    /// post-run flush/export.
-    fn install(&self) -> Option<Telemetry> {
-        if !self.wanted() {
-            return None;
-        }
-        let mut config = TelemetryConfig::default();
-        if let Some(us) = self.sample_us {
-            config.sample_every = SimDuration::from_us(us);
-        }
-        let tel = match &self.trace {
-            Some(path) => match Telemetry::to_file(path, config) {
-                Ok(tel) => tel,
-                Err(e) => {
-                    eprintln!("cannot open trace file {path}: {e}");
-                    std::process::exit(2);
-                }
-            },
-            // Metrics-only run: sample on cadence, discard trace lines.
-            None => Telemetry::with_sink(aequitas_telemetry::NullSink, config),
-        };
-        aequitas_telemetry::install_global(tel.clone());
-        Some(tel)
+/// Build the telemetry handle `--trace` / `--metrics` / `--sample-us` ask
+/// for; disabled when neither output is wanted.
+fn open_telemetry(trace: Option<&str>, metrics: Option<&str>, sample_us: Option<u64>) -> Telemetry {
+    if trace.is_none() && metrics.is_none() {
+        return Telemetry::disabled();
     }
-
-    fn finish(&self, tel: &Telemetry) {
-        tel.flush();
-        if let Some(path) = &self.trace {
-            println!("[trace written to {path}]");
-        }
-        if let Some(path) = &self.metrics {
-            match tel.write_metrics_csv_path(path) {
-                Ok(()) => println!("[metrics written to {path}]"),
-                Err(e) => eprintln!("cannot write metrics file {path}: {e}"),
-            }
-        }
+    let mut config = TelemetryConfig::default();
+    if let Some(us) = sample_us {
+        config.sample_every = SimDuration::from_us(us);
+    }
+    match trace {
+        Some(path) => Telemetry::to_file(path, config).unwrap_or_else(|e| {
+            eprintln!("cannot open trace file {path}: {e}");
+            std::process::exit(2);
+        }),
+        // Metrics-only run: sample on cadence, discard trace lines.
+        None => Telemetry::with_sink(aequitas_telemetry::NullSink, config),
     }
 }
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    let mut full = false;
-    let mut audit = false;
-    let mut tel_opts = TelemetryOpts::default();
+    let mut ctx = RunCtx::quick();
+    let mut trace: Option<String> = None;
+    let mut metrics: Option<String> = None;
+    let mut sample_us = None;
     let mut args: Vec<&str> = Vec::new();
     let mut it = raw.iter();
     while let Some(a) = it.next() {
-        let mut value_of = |flag: &str| -> String {
+        let mut value_of = |flag: &str| -> &str {
             match it.next() {
-                Some(v) => v.clone(),
+                Some(v) => v,
                 None => {
                     eprintln!("{flag} requires a value");
                     usage();
@@ -282,55 +306,27 @@ fn main() {
             }
         };
         match a.as_str() {
-            "--full" => full = true,
-            "--audit" => audit = true,
-            "--trace" => tel_opts.trace = Some(value_of("--trace")),
-            "--metrics" => tel_opts.metrics = Some(value_of("--metrics")),
+            "--full" => ctx.scale = Scale::full(),
+            "--audit" => ctx.audit = true,
+            "--threads" => ctx.threads = positive("--threads", value_of("--threads")) as usize,
+            "--trace" => trace = Some(value_of("--trace").to_string()),
+            "--metrics" => metrics = Some(value_of("--metrics").to_string()),
+            "--sample-us" => sample_us = Some(positive("--sample-us", value_of("--sample-us"))),
             "--faults" => {
-                let path = value_of("--faults");
-                let plan = match aequitas_netsim::faults::FaultPlan::from_toml_file(
-                    std::path::Path::new(&path),
-                ) {
-                    Ok(plan) => plan,
-                    Err(e) => {
-                        eprintln!("cannot load fault plan {path}: {e}");
-                        std::process::exit(2);
-                    }
-                };
-                match chaos::install_global_fault_plan(plan) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        eprintln!("--faults given more than once");
-                        usage();
-                    }
-                    Err(e) => {
-                        eprintln!("invalid fault plan {path}: {e}");
-                        std::process::exit(2);
-                    }
+                if ctx.faults.is_some() {
+                    eprintln!("--faults given more than once");
+                    usage();
                 }
-            }
-            "--sample-us" => {
-                let v = value_of("--sample-us");
-                match v.parse::<u64>() {
-                    Ok(us) if us > 0 => tel_opts.sample_us = Some(us),
-                    _ => {
-                        eprintln!("--sample-us needs a positive integer, got '{v}'");
-                        usage();
-                    }
-                }
+                ctx.faults = Some(load_fault_plan(value_of("--faults")));
             }
             other => args.push(other),
         }
     }
-    let scale = if full { Scale::full() } else { Scale::detect() };
-    if audit {
-        if tel_opts.trace.is_none() {
-            eprintln!("--audit needs a --trace file to replay");
-            usage();
-        }
-        audit::enable_self_audit();
+    if ctx.audit && trace.is_none() {
+        eprintln!("--audit needs a --trace file to replay");
+        usage();
     }
-    let tel = tel_opts.install();
+    ctx.telemetry = open_telemetry(trace.as_deref(), metrics.as_deref(), sample_us);
     let table = entries();
     match args.as_slice() {
         ["list"] => {
@@ -340,14 +336,15 @@ fn main() {
                 println!("{:<10} {}", e.name, e.about);
             }
         }
-        ["run", "all"] => {
-            for e in &table {
-                eprintln!("\n>>> {}", e.name);
-                (e.run)(scale);
+        ["run", name] => match selected(&table, name) {
+            Some(chosen) => {
+                for e in chosen {
+                    if *name == "all" {
+                        eprintln!("\n>>> {}", e.name);
+                    }
+                    (e.run)(&ctx);
+                }
             }
-        }
-        ["run", name] => match table.iter().find(|e| e.name == *name) {
-            Some(e) => (e.run)(scale),
             None => {
                 eprintln!("unknown experiment '{name}'; try `aequitas-sim list`");
                 std::process::exit(2);
@@ -355,7 +352,51 @@ fn main() {
         },
         _ => usage(),
     }
-    if let Some(tel) = &tel {
-        tel_opts.finish(tel);
+    if ctx.telemetry.is_enabled() {
+        ctx.telemetry.flush();
+        if let Some(path) = &trace {
+            println!("[trace written to {path}]");
+        }
+        if let Some(path) = &metrics {
+            match ctx.telemetry.write_metrics_csv_path(path) {
+                Ok(()) => println!("[metrics written to {path}]"),
+                Err(e) => eprintln!("cannot write metrics file {path}: {e}"),
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn entry_names_are_unique_and_run_all_visits_each_once() {
+        let table = entries();
+        let names: Vec<&str> = table.iter().map(|e| e.name).collect();
+        let mut unique = names.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(
+            unique.len(),
+            names.len(),
+            "duplicate entry name in {names:?}"
+        );
+        assert!(
+            !names.contains(&"all"),
+            "`all` is reserved for the whole table"
+        );
+
+        let visited: Vec<&str> = selected(&table, "all")
+            .expect("`all` selects the table")
+            .iter()
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(visited, names);
+        for name in &names {
+            let one = selected(&table, name).expect("listed name resolves");
+            assert_eq!(one.iter().map(|e| e.name).collect::<Vec<_>>(), [*name]);
+        }
+        assert!(selected(&table, "no-such-experiment").is_none());
     }
 }

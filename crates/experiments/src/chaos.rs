@@ -19,10 +19,11 @@
 //!   its full guarantee on recovery.
 //!
 //! The CLI accepts `--faults <plan.toml>` to inject an operator-written
-//! fault plan into *any* experiment; [`install_global_fault_plan`] is the
-//! hook behind it.
+//! fault plan into *any* experiment: it travels in
+//! [`RunCtx::faults`](crate::harness::RunCtx) and fills every scenario
+//! that has no plan of its own.
 
-use crate::harness::{run_macro, run_macro_controlled, MacroSetup, PolicyChoice, Scale};
+use crate::harness::{MacroSetup, PolicyChoice, RunCtx};
 use crate::report::{f1, print_table};
 use aequitas::{FallbackConfig, Grant, GrantKeeper, QuotaServer, QuotaSpec, SloTarget, TenantId};
 use aequitas_netsim::faults::{FaultPlan, LinkFlap, LinkSel, LossRule, Window};
@@ -31,28 +32,9 @@ use aequitas_rpc::{
     ArrivalProcess, Policy, Priority, PrioritySpec, RpcCompletion, TrafficPattern, WorkloadSpec,
 };
 use aequitas_sim_core::{SimDuration, SimTime};
-use aequitas_telemetry::{Telemetry, TraceEvent};
+use aequitas_telemetry::TraceEvent;
 use aequitas_workloads::{QosClass, QosMapping, SizeDist};
-use std::sync::{Arc, OnceLock};
-
-// ---------------------------------------------------------------------------
-// Global fault-plan override (the CLI's --faults flag).
-// ---------------------------------------------------------------------------
-
-static GLOBAL_PLAN: OnceLock<Arc<FaultPlan>> = OnceLock::new();
-
-/// Install a process-global fault plan applied to every engine the harness
-/// builds from here on (scenario-specific plans win over it). Returns
-/// `Ok(false)` if a plan was already installed, `Err` if the plan fails
-/// validation (operator TOML is untrusted input).
-pub fn install_global_fault_plan(plan: FaultPlan) -> Result<bool, String> {
-    Ok(GLOBAL_PLAN.set(Arc::new(plan.validated()?)).is_ok())
-}
-
-/// The installed global fault plan, if any.
-pub fn global_fault_plan() -> Option<Arc<FaultPlan>> {
-    GLOBAL_PLAN.get().cloned()
-}
+use std::sync::Arc;
 
 /// Order-independent digest of a completion set, for byte-identical
 /// determinism checks across runs and sanitizer configurations.
@@ -112,14 +94,10 @@ pub struct FlapResult {
 }
 
 /// Four senders into one receiver on a 100 Gbps star; host 0's uplink goes
-/// down for a few milliseconds mid-run.
-pub fn link_flap(scale: Scale) -> FlapResult {
-    link_flap_traced(scale, Telemetry::disabled())
-}
-
-/// [`link_flap`] with an explicit telemetry handle (fault events land in
-/// its sink; tests attach a flight recorder here).
-pub fn link_flap_traced(scale: Scale, telemetry: Telemetry) -> FlapResult {
+/// down for a few milliseconds mid-run. Fault events land in
+/// `ctx.telemetry`'s sink (tests attach a flight recorder there).
+pub fn link_flap(ctx: &RunCtx) -> FlapResult {
+    let scale = ctx.scale;
     let n = 5;
     let receiver = n - 1;
     let slo_us = 25.0;
@@ -162,7 +140,6 @@ pub fn link_flap_traced(scale: Scale, telemetry: Telemetry) -> FlapResult {
     setup.duration = duration;
     setup.warmup = SimDuration::ZERO;
     setup.seed = 1077;
-    setup.telemetry = telemetry;
     for h in 0..n - 1 {
         setup.workloads[h] = Some(WorkloadSpec {
             arrival: ArrivalProcess::Uniform { load: 0.2 },
@@ -188,7 +165,7 @@ pub fn link_flap_traced(scale: Scale, telemetry: Telemetry) -> FlapResult {
     // readable after the last event.
     let flap_end = SimTime::ZERO + flap_start + flap_down;
     let flap_start_t = SimTime::ZERO + flap_start;
-    let mut engine = crate::harness::build_engine(setup);
+    let mut engine = ctx.build_engine(setup);
     let end = SimTime::ZERO + duration;
     let step = SimDuration::from_us(500);
     let mut now = SimTime::ZERO;
@@ -312,14 +289,9 @@ pub struct QuotaOutageResult {
 /// Six senders in three tenants blast PC traffic at one server (the §5.2
 /// extension topology); tenant 0 holds a guaranteed admitted rate. The
 /// quota server is unreachable for a mid-run window: hosts fall back to
-/// decayed last-known grants.
-pub fn quota_outage(scale: Scale) -> QuotaOutageResult {
-    quota_outage_traced(scale, Telemetry::disabled())
-}
-
-/// [`quota_outage`] with an explicit telemetry handle (fault events land
-/// in its sink; tests attach a flight recorder here).
-pub fn quota_outage_traced(scale: Scale, telemetry: Telemetry) -> QuotaOutageResult {
+/// decayed last-known grants. Fault events land in `ctx.telemetry`'s sink.
+pub fn quota_outage(ctx: &RunCtx) -> QuotaOutageResult {
+    let scale = ctx.scale;
     let n = 7;
     let server = HostId(6);
     let guarantee_gbps = 20.0;
@@ -359,7 +331,6 @@ pub fn quota_outage_traced(scale: Scale, telemetry: Telemetry) -> QuotaOutageRes
     setup.duration = duration;
     setup.warmup = SimDuration::ZERO;
     setup.seed = seed;
-    setup.telemetry = telemetry;
     setup.policy_overrides = (0..n)
         .map(|h| {
             (h < 6).then(|| {
@@ -398,7 +369,7 @@ pub fn quota_outage_traced(scale: Scale, telemetry: Telemetry) -> QuotaOutageRes
     let mut keepers: Vec<GrantKeeper> = (0..6).map(|_| GrantKeeper::new(fallback)).collect();
     let mut was_down = false;
     let mut transitions = 0u32;
-    let r = run_macro_controlled(setup, sync, |eng, now| {
+    let r = ctx.run_macro_controlled(setup, sync, |eng, now| {
         let down = plan.quota_server_down(now);
         if down != was_down {
             was_down = down;
@@ -605,7 +576,10 @@ fn ct_pfabric(plan: Arc<FaultPlan>) -> Vec<(u64, f64)> {
     let eng = aequitas_netsim::Engine::new(
         ct_topology(),
         agents,
-        pfabric::engine_config_with_faults(Some(plan)),
+        aequitas_netsim::EngineConfig {
+            faults: Some(plan),
+            ..pfabric::engine_config()
+        },
     );
     ct_collect(eng, |a: &PfabricHost| a.completions())
 }
@@ -619,7 +593,10 @@ fn ct_qjump(plan: Arc<FaultPlan>) -> Vec<(u64, f64)> {
     let eng = aequitas_netsim::Engine::new(
         ct_topology(),
         agents,
-        qjump::engine_config_with_faults(Some(plan)),
+        aequitas_netsim::EngineConfig {
+            faults: Some(plan),
+            ..qjump::engine_config()
+        },
     );
     ct_collect(eng, |a: &QjumpHost| a.completions())
 }
@@ -633,7 +610,10 @@ fn ct_deadline(plan: Arc<FaultPlan>, mode: aequitas_baselines::DeadlineMode) -> 
     let eng = aequitas_netsim::Engine::new(
         ct_topology(),
         agents,
-        deadline::engine_config_with_faults(Some(plan)),
+        aequitas_netsim::EngineConfig {
+            faults: Some(plan),
+            ..deadline::engine_config()
+        },
     );
     ct_collect(eng, |a: &DeadlineHost| a.completions())
 }
@@ -646,12 +626,15 @@ fn ct_homa(plan: Arc<FaultPlan>) -> Vec<(u64, f64)> {
     let eng = aequitas_netsim::Engine::new(
         ct_topology(),
         agents,
-        homa::engine_config_with_faults(Some(plan)),
+        aequitas_netsim::EngineConfig {
+            faults: Some(plan),
+            ..homa::engine_config()
+        },
     );
     ct_collect(eng, |a: &HomaHost| a.completions())
 }
 
-fn ct_aequitas(plan: Arc<FaultPlan>) -> Vec<(u64, f64)> {
+fn ct_aequitas(ctx: &RunCtx, plan: Arc<FaultPlan>) -> Vec<(u64, f64)> {
     let mut setup = MacroSetup::star_3qos(CT_N);
     setup.topo = ct_topology();
     setup.engine = aequitas_netsim::EngineConfig::default_2qos();
@@ -675,7 +658,7 @@ fn ct_aequitas(plan: Arc<FaultPlan>) -> Vec<(u64, f64)> {
             stop: Some(SimTime::from_ms(CT_STOP_MS)),
         });
     }
-    let r = run_macro(setup);
+    let r = ctx.run_macro(setup);
     let mut out: Vec<(u64, f64)> = r
         .completions
         .iter()
@@ -742,12 +725,12 @@ fn ct_row(name: &'static str, points: Vec<(u64, f64)>) -> ContainmentRow {
 /// Run the containment matrix: Aequitas plus all five baselines under the
 /// one seeded fault schedule of [`containment_plan`]. The six runs are
 /// independent simulations, so they fan out across the sweep harness.
-pub fn containment(_scale: Scale) -> ContainmentResult {
+pub fn containment(ctx: &RunCtx) -> ContainmentResult {
     use aequitas_baselines::DeadlineMode;
     let plan = containment_plan();
     let schemes: Vec<usize> = (0..6).collect();
-    let rows = crate::parallel::run_sweep(schemes, |k| match k {
-        0 => ct_row("Aequitas", ct_aequitas(plan.clone())),
+    let rows = ctx.sweep(schemes, |k| match k {
+        0 => ct_row("Aequitas", ct_aequitas(ctx, plan.clone())),
         1 => ct_row("pFabric", ct_pfabric(plan.clone())),
         2 => ct_row("QJump", ct_qjump(plan.clone())),
         3 => ct_row("D3", ct_deadline(plan.clone(), DeadlineMode::D3)),

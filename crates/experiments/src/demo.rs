@@ -7,7 +7,7 @@
 //! fire — but only a few milliseconds of it (`scripts/trace_smoke.sh`
 //! relies on that; `aequitas-sim run trace-demo --trace out.jsonl`).
 
-use crate::harness::{run_macro, MacroSetup, PolicyChoice, Scale};
+use crate::harness::{MacroSetup, PolicyChoice, RunCtx};
 use crate::report::print_table;
 use aequitas::{AequitasConfig, SloTarget};
 use aequitas_rpc::{ArrivalProcess, Priority, PrioritySpec, TrafficPattern, WorkloadSpec};
@@ -28,7 +28,8 @@ pub struct DemoResult {
 
 /// Run the demo: 3-host star, 2 QoS levels, 1.6x offered load on the shared
 /// downlink, Aequitas admission with a 15 us SLO.
-pub fn trace_demo(scale: Scale) -> DemoResult {
+pub fn trace_demo(ctx: &RunCtx) -> DemoResult {
+    let scale = ctx.scale;
     let slo = SloTarget::absolute(SimDuration::from_us(15), 8, 99.9);
     let mut setup = MacroSetup::star_3qos(3);
     setup.engine = aequitas_netsim::EngineConfig::default_2qos();
@@ -57,7 +58,7 @@ pub fn trace_demo(scale: Scale) -> DemoResult {
             stop: None,
         });
     }
-    let r = run_macro(setup);
+    let r = ctx.run_macro(setup);
     DemoResult {
         issued: r.issued,
         completed: r.completions.len(),
@@ -86,7 +87,7 @@ mod tests {
 
     #[test]
     fn demo_exercises_the_whole_stack() {
-        let r = trace_demo(Scale::quick());
+        let r = trace_demo(&RunCtx::quick());
         assert!(r.completed > 100, "{}", r.completed);
         assert!(r.downgraded > 0, "overload must force downgrades");
         assert!(r.events > 10_000);

@@ -20,9 +20,7 @@
 //!   application): apps re-mark their least-critical traffic down a class
 //!   until downgrades vanish, at unchanged admitted volume.
 
-use crate::harness::{
-    run_macro, run_macro_controlled, MacroSetup, PolicyChoice, Scale,
-};
+use crate::harness::{MacroSetup, PolicyChoice, RunCtx};
 use crate::report::{f1, print_table};
 use crate::slo::{node33_workload, p999_rnl_us, slo_config_33};
 use aequitas::{QuotaServer, QuotaSpec, SloTarget, TenantId};
@@ -61,7 +59,8 @@ pub struct QuotaResult {
 /// guaranteed admitted rate; tenants 1 and 2 have none. With plain
 /// Aequitas all tenants converge to similar shares; with the quota server
 /// tenant 0's guarantee is honored and the rest compete for the remainder.
-pub fn quota(scale: Scale) -> QuotaResult {
+pub fn quota(ctx: &RunCtx) -> QuotaResult {
+    let scale = ctx.scale;
     let n = 7; // 6 senders + 1 server
     let server = HostId(6);
     let guarantee_gbps = 10.0;
@@ -125,7 +124,7 @@ pub fn quota(scale: Scale) -> QuotaResult {
     };
 
     // Without the quota server.
-    let plain = run_macro(build(false, 71));
+    let plain = ctx.run_macro(build(false, 71));
 
     // With: the control loop syncs every 2 ms.
     // Admissible QoSh rate for the 25 us SLO: ~35% of 100 Gbps (from the
@@ -139,7 +138,7 @@ pub fn quota(scale: Scale) -> QuotaResult {
         },
     );
     let sync = SimDuration::from_ms(2);
-    let quota_run = run_macro_controlled(build(true, 72), sync, |eng, now| {
+    let quota_run = ctx.run_macro_controlled(build(true, 72), sync, |eng, now| {
         let mut reports = Vec::new();
         for h in 0..6 {
             if let Some(rep) = eng.agents_mut()[h].stack_mut().take_usage_report() {
@@ -205,7 +204,8 @@ pub struct MdSizeAblation {
 
 /// Half the hosts send 32 KB RPCs, half 64 KB (as Fig. 20); compare each
 /// size class's admitted share with and without size-proportional MD.
-pub fn ablation_md_size(scale: Scale) -> MdSizeAblation {
+pub fn ablation_md_size(ctx: &RunCtx) -> MdSizeAblation {
+    let scale = ctx.scale;
     let run = |scaled: bool, seed: u64| -> [f64; 2] {
         let n = 17;
         let mut cfg = slo_config_33();
@@ -239,7 +239,7 @@ pub fn ablation_md_size(scale: Scale) -> MdSizeAblation {
                 stop: None,
             });
         }
-        let r = run_macro(setup);
+        let r = ctx.run_macro(setup);
         let mut admitted = [0u64; 2];
         let mut offered = [0u64; 2];
         for c in &r.completions {
@@ -298,7 +298,8 @@ pub struct WindowAblation {
 /// percentiles: with it removed, additive increase fires on every good
 /// completion, overwhelming the occasional multiplicative decrease and
 /// pushing the tail past the SLO.
-pub fn ablation_window(scale: Scale) -> WindowAblation {
+pub fn ablation_window(ctx: &RunCtx) -> WindowAblation {
+    let scale = ctx.scale;
     let run = |window_override: Option<SimDuration>, seed: u64| {
         let mut cfg = slo_config_33();
         cfg.increment_window_override = window_override;
@@ -311,7 +312,7 @@ pub fn ablation_window(scale: Scale) -> WindowAblation {
         for h in 0..n {
             setup.workloads[h] = Some(node33_workload([0.6, 0.3, 0.1], None));
         }
-        let r = run_macro(setup);
+        let r = ctx.run_macro(setup);
         p999_rnl_us(&r.completions, QosClass::HIGH)
     };
     WindowAblation {
@@ -349,7 +350,8 @@ pub struct DropAblation {
 
 /// Downgrade versus drop: both meet the QoSh SLO, but dropping throws the
 /// excess work away while downgrading completes it on the scavenger class.
-pub fn ablation_drop(scale: Scale) -> DropAblation {
+pub fn ablation_drop(ctx: &RunCtx) -> DropAblation {
+    let scale = ctx.scale;
     let run = |choice: PolicyChoice, seed: u64| {
         let n = 9;
         let mut setup = MacroSetup::star_3qos(n);
@@ -360,7 +362,7 @@ pub fn ablation_drop(scale: Scale) -> DropAblation {
         for h in 0..n {
             setup.workloads[h] = Some(node33_workload([0.6, 0.3, 0.1], None));
         }
-        run_macro(setup)
+        ctx.run_macro(setup)
     };
     let down = run(PolicyChoice::Aequitas(slo_config_33()), 85);
     let drop = run(PolicyChoice::DropExcess(slo_config_33()), 86);
@@ -426,7 +428,8 @@ pub struct FloorAblation {
 /// rediscovers the healthy network and the probability climbs back; with
 /// floor = 0 the probability pins at exactly zero — no admissions, no
 /// measurements, no recovery, ever (§5.1's starvation argument).
-pub fn ablation_floor(scale: Scale) -> FloorAblation {
+pub fn ablation_floor(ctx: &RunCtx) -> FloorAblation {
+    let scale = ctx.scale;
     let run = |floor: f64, seed: u64| {
         let mut cfg = aequitas::AequitasConfig::two_qos(SloTarget::absolute(
             SimDuration::from_us(15),
@@ -469,7 +472,7 @@ pub fn ablation_floor(scale: Scale) -> FloorAblation {
         let warm_t = SimTime::ZERO + setup.warmup;
         let mut switched = false;
         let mut stash: Vec<aequitas_rpc::RpcCompletion> = Vec::new();
-        let r = run_macro_controlled(setup, SimDuration::from_ms(2), |eng, now| {
+        let r = ctx.run_macro_controlled(setup, SimDuration::from_ms(2), |eng, now| {
             for h in 0..2 {
                 stash.extend(eng.agents_mut()[h].take_completions());
             }
@@ -526,7 +529,7 @@ mod tests {
 
     #[test]
     fn quota_server_honours_guarantee() {
-        let r = quota(Scale::quick());
+        let r = quota(&RunCtx::quick());
         let t0_plain = r.without_quota[0].admitted_gbps;
         let t0_quota = r.with_quota[0].admitted_gbps;
         assert!(
@@ -544,7 +547,7 @@ mod tests {
 
     #[test]
     fn md_size_scaling_limits_over_admission() {
-        let r = ablation_md_size(Scale::quick());
+        let r = ablation_md_size(&RunCtx::quick());
         // Without the scaling, a miss by a 16-MTU RPC costs the same as a
         // miss by a 1-MTU RPC, so the controller under-penalizes misses and
         // over-admits — visibly for both size populations.
@@ -566,7 +569,7 @@ mod tests {
 
     #[test]
     fn window_removal_breaks_tail_slo() {
-        let r = ablation_window(Scale::quick());
+        let r = ablation_window(&RunCtx::quick());
         let with = r.with_window_us.unwrap();
         let without = r.without_window_us.unwrap();
         assert!(
@@ -581,7 +584,7 @@ mod tests {
 
     #[test]
     fn downgrade_preserves_goodput_over_drop() {
-        let r = ablation_drop(Scale::quick());
+        let r = ablation_drop(&RunCtx::quick());
         assert!(
             r.downgrade_goodput_gbps > r.drop_goodput_gbps * 1.1,
             "downgrading should deliver more total work: {:.1} vs {:.1}",
@@ -592,7 +595,7 @@ mod tests {
 
     #[test]
     fn floor_enables_recovery() {
-        let r = ablation_floor(Scale::quick());
+        let r = ablation_floor(&RunCtx::quick());
         assert!(
             r.with_floor_share > 0.3,
             "with the floor the in-profile trickle recovers: {:.2}",
@@ -633,7 +636,8 @@ pub struct AdaptiveResult {
 /// fraction the network actually admits. Adapted apps see almost no
 /// downgrades — they only mark what will be admitted — while the admitted
 /// QoSh volume stays the same, removing the race-to-the-top incentive.
-pub fn adaptive_apps(scale: Scale) -> AdaptiveResult {
+pub fn adaptive_apps(ctx: &RunCtx) -> AdaptiveResult {
+    let scale = ctx.scale;
     let n = 5;
     let build = |seed: u64| {
         let mut setup = MacroSetup::star_3qos(n);
@@ -685,7 +689,7 @@ pub fn adaptive_apps(scale: Scale) -> AdaptiveResult {
         let mut at_end: Vec<(u64, u64)> = vec![(0, 0); n - 1];
         let mut admitted_bytes = 0u64;
         let sync = SimDuration::from_ms(5);
-        let r = run_macro_controlled(setup, sync, |eng, now| {
+        let r = ctx.run_macro_controlled(setup, sync, |eng, now| {
             // Track counters and harvest admitted-goodput completions.
             let mut counters = Vec::new();
             for h in 0..n - 1 {
@@ -784,7 +788,7 @@ mod adaptive_tests {
 
     #[test]
     fn hints_eliminate_downgrades_without_losing_admission() {
-        let r = adaptive_apps(Scale::quick());
+        let r = adaptive_apps(&RunCtx::quick());
         assert!(
             r.static_downgrade_frac > 0.2,
             "static apps should see heavy downgrading: {:.2}",
@@ -823,7 +827,8 @@ pub struct CoreOverloadResult {
 /// traffic; host NICs and ToR downlinks never saturate. The same end-host
 /// RNL loop, knowing nothing about the topology, still restores the QoSh
 /// SLO.
-pub fn core_overload(scale: Scale) -> CoreOverloadResult {
+pub fn core_overload(ctx: &RunCtx) -> CoreOverloadResult {
+    let scale = ctx.scale;
     use aequitas_netsim::{LinkSpec, Topology};
     use aequitas_sim_core::BitRate;
 
@@ -868,7 +873,7 @@ pub fn core_overload(scale: Scale) -> CoreOverloadResult {
                 stop: None,
             });
         }
-        let r = run_macro(setup);
+        let r = ctx.run_macro(setup);
         p999_rnl_us(&r.completions, QosClass::HIGH)
     };
 
@@ -903,7 +908,7 @@ mod core_overload_tests {
 
     #[test]
     fn slo_restored_without_knowing_where_the_overload_is() {
-        let r = core_overload(Scale::quick());
+        let r = core_overload(&RunCtx::quick());
         let without = r.without_us.unwrap();
         let with = r.with_us.unwrap();
         assert!(

@@ -1,6 +1,6 @@
 //! Figs. 17, 18 and the Appendix C sensitivity study (Figs. 28, 29).
 
-use crate::harness::{run_macro_sampled, MacroSetup, PolicyChoice, Scale};
+use crate::harness::{MacroSetup, PolicyChoice, RunCtx};
 use crate::report::{f2, print_table};
 use aequitas::{AequitasConfig, SloTarget};
 use aequitas_netsim::HostId;
@@ -36,7 +36,8 @@ pub struct FairnessResult {
 /// Core fairness runner: two channels (hosts 0 and 1) issue 32 KB RPCs at
 /// line rate to host 2, with `offered[i]` of their bytes on QoSh and the
 /// rest on QoSl. QoSh SLO = 15 µs. Returns per-channel traces.
-pub fn run_fairness(scale: Scale, offered: [f64; 2], beta: f64, seed: u64) -> FairnessResult {
+pub fn run_fairness(ctx: &RunCtx, offered: [f64; 2], beta: f64, seed: u64) -> FairnessResult {
+    let scale = ctx.scale;
     let mut config = AequitasConfig::two_qos(SloTarget::absolute(
         SimDuration::from_us(15),
         8,
@@ -79,7 +80,7 @@ pub fn run_fairness(scale: Scale, offered: [f64; 2], beta: f64, seed: u64) -> Fa
     let sample_every = scale.pick(SimDuration::from_us(500), SimDuration::from_ms(2));
     let mut p_series = [TimeSeries::new(), TimeSeries::new()];
     let mut p1 = [Percentiles::new(), Percentiles::new()];
-    let result = run_macro_sampled(setup, sample_every, |eng, now| {
+    let result = ctx.run_macro_controlled(setup, sample_every, |eng, now| {
         for ch in 0..2 {
             let p = eng.agents()[ch]
                 .stack()
@@ -132,22 +133,22 @@ pub fn run_fairness(scale: Scale, offered: [f64; 2], beta: f64, seed: u64) -> Fa
 
 /// Fig. 17: channels offering 40% and 80% of line rate on QoSh converge to
 /// equal admitted throughput via different admit probabilities.
-pub fn fig17(scale: Scale) -> FairnessResult {
-    run_fairness(scale, [0.4, 0.8], 0.01, 1717)
+pub fn fig17(ctx: &RunCtx) -> FairnessResult {
+    run_fairness(ctx, [0.4, 0.8], 0.01, 1717)
 }
 
 /// Fig. 18: an in-quota channel (10%) keeps p_admit ≈ 1 while the other
 /// channel reclaims the excess (max-min fairness).
-pub fn fig18(scale: Scale) -> FairnessResult {
-    run_fairness(scale, [0.1, 0.8], 0.01, 1818)
+pub fn fig18(ctx: &RunCtx) -> FairnessResult {
+    run_fairness(ctx, [0.1, 0.8], 0.01, 1818)
 }
 
 /// Figs. 28/29: the same experiments with β = 0.0015 — better stability
 /// (higher 1st-percentile p_admit) at some cost in SLO strictness.
-pub fn fig28_29(scale: Scale) -> (FairnessResult, FairnessResult) {
+pub fn fig28_29(ctx: &RunCtx) -> (FairnessResult, FairnessResult) {
     (
-        run_fairness(scale, [0.4, 0.8], 0.0015, 2828),
-        run_fairness(scale, [0.1, 0.8], 0.0015, 2929),
+        run_fairness(ctx, [0.4, 0.8], 0.0015, 2828),
+        run_fairness(ctx, [0.1, 0.8], 0.0015, 2929),
     )
 }
 
@@ -184,7 +185,7 @@ mod tests {
 
     #[test]
     fn fig17_unequal_offers_get_equal_goodput() {
-        let r = fig17(Scale::quick());
+        let r = fig17(&RunCtx::quick());
         let a = r.channels[0].steady_gbps;
         let b = r.channels[1].steady_gbps;
         assert!(a > 1.0 && b > 1.0, "channels idle: {a} {b}");
@@ -201,7 +202,7 @@ mod tests {
 
     #[test]
     fn fig18_in_quota_channel_keeps_high_p_admit() {
-        let r = fig18(Scale::quick());
+        let r = fig18(&RunCtx::quick());
         let p1a = r.channels[0].p1_admit.unwrap();
         assert!(
             p1a > 0.55,
@@ -219,9 +220,9 @@ mod tests {
         // Appendix C: a smaller multiplicative decrement trades SLO
         // strictness for stability. Compare the admit-probability spread of
         // the heavier (over-quota) channel under beta = 0.01 vs 0.0015.
-        let scale = Scale::quick();
-        let r_default = fig17(scale);
-        let (r_small, _) = fig28_29(scale);
+        let ctx = &RunCtx::quick();
+        let r_default = fig17(ctx);
+        let (r_small, _) = fig28_29(ctx);
         let spread_default = r_default.channels[1].p_spread.unwrap();
         let spread_small = r_small.channels[1].p_spread.unwrap();
         assert!(
@@ -230,7 +231,7 @@ mod tests {
         );
         // And the in-quota channel of the fig-18 setup stays near 1.0 with
         // the small beta (the paper reports 1st-p 0.96 vs 0.82).
-        let (_, r18_small) = fig28_29(scale);
+        let (_, r18_small) = fig28_29(ctx);
         assert!(r18_small.channels[0].p1_admit.unwrap() > 0.8);
     }
 }

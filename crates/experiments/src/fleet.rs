@@ -4,16 +4,16 @@
 //! This is not a paper figure — it is the scalability demonstration for
 //! the PR-6 engine work: `Topology::clos` + [`aequitas_netsim::ShardSpec`]
 //! partition the fabric per pod (plus a core-tier domain) and
-//! [`run_macro_sharded`] advances the domains concurrently under
-//! conservative lookahead. Results are byte-identical for every thread
-//! count (gated by `tests/sharded_determinism.rs`); `AEQUITAS_THREADS`
+//! [`crate::harness::run_macro_sharded`] advances the domains concurrently
+//! under conservative lookahead. Results are byte-identical for every
+//! thread count (gated by `tests/sharded_determinism.rs`); `--threads`
 //! only changes wall-clock time.
 //!
 //! Quick scale runs a 32-host miniature (2 pods) for CI; full scale
-//! (`--full` / `AEQUITAS_FULL=1`) runs 2048 hosts (8 pods × 4 leaves ×
-//! 64 hosts) with >10M RPCs issued.
+//! (`--full`) runs 2048 hosts (8 pods × 4 leaves × 64 hosts) with >10M
+//! RPCs issued.
 
-use crate::harness::{run_macro_sharded, MacroSetup, PolicyChoice, Scale};
+use crate::harness::{MacroSetup, PolicyChoice, RunCtx, Scale};
 use crate::report::print_table;
 use crate::slo::{admitted_mix, p999_rnl_us};
 use aequitas_netsim::{LinkSpec, ShardSpec, Topology};
@@ -79,16 +79,12 @@ fn shape(scale: Scale) -> (usize, usize, usize, usize, usize) {
     }
 }
 
-/// Run the fleet-scale experiment with `AEQUITAS_THREADS` workers.
-pub fn fleet(scale: Scale) -> FleetResult {
-    fleet_configured(scale, crate::parallel::worker_threads())
-}
-
-/// [`fleet`] with an explicit worker-thread count. The returned result must
-/// not depend on `threads` — `tests/sharded_determinism.rs` runs this at 1
-/// vs 4 workers (with and without a chaos fault plan) and asserts identical
-/// output.
-pub fn fleet_configured(scale: Scale, threads: usize) -> FleetResult {
+/// Run the fleet-scale experiment on `ctx.threads` workers. Apart from
+/// echoing that count, the result must not depend on it —
+/// `tests/sharded_determinism.rs` runs the sharded engine at 1 vs 4 workers
+/// (with and without a chaos fault plan) and asserts identical output.
+pub fn fleet(ctx: &RunCtx) -> FleetResult {
+    let scale = ctx.scale;
     let (pods, spines, leaves, hosts_per_leaf, cores) = shape(scale);
     // Core links span rows of the datacenter: 2 µs of wire, which is also
     // the conservative lookahead of the pod partition (wider windows =>
@@ -126,13 +122,13 @@ pub fn fleet_configured(scale: Scale, threads: usize) -> FleetResult {
     }
 
     let domains = spec.num_domains;
-    let r = run_macro_sharded(setup, spec, threads);
+    let r = ctx.run_macro_sharded(setup, spec);
     let adm = admitted_mix(&r.completions, 3);
     FleetResult {
         hosts: n,
         pods,
         domains,
-        threads,
+        threads: ctx.threads,
         issued: r.issued,
         completed: r.completions.len(),
         events: r.events,
@@ -180,7 +176,10 @@ mod tests {
 
     #[test]
     fn fleet_quick_runs_and_admits_traffic() {
-        let r = fleet_configured(Scale::quick(), 2);
+        let r = fleet(&RunCtx {
+            threads: 2,
+            ..RunCtx::quick()
+        });
         assert_eq!(r.hosts, 32);
         assert_eq!(r.domains, 3);
         assert!(r.issued > 1_000, "issued {}", r.issued);

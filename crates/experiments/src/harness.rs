@@ -1,5 +1,6 @@
-//! Shared experiment plumbing: building engines of [`WorkloadHost`]s,
-//! running them with periodic sampling, and collecting results.
+//! Shared experiment plumbing: the [`RunCtx`] every experiment takes, building
+//! engines of [`WorkloadHost`]s from a [`MacroSetup`], running them with
+//! periodic sampling, and collecting results.
 
 use aequitas::AequitasConfig;
 use aequitas_netsim::{Engine, EngineConfig, HostId, LinkSpec, ShardSpec, ShardedEngine, Topology};
@@ -7,9 +8,11 @@ use aequitas_rpc::{Policy, RpcCompletion, RpcStack, WorkloadHost, WorkloadSpec};
 use aequitas_sim_core::{BitRate, SimDuration, SimTime};
 use aequitas_netsim::SchedulerKind;
 use aequitas_rpc::ArrivalProcess;
+use aequitas_netsim::faults::FaultPlan;
 use aequitas_telemetry::{Telemetry, TraceEvent};
 use aequitas_transport::TransportConfig;
 use aequitas_workloads::QosMapping;
+use std::sync::Arc;
 
 /// Experiment scale: quick (CI) or full (paper-scale).
 #[derive(Debug, Clone, Copy)]
@@ -27,12 +30,6 @@ impl Scale {
     pub fn full() -> Self {
         Scale { full: true }
     }
-    /// From the `AEQUITAS_FULL` environment variable.
-    pub fn detect() -> Self {
-        Scale {
-            full: std::env::var("AEQUITAS_FULL").is_ok_and(|v| v != "0"),
-        }
-    }
     /// Pick between a quick and a full value.
     pub fn pick<T>(&self, quick: T, full: T) -> T {
         if self.full {
@@ -40,6 +37,109 @@ impl Scale {
         } else {
             quick
         }
+    }
+}
+
+/// The run context: everything an experiment takes from its caller rather
+/// than from its own scenario. `aequitas-sim`'s `main` builds one from its
+/// flags and hands `&RunCtx` to the chosen experiment; tests build one with
+/// [`RunCtx::quick`]. Nothing between `main` and an engine reads a global
+/// or an environment variable — what is not in here or in the
+/// [`MacroSetup`] does not reach the run.
+pub struct RunCtx {
+    /// Quick (CI) or full (paper-scale) parameters (`--full`).
+    pub scale: Scale,
+    /// Worker threads for [`RunCtx::sweep`] and the sharded engine
+    /// (`--threads`). Results are byte-identical for every value.
+    pub threads: usize,
+    /// Telemetry for every run that does not carry a handle of its own
+    /// (`--trace` / `--metrics` / `--sample-us`).
+    pub telemetry: Telemetry,
+    /// Fault plan for every run whose scenario has none (`--faults`).
+    pub faults: Option<Arc<FaultPlan>>,
+    /// Replay and audit each traced run's trace when it ends (`--audit`).
+    pub audit: bool,
+}
+
+impl RunCtx {
+    /// The default context: quick scale, one sweep worker per available
+    /// core, no telemetry, no fault plan, no self-audit.
+    pub fn quick() -> RunCtx {
+        RunCtx {
+            scale: Scale::quick(),
+            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            telemetry: Telemetry::disabled(),
+            faults: None,
+            audit: false,
+        }
+    }
+
+    /// Fill what the scenario left unset: its telemetry handle and its
+    /// fault plan. A scenario's own always win.
+    fn adopt(&self, mut setup: MacroSetup) -> MacroSetup {
+        if !setup.telemetry.is_enabled() {
+            setup.telemetry = self.telemetry.clone();
+        }
+        if setup.engine.faults.is_none() {
+            setup.engine.faults = self.faults.clone();
+        }
+        setup
+    }
+
+    /// [`build_engine`] under this context, for scenarios that drive the
+    /// engine themselves.
+    pub fn build_engine(&self, setup: MacroSetup) -> Engine<WorkloadHost> {
+        build_engine(self.adopt(setup))
+    }
+
+    /// [`run_macro`] under this context.
+    pub fn run_macro(&self, setup: MacroSetup) -> MacroResult {
+        self.run_macro_controlled(setup, SimDuration::MAX, |_, _| {})
+    }
+
+    /// [`run_macro_controlled`] under this context; self-audits the trace
+    /// after the run when [`RunCtx::audit`] is set.
+    pub fn run_macro_controlled<F>(
+        &self,
+        setup: MacroSetup,
+        sample_every: SimDuration,
+        sample: F,
+    ) -> MacroResult
+    where
+        F: FnMut(&mut Engine<WorkloadHost>, SimTime),
+    {
+        let setup = self.adopt(setup);
+        let tel = setup.telemetry.clone();
+        let result = run_macro_controlled(setup, sample_every, sample);
+        if self.audit {
+            crate::audit::self_audit(&tel);
+        }
+        result
+    }
+
+    /// [`run_macro_sharded`] under this context, on [`RunCtx::threads`]
+    /// workers.
+    pub fn run_macro_sharded(&self, setup: MacroSetup, spec: ShardSpec) -> MacroResult {
+        run_macro_sharded(self.adopt(setup), spec, self.threads)
+    }
+
+    /// Run `f` over independent points on [`RunCtx::threads`] workers;
+    /// results come back in input order. A traced sweep runs on one worker:
+    /// the points share this context's one trace stream, and only a serial
+    /// sweep writes it as whole runs in input order (which is what replay
+    /// needs to tell one run's epoch from the next).
+    pub fn sweep<P, R, F>(&self, points: Vec<P>, f: F) -> Vec<R>
+    where
+        P: Send,
+        R: Send,
+        F: Fn(P) -> R + Sync,
+    {
+        let threads = if self.telemetry.is_enabled() {
+            1
+        } else {
+            self.threads
+        };
+        crate::parallel::run_sweep_on(threads, points, f)
     }
 }
 
@@ -83,9 +183,8 @@ pub struct MacroSetup {
     /// Leave empty for a uniform policy.
     pub policy_overrides: Vec<Option<Policy>>,
     /// Telemetry handle wired through the engine, every stack, transport,
-    /// and controller. A disabled handle (the default) falls back to the
-    /// process-global handle installed by the CLI's `--trace`/`--metrics`
-    /// flags (see [`aequitas_telemetry::install_global`]).
+    /// and controller. Disabled by default; the [`RunCtx`] entry points
+    /// fill in the context's handle when the scenario leaves it so.
     pub telemetry: Telemetry,
 }
 
@@ -232,16 +331,7 @@ impl MacroSetup {
     }
 
     fn build(mut self) -> (Engine<WorkloadHost>, SimDuration, SimDuration) {
-        // A CLI-installed fault plan (--faults) applies to every run that
-        // does not carry a scenario-specific plan of its own.
-        if self.engine.faults.is_none() {
-            self.engine.faults = crate::chaos::global_fault_plan();
-        }
-        let telemetry = if self.telemetry.is_enabled() {
-            self.telemetry.clone()
-        } else {
-            aequitas_telemetry::global()
-        };
+        let telemetry = self.telemetry.clone();
         if telemetry.is_enabled() {
             telemetry.emit(SimTime::ZERO, self.run_info_event());
         }
@@ -254,8 +344,8 @@ impl MacroSetup {
     }
 }
 
-/// Build the engine for `setup` without running it (the bench harness uses
-/// this to measure raw events/sec without harvest overhead).
+/// Build the engine for `setup` without running it (`aequitas-benchmark`
+/// uses this to measure raw events/sec without harvest overhead).
 pub fn build_engine(setup: MacroSetup) -> Engine<aequitas_rpc::WorkloadHost> {
     setup.build().0
 }
@@ -274,9 +364,45 @@ pub struct MacroResult {
     pub events: u64,
 }
 
+impl MacroResult {
+    /// Collect completions and issue counts after a run. `for_each_host`
+    /// feeds every host, in host-id order, to the callback it is given;
+    /// completions are split at the warm-up boundary and the measured ones
+    /// sorted by completion time.
+    fn harvest(
+        duration: SimDuration,
+        warmup: SimDuration,
+        events: u64,
+        for_each_host: impl FnOnce(&mut dyn FnMut(&mut WorkloadHost)),
+    ) -> MacroResult {
+        let warmup_t = SimTime::ZERO + warmup;
+        let mut completions = Vec::new();
+        let mut warmup_completions = Vec::new();
+        let mut issued = 0;
+        for_each_host(&mut |host| {
+            issued += host.issued();
+            for c in host.take_completions() {
+                if c.issued_at >= warmup_t {
+                    completions.push(c);
+                } else {
+                    warmup_completions.push(c);
+                }
+            }
+        });
+        completions.sort_by_key(|c| c.completed_at);
+        MacroResult {
+            completions,
+            warmup_completions,
+            issued,
+            measure_secs: (duration.saturating_sub(warmup)).as_secs_f64(),
+            events,
+        }
+    }
+}
+
 /// Run a macro experiment without sampling.
 pub fn run_macro(setup: MacroSetup) -> MacroResult {
-    run_macro_sampled(setup, SimDuration::MAX, |_, _| {})
+    run_macro_controlled(setup, SimDuration::MAX, |_, _| {})
 }
 
 /// One telemetry sampling tick: refresh engine and per-stack gauges, then
@@ -289,22 +415,11 @@ fn sample_telemetry(engine: &Engine<WorkloadHost>, tel: &Telemetry, now: SimTime
     tel.sample(now);
 }
 
-/// Run a macro experiment, invoking `sample(&engine, now)` every
+/// Run a macro experiment, invoking `sample(&mut engine, now)` every
 /// `sample_every` of simulated time (pass `SimDuration::MAX` to disable).
-pub fn run_macro_sampled<F>(
-    setup: MacroSetup,
-    sample_every: SimDuration,
-    mut sample: F,
-) -> MacroResult
-where
-    F: FnMut(&Engine<WorkloadHost>, SimTime),
-{
-    run_macro_controlled(setup, sample_every, |eng, now| sample(eng, now))
-}
-
-/// Like [`run_macro_sampled`] but with *mutable* engine access — used by
-/// control-plane extensions (the quota server pulls usage reports and
-/// pushes grants into the hosts between slices).
+/// The engine is handed out mutably so control-plane extensions can act
+/// between slices (the quota server pulls usage reports and pushes grants
+/// into the hosts); plain samplers just read it.
 pub fn run_macro_controlled<F>(
     setup: MacroSetup,
     sample_every: SimDuration,
@@ -313,8 +428,7 @@ pub fn run_macro_controlled<F>(
 where
     F: FnMut(&mut Engine<WorkloadHost>, SimTime),
 {
-    let warmup = setup.warmup;
-    let (mut engine, duration, _) = setup.build();
+    let (mut engine, duration, warmup) = setup.build();
     let end = SimTime::ZERO + duration;
     let mut next_sample = if sample_every == SimDuration::MAX {
         SimTime::MAX
@@ -350,46 +464,21 @@ where
         // lines to the backing store.
         sample_telemetry(&engine, &tel, end);
         tel.flush();
-        // Opt-in self-audit (--audit / AEQUITAS_AUDIT=1): replay the trace
-        // we just wrote and check it against the paper's bounds.
-        crate::audit::maybe_self_audit(&tel);
     }
-
-    let warmup_t = SimTime::ZERO + warmup;
-    let mut completions = Vec::new();
-    let mut warmup_completions = Vec::new();
-    let mut issued = 0;
-    for host in engine.agents_mut() {
-        issued += host.issued();
-        for c in host.take_completions() {
-            if c.issued_at >= warmup_t {
-                completions.push(c);
-            } else {
-                warmup_completions.push(c);
-            }
-        }
-    }
-    completions.sort_by_key(|c| c.completed_at);
-    MacroResult {
-        completions,
-        warmup_completions,
-        issued,
-        measure_secs: (duration.saturating_sub(warmup)).as_secs_f64(),
-        events: engine.events_processed(),
-    }
+    let events = engine.events_processed();
+    MacroResult::harvest(duration, warmup, events, |take| {
+        engine.agents_mut().iter_mut().for_each(take)
+    })
 }
 
-/// Build (without running) the sharded engine for `setup` — the bench
-/// harness advances it in slices to price per-window synchronization.
-/// Telemetry is not wired (see [`run_macro_sharded`]).
+/// Build (without running) the sharded engine for `setup` —
+/// `aequitas-benchmark` advances it in slices to price per-window
+/// synchronization. Telemetry is not wired (see [`run_macro_sharded`]).
 pub fn build_sharded_engine(
     mut setup: MacroSetup,
     spec: ShardSpec,
     threads: usize,
 ) -> ShardedEngine<WorkloadHost> {
-    if setup.engine.faults.is_none() {
-        setup.engine.faults = crate::chaos::global_fault_plan();
-    }
     let agents = setup.build_agents(&Telemetry::disabled());
     ShardedEngine::new(setup.topo, agents, setup.engine, spec, threads)
 }
@@ -410,32 +499,14 @@ pub fn run_macro_sharded(setup: MacroSetup, spec: ShardSpec, threads: usize) -> 
     let mut engine = build_sharded_engine(setup, spec, threads);
     let n = engine.spec().domain_of_host.len();
     engine.run_until(SimTime::ZERO + duration);
-
-    let warmup_t = SimTime::ZERO + warmup;
-    let mut completions = Vec::new();
-    let mut warmup_completions = Vec::new();
-    let mut issued = 0;
-    // Harvest in host-id order (crossing domains as needed) so the result
-    // layout is independent of the partition.
-    for h in 0..n {
-        let host = engine.agent_mut(HostId(h));
-        issued += host.issued();
-        for c in host.take_completions() {
-            if c.issued_at >= warmup_t {
-                completions.push(c);
-            } else {
-                warmup_completions.push(c);
-            }
+    let events = engine.events_processed();
+    // Host-id order (crossing domains as needed), so the result layout is
+    // independent of the partition.
+    MacroResult::harvest(duration, warmup, events, |take| {
+        for h in 0..n {
+            take(engine.agent_mut(HostId(h)));
         }
-    }
-    completions.sort_by_key(|c| c.completed_at);
-    MacroResult {
-        completions,
-        warmup_completions,
-        issued,
-        measure_secs: (duration.saturating_sub(warmup)).as_secs_f64(),
-        events: engine.events_processed(),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -480,7 +551,7 @@ mod tests {
     #[test]
     fn sampling_fires_on_schedule() {
         let mut ticks = Vec::new();
-        run_macro_sampled(
+        run_macro_controlled(
             small_setup(PolicyChoice::Static),
             SimDuration::from_ms(1),
             |_, now| ticks.push(now),

@@ -1,6 +1,6 @@
 //! Figs. 21 and 23: large-scale and testbed-analogue runs.
 
-use crate::harness::{run_macro, MacroSetup, PolicyChoice, Scale};
+use crate::harness::{MacroSetup, PolicyChoice, RunCtx};
 use crate::report::print_table;
 use crate::slo::{admitted_mix, p999_rnl_us};
 use aequitas::{AequitasConfig, SloTarget};
@@ -74,7 +74,8 @@ fn per_mtu_p999(completions: &[aequitas_rpc::RpcCompletion], qos: QosClass) -> O
     p.p999()
 }
 
-fn run_144(scale: Scale, policy: PolicyChoice, seed: u64) -> crate::harness::MacroResult {
+fn run_144(ctx: &RunCtx, policy: PolicyChoice, seed: u64) -> crate::harness::MacroResult {
+    let scale = ctx.scale;
     // 9 racks x 16 hosts with 4 spines; intra-fabric links 100G. Quick
     // scale shrinks the fabric but keeps the run long: with 25x bursts the
     // RNL feedback the controller needs arrives milliseconds late, and the
@@ -99,17 +100,17 @@ fn run_144(scale: Scale, policy: PolicyChoice, seed: u64) -> crate::harness::Mac
         // during bursts (mu = 0.8 average, rho = 25 burst demand).
         setup.workloads[h] = Some(production_workload([0.6, 0.3, 0.1], 0.8, 25.0));
     }
-    run_macro(setup)
+    ctx.run_macro(setup)
 }
 
 /// Fig. 21: production sizes, 25× burst demand, leaf-spine fabric.
-pub fn fig21(scale: Scale) -> Fig21Result {
+pub fn fig21(ctx: &RunCtx) -> Fig21Result {
     // The two policies are independent runs; fan them out.
-    let mut runs = crate::parallel::run_sweep(vec![false, true], |aequitas| {
+    let mut runs = ctx.sweep(vec![false, true], |aequitas| {
         if aequitas {
-            run_144(scale, PolicyChoice::Aequitas(production_slo_config()), 2102)
+            run_144(ctx, PolicyChoice::Aequitas(production_slo_config()), 2102)
         } else {
-            run_144(scale, PolicyChoice::Static, 2101)
+            run_144(ctx, PolicyChoice::Static, 2101)
         }
     });
     let with = runs.pop().expect("two runs");
@@ -216,7 +217,8 @@ fn testbed_workload(mix: [f64; 3]) -> WorkloadSpec {
     }
 }
 
-fn run_testbed(scale: Scale, mix: [f64; 3], policy: PolicyChoice, seed: u64) -> crate::harness::MacroResult {
+fn run_testbed(ctx: &RunCtx, mix: [f64; 3], policy: PolicyChoice, seed: u64) -> crate::harness::MacroResult {
+    let scale = ctx.scale;
     let n = 20;
     let mut setup = MacroSetup::star_3qos(n);
     setup.policy = policy;
@@ -226,22 +228,22 @@ fn run_testbed(scale: Scale, mix: [f64; 3], policy: PolicyChoice, seed: u64) -> 
     for h in 0..n {
         setup.workloads[h] = Some(testbed_workload(mix));
     }
-    run_macro(setup)
+    ctx.run_macro(setup)
 }
 
 /// Fig. 23: 20 machines, all-to-all 32 KB WRITEs, input mix (0.5, 0.35,
 /// 0.15), SLOs set for a target mix of (0.2, 0.3, 0.5). Results are
 /// normalized per QoS by the reference run whose input equals the target —
 /// the same normalization the paper uses for confidentiality.
-pub fn fig23(scale: Scale) -> Fig23Result {
+pub fn fig23(ctx: &RunCtx) -> Fig23Result {
     let slos = crate::slo::slo_config_33();
     let input = [0.5, 0.35, 0.15];
     let target = [0.2, 0.3, 0.5];
     // Reference, without, and with are three independent runs.
-    let mut runs = crate::parallel::run_sweep(vec![0u8, 1, 2], |k| match k {
-        0 => run_testbed(scale, target, PolicyChoice::Aequitas(slos.clone()), 2301),
-        1 => run_testbed(scale, input, PolicyChoice::Static, 2302),
-        _ => run_testbed(scale, input, PolicyChoice::Aequitas(slos.clone()), 2303),
+    let mut runs = ctx.sweep(vec![0u8, 1, 2], |k| match k {
+        0 => run_testbed(ctx, target, PolicyChoice::Aequitas(slos.clone()), 2301),
+        1 => run_testbed(ctx, input, PolicyChoice::Static, 2302),
+        _ => run_testbed(ctx, input, PolicyChoice::Aequitas(slos.clone()), 2303),
     });
     let with = runs.pop().expect("three runs");
     let without = runs.pop().expect("three runs");
@@ -297,7 +299,7 @@ mod tests {
 
     #[test]
     fn fig21_aequitas_contains_extreme_overload() {
-        let r = fig21(Scale::quick());
+        let r = fig21(&RunCtx::quick());
         let h_without = r.without[0].expect("samples");
         let h_with = r.with[0].expect("samples");
         let m_without = r.without[1].expect("samples");
@@ -328,7 +330,7 @@ mod tests {
 
     #[test]
     fn fig23_converges_toward_target_mix() {
-        let r = fig23(Scale::quick());
+        let r = fig23(&RunCtx::quick());
         // The admitted mix moves from the 50/35/15 input toward 20/30/50.
         assert!(
             r.admitted[0] < 35.0,

@@ -2,11 +2,14 @@
 
 //! One experiment per table/figure of the paper's evaluation (§6).
 //!
-//! Every module exposes a `run(scale) -> …Result` function returning plain
-//! data and a `print(&result)` that renders the paper-style rows; the bench
-//! harness (`crates/bench`) wraps these one-to-one. `Scale::quick()` keeps
-//! runtimes CI-friendly; `Scale::full()` (or `AEQUITAS_FULL=1`) uses
-//! paper-scale durations and node counts.
+//! Every module exposes a `figNN(&RunCtx) -> …Result` function returning
+//! plain data and a `print(&result)` that renders the paper-style rows; the
+//! `aequitas-sim` CLI's entry table wraps these one-to-one and is the only
+//! front door. The [`RunCtx`] carries everything a run takes from its
+//! caller — scale, worker threads, telemetry, fault plan, self-audit — and
+//! `aequitas-sim`'s `main` is its one owner; [`RunCtx::quick`] keeps
+//! runtimes CI-friendly, `--full` uses paper-scale durations and node
+//! counts.
 //!
 //! | Module | Figures |
 //! |--------|---------|
@@ -40,16 +43,4 @@ pub mod slo;
 pub mod spq;
 pub mod theory;
 
-pub use harness::{MacroResult, MacroSetup, Scale};
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn scale_detection_defaults_to_quick() {
-        // The env var is absent in tests.
-        let s = Scale::detect();
-        assert!(!s.full || std::env::var("AEQUITAS_FULL").is_ok());
-    }
-}
+pub use harness::{MacroResult, MacroSetup, RunCtx, Scale};

@@ -1,6 +1,6 @@
 //! Figs. 14, 15, 16: admissible share, QoS-mix convergence, burstiness.
 
-use crate::harness::{run_macro, MacroSetup, PolicyChoice, Scale};
+use crate::harness::{MacroSetup, PolicyChoice, RunCtx, Scale};
 use crate::report::{f1, print_table};
 use crate::slo::{admitted_mix, node33_workload, p999_rnl_us, slo_config_33};
 use aequitas_sim_core::SimDuration;
@@ -42,12 +42,13 @@ pub struct Fig14Result {
 /// Fig. 14: 33-node, **no Aequitas**, QoSh-share swept 5–70% with QoSm fixed
 /// at 25%; the share where QoSh's tail crosses 15 µs defines the maximal
 /// admissible share used by Figs. 15/16.
-pub fn fig14(scale: Scale) -> Fig14Result {
+pub fn fig14(ctx: &RunCtx) -> Fig14Result {
+    let scale = ctx.scale;
     let sweep = vec![5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 40.0, 50.0, 60.0, 70.0];
-    let points = crate::parallel::run_sweep(sweep, |share| {
+    let points = ctx.sweep(sweep, |share| {
         let x = share / 100.0;
         let mix = [x, 0.25, (1.0_f64 - x - 0.25).max(0.0)];
-        let r = run_macro(setup_33(scale, mix, PolicyChoice::Static, 1400 + share as u64));
+        let r = ctx.run_macro(setup_33(scale, mix, PolicyChoice::Static, 1400 + share as u64));
         Fig14Point {
             share_pct: share,
             p999_us: [
@@ -105,7 +106,8 @@ pub struct Fig15Result {
 }
 
 /// Fig. 15: four input mixes, Aequitas configured with the 15/25 µs SLOs.
-pub fn fig15(scale: Scale) -> Fig15Result {
+pub fn fig15(ctx: &RunCtx) -> Fig15Result {
+    let scale = ctx.scale;
     let inputs = [
         [0.25, 0.25, 0.50],
         [0.60, 0.30, 0.10],
@@ -113,8 +115,8 @@ pub fn fig15(scale: Scale) -> Fig15Result {
         [0.40, 0.40, 0.20],
     ];
     let sweep: Vec<(usize, [f64; 3])> = inputs.into_iter().enumerate().collect();
-    let columns = crate::parallel::run_sweep(sweep, |(k, input)| {
-        let r = run_macro(setup_33(
+    let columns = ctx.sweep(sweep, |(k, input)| {
+        let r = ctx.run_macro(setup_33(
             scale,
             input,
             PolicyChoice::Aequitas(slo_config_33()),
@@ -180,12 +182,13 @@ pub struct Fig16Result {
 }
 
 /// Fig. 16: vary the burst load ρ and record the admitted QoSh-share.
-pub fn fig16(scale: Scale) -> Fig16Result {
+pub fn fig16(ctx: &RunCtx) -> Fig16Result {
+    let scale = ctx.scale;
     let sweep: Vec<(usize, f64)> = [1.4, 1.6, 1.8, 2.0, 2.2]
         .into_iter()
         .enumerate()
         .collect();
-    let points = crate::parallel::run_sweep(sweep, |(k, rho)| {
+    let points = ctx.sweep(sweep, |(k, rho)| {
         let n = 33;
         let mut setup = setup_33(
             scale,
@@ -202,7 +205,7 @@ pub fn fig16(scale: Scale) -> Fig16Result {
             };
             setup.workloads[h] = Some(w);
         }
-        let r = run_macro(setup);
+        let r = ctx.run_macro(setup);
         let adm = admitted_mix(&r.completions, 3);
         Fig16Point {
             rho,
@@ -251,6 +254,7 @@ pub fn print_fig16(r: &Fig16Result) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::run_macro;
 
     #[test]
     fn fig14_rnl_grows_with_share() {
@@ -278,7 +282,7 @@ mod tests {
 
     #[test]
     fn fig15_converges_toward_target_mix() {
-        let r = fig15(Scale::quick());
+        let r = fig15(&RunCtx::quick());
         // The figure's core claim: the admitted mix is *independent of the
         // input mix* — Aequitas ends the race to the top because offering
         // more QoSh does not buy more admitted QoSh. Check the spread of

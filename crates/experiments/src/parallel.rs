@@ -8,38 +8,15 @@
 //! deterministic — results are bit-identical to the serial loops for any
 //! worker count (see DESIGN.md §3).
 //!
-//! [`run_sweep`] fans the points across a scoped thread pool sized by
-//! `AEQUITAS_THREADS` (default: [`std::thread::available_parallelism`]) and
-//! returns results in input order.
+//! [`run_sweep_on`] fans the points across a scoped thread pool and returns
+//! results in input order; experiments reach it through
+//! [`crate::harness::RunCtx::sweep`], which supplies the worker count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Worker count used by [`run_sweep`]: the `AEQUITAS_THREADS` environment
-/// variable when set (values `< 1` clamp to 1), otherwise the machine's
-/// available parallelism.
-pub fn worker_threads() -> usize {
-    match std::env::var("AEQUITAS_THREADS") {
-        Ok(v) => v.trim().parse::<usize>().unwrap_or(1).max(1),
-        Err(_) => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-    }
-}
-
-/// Run `f` over every point on [`worker_threads`] workers; results come back
-/// in input order.
-pub fn run_sweep<P, R, F>(points: Vec<P>, f: F) -> Vec<R>
-where
-    P: Send,
-    R: Send,
-    F: Fn(P) -> R + Sync,
-{
-    run_sweep_on(worker_threads(), points, f)
-}
-
-/// [`run_sweep`] with an explicit worker count (used by the determinism
-/// tests to compare 1 vs N workers).
+/// Run `f` over every point on `threads` workers; results come back in
+/// input order.
 pub fn run_sweep_on<P, R, F>(threads: usize, points: Vec<P>, f: F) -> Vec<R>
 where
     P: Send,

@@ -13,7 +13,7 @@
 //!   with the WFQ fluid model applied to each cluster's before/after
 //!   QoS-mix.
 
-use crate::harness::{run_macro, MacroSetup, Scale};
+use crate::harness::{MacroSetup, RunCtx};
 use crate::report::{f1, print_table};
 use aequitas::{Fleet, FleetConfig};
 use aequitas_analysis::{fluid_delays, FluidSpec};
@@ -42,11 +42,12 @@ pub struct Fig3Result {
 }
 
 /// Fig. 3: load steps 1× → 4× → 8× → 1× on a shared port; RNL tails follow.
-pub fn fig03(scale: Scale) -> Fig3Result {
+pub fn fig03(ctx: &RunCtx) -> Fig3Result {
+    let scale = ctx.scale;
     let phase = scale.pick(SimDuration::from_ms(6), SimDuration::from_ms(25));
     let loads: Vec<(usize, f64)> = [0.25, 1.0, 2.0, 0.25].into_iter().enumerate().collect();
     // Each phase is warmed independently, so the windows fan out.
-    let windows = crate::parallel::run_sweep(loads, |(k, load_x)| {
+    let windows = ctx.sweep(loads, |(k, load_x)| {
         // Each phase is run as its own (warmed) segment: two senders share
         // one downlink, each at load_x * 0.25 of line rate (so 2.0 -> 4x the
         // baseline offered bytes, overloading the port at 1.0 aggregate).
@@ -66,7 +67,7 @@ pub fn fig03(scale: Scale) -> Fig3Result {
                 stop: None,
             });
         }
-        let r = run_macro(setup);
+        let r = ctx.run_macro(setup);
         let mut p = Percentiles::new();
         for c in &r.completions {
             p.record(c.rnl().as_us_f64());
@@ -194,7 +195,7 @@ pub struct Fig24Result {
 }
 
 /// Run the Phase-1 rollout over a population of sampled clusters.
-pub fn fig24(clusters: usize) -> Fig24Result {
+pub fn fig24(ctx: &RunCtx, clusters: usize) -> Fig24Result {
     // Weekly misalignment trajectory on one big fleet.
     let mut fleet = Fleet::synthetic(FleetConfig::default());
     let mut weeks = Vec::new();
@@ -216,7 +217,7 @@ pub fn fig24(clusters: usize) -> Fig24Result {
     // worst-case delay is evaluated at the misaligned and aligned mixes.
     let weights = [8.0, 4.0, 1.0];
     let mut rnl_change_pct =
-        crate::parallel::run_sweep((0..clusters).collect(), |k: usize| {
+        ctx.sweep((0..clusters).collect(), |k: usize| {
             let mut cluster = Fleet::synthetic(FleetConfig {
                 apps: 120,
                 seed: 9000 + k as u64,
@@ -283,7 +284,7 @@ mod tests {
 
     #[test]
     fn fig03_latency_tracks_load() {
-        let r = fig03(Scale::quick());
+        let r = fig03(&RunCtx::quick());
         let base = r.windows[0].p99_us.unwrap();
         let peak = r.windows[2].p99_us.unwrap();
         let recovered = r.windows[3].p99_us.unwrap();
@@ -309,7 +310,7 @@ mod tests {
 
     #[test]
     fn fig24_rollout_clears_misalignment_and_improves_rnl() {
-        let r = fig24(20);
+        let r = fig24(&RunCtx::quick(), 20);
         let first = r.weeks.first().unwrap().misalignment_pct[3];
         let last = r.weeks.last().unwrap().misalignment_pct[3];
         assert!(first > 15.0, "initial misalignment {first}%");

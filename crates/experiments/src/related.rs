@@ -11,7 +11,7 @@
 //!   never-finishing RPCs waste their bytes);
 //! * **per-QoS 99.9ᵗʰ-p completion latency**.
 
-use crate::harness::{run_macro, MacroSetup, PolicyChoice, Scale};
+use crate::harness::{MacroSetup, PolicyChoice, RunCtx, Scale};
 use crate::report::{f1, print_table};
 use aequitas::{AequitasConfig, SloTarget};
 use aequitas_baselines::{
@@ -280,7 +280,8 @@ pub fn run_homa(scale: Scale) -> Vec<Scored> {
 }
 
 /// Run Aequitas on the shared workload.
-pub fn run_aequitas(scale: Scale) -> Vec<Scored> {
+pub fn run_aequitas(ctx: &RunCtx) -> Vec<Scored> {
+    let scale = ctx.scale;
     let targets = normalized_targets();
     let config = AequitasConfig::three_qos(
         SloTarget::per_mtu(targets[0], 99.9),
@@ -311,7 +312,7 @@ pub fn run_aequitas(scale: Scale) -> Vec<Scored> {
             stop: Some(stop),
         });
     }
-    let r = run_macro(setup);
+    let r = ctx.run_macro(setup);
     r.completions
         .iter()
         .chain(r.warmup_completions.iter())
@@ -333,10 +334,11 @@ pub struct Fig22Result {
 
 /// Run the full comparison. The six schemes are independent simulations on
 /// the same offered workload, so they fan out across the sweep harness.
-pub fn fig22(scale: Scale) -> Fig22Result {
+pub fn fig22(ctx: &RunCtx) -> Fig22Result {
+    let scale = ctx.scale;
     let schemes: Vec<usize> = (0..6).collect();
-    let scores = crate::parallel::run_sweep(schemes, |k| match k {
-        0 => scored("Aequitas", scale, 22_06, run_aequitas(scale)),
+    let scores = ctx.sweep(schemes, |k| match k {
+        0 => scored("Aequitas", scale, 22_06, run_aequitas(ctx)),
         1 => scored("pFabric", scale, 22_01, run_pfabric(scale)),
         2 => scored("QJump", scale, 22_02, run_qjump(scale)),
         3 => scored(
@@ -418,7 +420,7 @@ mod tests {
             22_03 + DeadlineMode::D3 as u64,
             run_deadline(scale, DeadlineMode::D3),
         );
-        let aq = scored("Aequitas", scale, 22_06, run_aequitas(scale));
+        let aq = scored("Aequitas", scale, 22_06, run_aequitas(&RunCtx::quick()));
         assert!(
             d3.utilization_pct < aq.utilization_pct - 10.0,
             "D3 {d3:?} vs Aequitas {aq:?}"
@@ -428,7 +430,7 @@ mod tests {
     #[test]
     fn aequitas_leads_the_slo_unaware_schemes() {
         let scale = Scale::quick();
-        let aq = scored("Aequitas", scale, 22_06, run_aequitas(scale));
+        let aq = scored("Aequitas", scale, 22_06, run_aequitas(&RunCtx::quick()));
         let pf = scored("pFabric", scale, 22_01, run_pfabric(scale));
         let qj = scored("QJump", scale, 22_02, run_qjump(scale));
         // Byte-weighted across both SLO-carrying classes. (Homa is excluded

@@ -1,6 +1,6 @@
 //! Table rendering for experiment output.
 //!
-//! The bench harness prints the same rows/series the paper reports; these
+//! Experiments print the same rows/series the paper reports; these
 //! helpers keep the formatting uniform. When `AEQUITAS_CSV_DIR` is set,
 //! every printed table is also written there as a CSV file (named from a
 //! slug of the title) so the figures can be re-plotted with any tool.
@@ -60,9 +60,9 @@ fn maybe_write_csv(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     };
     match write() {
         Ok(()) => println!("[csv written to {}]", path.display()),
-        Err(e) => aequitas_telemetry::warn(
-            "experiments.report",
-            format!("csv export failed for {}: {e}", path.display()),
+        Err(e) => eprintln!(
+            "[experiments.report] csv export failed for {}: {e}",
+            path.display()
         ),
     }
 }

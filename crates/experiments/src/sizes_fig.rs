@@ -1,6 +1,6 @@
 //! Figs. 1 and 20: RPC size distributions and mixed-size SLO compliance.
 
-use crate::harness::{run_macro, MacroSetup, PolicyChoice, Scale};
+use crate::harness::{MacroSetup, PolicyChoice, RunCtx};
 use crate::report::print_table;
 use crate::slo::slo_config_33;
 use aequitas_rpc::{ArrivalProcess, Priority, PrioritySpec, TrafficPattern, WorkloadSpec};
@@ -118,7 +118,8 @@ fn mixed_size_workload(size: u64) -> WorkloadSpec {
     }
 }
 
-fn run_mixed(scale: Scale, policy: PolicyChoice, seed: u64) -> [[Option<f64>; 3]; 2] {
+fn run_mixed(ctx: &RunCtx, policy: PolicyChoice, seed: u64) -> [[Option<f64>; 3]; 2] {
+    let scale = ctx.scale;
     let n = 33;
     let mut setup = MacroSetup::star_3qos(n);
     setup.policy = policy;
@@ -130,7 +131,7 @@ fn run_mixed(scale: Scale, policy: PolicyChoice, seed: u64) -> [[Option<f64>; 3]
         let size = if h % 2 == 0 { 32_768 } else { 65_536 };
         setup.workloads[h] = Some(mixed_size_workload(size));
     }
-    let r = run_macro(setup);
+    let r = ctx.run_macro(setup);
     let mut out = [[None; 3]; 2];
     for (si, size) in [32_768u64, 65_536].iter().enumerate() {
         for q in 0..3u8 {
@@ -150,10 +151,10 @@ fn run_mixed(scale: Scale, policy: PolicyChoice, seed: u64) -> [[Option<f64>; 3]
 
 /// Fig. 20: half the hosts issue 32 KB RPCs, the rest 64 KB; Aequitas's
 /// per-MTU normalized SLO keeps both size classes compliant.
-pub fn fig20(scale: Scale) -> Fig20Result {
+pub fn fig20(ctx: &RunCtx) -> Fig20Result {
     Fig20Result {
-        without: run_mixed(scale, PolicyChoice::Static, 2001),
-        with: run_mixed(scale, PolicyChoice::Aequitas(slo_config_33()), 2002),
+        without: run_mixed(ctx, PolicyChoice::Static, 2001),
+        with: run_mixed(ctx, PolicyChoice::Aequitas(slo_config_33()), 2002),
         slo_per_mtu: [15.0 / 8.0, 25.0 / 8.0],
     }
 }
@@ -200,7 +201,7 @@ mod tests {
 
     #[test]
     fn fig20_normalized_slo_holds_for_both_sizes() {
-        let r = fig20(Scale::quick());
+        let r = fig20(&RunCtx::quick());
         for si in 0..2 {
             let h = r.with[si][0].expect("QoSh samples");
             assert!(

@@ -1,9 +1,6 @@
 //! Figs. 11, 12, 13: SLO compliance.
 
-use crate::harness::{
-    run_macro_controlled, run_macro_sampled, MacroResult, MacroSetup, PolicyChoice,
-    Scale,
-};
+use crate::harness::{MacroResult, MacroSetup, PolicyChoice, RunCtx};
 use crate::report::{f1, print_table};
 use aequitas::{AequitasConfig, SloTarget};
 use aequitas_rpc::{ArrivalProcess, Priority, PrioritySpec, RpcCompletion, TrafficPattern, WorkloadSpec};
@@ -78,23 +75,21 @@ fn fig11_workload() -> WorkloadSpec {
 
 /// Fig. 11: two line-rate channels of 32 KB WRITEs (70% QoSh / 30% QoSl)
 /// into one server; the QoSh SLO is swept from 15 µs to 60 µs.
-pub fn fig11(scale: Scale) -> Fig11Result {
-    fig11_configured(scale, crate::parallel::worker_threads(), QueueKind::Calendar)
+pub fn fig11(ctx: &RunCtx) -> Fig11Result {
+    fig11_configured(ctx, QueueKind::Calendar)
 }
 
-/// [`fig11`] with an explicit sweep worker count and engine event-queue
-/// backend. The result must not depend on either knob — the determinism
-/// integration test runs this at 1 vs N workers and heap vs calendar and
-/// asserts identical output.
-pub fn fig11_configured(scale: Scale, threads: usize, queue: QueueKind) -> Fig11Result {
-    let sweep: &[f64] = if scale.full {
+/// [`fig11`] with an explicit engine event-queue backend. The result must
+/// not depend on it, nor on `ctx.threads` — the determinism integration
+/// test runs this at 1 vs N workers and heap vs calendar and asserts
+/// identical output.
+pub fn fig11_configured(ctx: &RunCtx, queue: QueueKind) -> Fig11Result {
+    let sweep: &[f64] = if ctx.scale.full {
         &[15.0, 20.0, 25.0, 30.0, 40.0, 50.0, 60.0]
     } else {
         &[15.0, 25.0, 40.0, 60.0]
     };
-    let points = crate::parallel::run_sweep_on(threads, sweep.to_vec(), |slo_us| {
-        fig11_point(scale, slo_us, queue, 1.0)
-    });
+    let points = ctx.sweep(sweep.to_vec(), |slo_us| fig11_point(ctx, slo_us, queue, 1.0));
     Fig11Result { points }
 }
 
@@ -104,14 +99,13 @@ pub fn fig11_configured(scale: Scale, threads: usize, queue: QueueKind) -> Fig11
 /// pure function of the setup, so running it at 1 vs N sweep workers and
 /// heap vs calendar event queues must agree bit-for-bit. The full-length
 /// variant ([`fig11_configured`]) stays available behind `--ignored`.
-pub fn fig11_invariance_probe(threads: usize, queue: QueueKind) -> Fig11Result {
-    let points = crate::parallel::run_sweep_on(threads, vec![15.0, 40.0], |slo_us| {
-        fig11_point(Scale::quick(), slo_us, queue, 0.05)
-    });
+pub fn fig11_invariance_probe(ctx: &RunCtx, queue: QueueKind) -> Fig11Result {
+    let points = ctx.sweep(vec![15.0, 40.0], |slo_us| fig11_point(ctx, slo_us, queue, 0.05));
     Fig11Result { points }
 }
 
-fn fig11_point(scale: Scale, slo_us: f64, queue: QueueKind, duration_factor: f64) -> Fig11Point {
+fn fig11_point(ctx: &RunCtx, slo_us: f64, queue: QueueKind, duration_factor: f64) -> Fig11Point {
+    let scale = ctx.scale;
     {
         let mut setup = MacroSetup::star_3qos(3);
         setup.engine = aequitas_netsim::EngineConfig::default_2qos();
@@ -147,7 +141,7 @@ fn fig11_point(scale: Scale, slo_us: f64, queue: QueueKind, duration_factor: f64
         let warm_t = SimTime::ZERO + setup.warmup;
         let mut at_warm: Option<Vec<(u64, u64)>> = None;
         let mut at_end: Vec<(u64, u64)> = vec![(0, 0); 2];
-        let r = run_macro_controlled(setup, SimDuration::from_ms(2), |eng, now| {
+        let r = ctx.run_macro_controlled(setup, SimDuration::from_ms(2), |eng, now| {
             let counters: Vec<(u64, u64)> = (0..2)
                 .map(|h| {
                     eng.agents()[h]
@@ -254,7 +248,8 @@ pub fn slo_config_33() -> AequitasConfig {
     )
 }
 
-fn run_33node(scale: Scale, policy: PolicyChoice, seed: u64) -> (MacroResult, Percentiles, Percentiles) {
+fn run_33node(ctx: &RunCtx, policy: PolicyChoice, seed: u64) -> (MacroResult, Percentiles, Percentiles) {
+    let scale = ctx.scale;
     let n = 33;
     let mut setup = MacroSetup::star_3qos(n);
     setup.policy = policy;
@@ -267,7 +262,7 @@ fn run_33node(scale: Scale, policy: PolicyChoice, seed: u64) -> (MacroResult, Pe
     let warm = SimTime::ZERO + setup.warmup;
     let mut out_hm = Percentiles::new();
     let mut out_l = Percentiles::new();
-    let result = run_macro_sampled(setup, SimDuration::from_us(50), |eng, now| {
+    let result = ctx.run_macro_controlled(setup, SimDuration::from_us(50), |eng, now| {
         if now < warm {
             return;
         }
@@ -286,9 +281,9 @@ fn run_33node(scale: Scale, policy: PolicyChoice, seed: u64) -> (MacroResult, Pe
 }
 
 /// Run Figs. 12/13.
-pub fn fig12(scale: Scale) -> Fig12Result {
-    let (without, w_hm, w_l) = run_33node(scale, PolicyChoice::Static, 1001);
-    let (with, a_hm, a_l) = run_33node(scale, PolicyChoice::Aequitas(slo_config_33()), 1002);
+pub fn fig12(ctx: &RunCtx) -> Fig12Result {
+    let (without, w_hm, w_l) = run_33node(ctx, PolicyChoice::Static, 1001);
+    let (with, a_hm, a_l) = run_33node(ctx, PolicyChoice::Aequitas(slo_config_33()), 1002);
     let q = |r: &MacroResult, c: u8| p999_rnl_us(&r.completions, QosClass(c));
     Fig12Result {
         slo_us: [15.0, 25.0],
@@ -359,7 +354,7 @@ mod tests {
 
     #[test]
     fn fig11_rnl_tracks_slo_and_share_grows() {
-        let r = fig11(Scale::quick());
+        let r = fig11(&RunCtx::quick());
         // Achieved tail stays in the neighbourhood of the SLO (within 40%
         // at quick scale) for the middle of the sweep.
         for p in &r.points {
@@ -385,7 +380,7 @@ mod tests {
     /// the SLOs and the scavenger is not sacrificed.
     #[test]
     fn fig12_aequitas_restores_slos() {
-        let mut r = fig12(Scale::quick());
+        let mut r = fig12(&RunCtx::quick());
         let slo_h = r.slo_us[0];
         let slo_m = r.slo_us[1];
         // Without Aequitas the SLOs are missed badly under 1.4x overload.

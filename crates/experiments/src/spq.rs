@@ -1,6 +1,6 @@
 //! Fig. 19: strict priority queuing cannot contain the race to the top.
 
-use crate::harness::{run_macro, MacroSetup, PolicyChoice, Scale};
+use crate::harness::{MacroSetup, PolicyChoice, RunCtx, Scale};
 use crate::report::print_table;
 use crate::slo::{node33_workload, p999_rnl_us, slo_config_33};
 use aequitas_netsim::SchedulerKind;
@@ -40,28 +40,29 @@ fn base_setup(scale: Scale, mix: [f64; 3], seed: u64) -> MacroSetup {
 
 /// Fig. 19: QoSm fixed at 20%, QoSh-share swept 50–80%; SPQ (static
 /// priorities pushed into the fabric) versus Aequitas over WFQ.
-pub fn fig19(scale: Scale) -> Fig19Result {
+pub fn fig19(ctx: &RunCtx) -> Fig19Result {
+    let scale = ctx.scale;
     // Each (share, scheme) pair is an independent run; fan them all out and
     // pair the halves back up afterwards.
     let sweep: Vec<(f64, bool)> = [50.0, 60.0, 70.0, 80.0]
         .into_iter()
         .flat_map(|share| [(share, false), (share, true)])
         .collect();
-    let runs = crate::parallel::run_sweep(sweep, |(share, aequitas)| {
+    let runs = ctx.sweep(sweep, |(share, aequitas)| {
         let x = share / 100.0;
         let mix = [x, 0.20, (0.80_f64 - x).max(0.0)];
         let r = if aequitas {
             // Aequitas over WFQ.
             let mut aq_setup = base_setup(scale, mix, 1950 + share as u64);
             aq_setup.policy = PolicyChoice::Aequitas(slo_config_33());
-            run_macro(aq_setup)
+            ctx.run_macro(aq_setup)
         } else {
             // SPQ, no admission control.
             let mut spq_setup = base_setup(scale, mix, 1900 + share as u64);
             spq_setup.engine.switch_scheduler = SchedulerKind::Spq(3);
             spq_setup.engine.host_scheduler = SchedulerKind::Spq(3);
             spq_setup.policy = PolicyChoice::Static;
-            run_macro(spq_setup)
+            ctx.run_macro(spq_setup)
         };
         [
             p999_rnl_us(&r.completions, QosClass(0)),
@@ -117,6 +118,7 @@ pub fn print_fig19(r: &Fig19Result) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::run_macro;
 
     #[test]
     fn spq_degrades_while_aequitas_holds() {

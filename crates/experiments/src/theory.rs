@@ -9,7 +9,7 @@
 //!   disabled and unbounded buffers, and the measured worst-case queuing
 //!   delay is compared point-by-point with the closed form.
 
-use crate::harness::Scale;
+use crate::harness::RunCtx;
 use crate::report::{f3, print_table};
 use aequitas_analysis::{delay_h, delay_l, fluid_delays, guaranteed_share, FluidSpec, TwoQosParams};
 use aequitas_netsim::{
@@ -17,7 +17,7 @@ use aequitas_netsim::{
     QueueKind, SchedulerKind, Topology,
 };
 use aequitas_sim_core::{SimDuration, SimTime};
-use aequitas_telemetry::{Telemetry, TraceEvent};
+use aequitas_telemetry::TraceEvent;
 
 /// One point of a theory curve.
 #[derive(Debug, Clone, Copy)]
@@ -299,16 +299,17 @@ pub struct Fig10Result {
     pub max_err: [f64; 2],
 }
 
-/// Run one Fig. 10 validation point at QoSh-share `x`, optionally traced.
+/// Run one Fig. 10 validation point at QoSh-share `x`.
 ///
-/// An enabled `telemetry` handle is wired through the engine and stamped
+/// An enabled `ctx.telemetry` handle is wired through the engine and stamped
 /// with a `run_info` event describing the setup (aggregate μ=0.8, ρ=1.2,
 /// 100 µs period, WFQ 4:1), which makes the trace self-contained for
 /// `aequitas-replay audit` — the delay-bound checks resolve their
 /// parameters from the trace alone. The replay round-trip tests run this
 /// exact scenario and compare the replayed worst-case queuing delays
 /// against `ValidationPoint::sim`.
-pub fn fig10_point(x: f64, scale: Scale, telemetry: &Telemetry) -> ValidationPoint {
+pub fn fig10_point(x: f64, ctx: &RunCtx) -> ValidationPoint {
+    let (scale, telemetry) = (ctx.scale, &ctx.telemetry);
     let params = TwoQosParams::fig8();
     let period = SimDuration::from_us(100);
     let periods = scale.pick(20u64, 100u64);
@@ -323,8 +324,6 @@ pub fn fig10_point(x: f64, scale: Scale, telemetry: &Telemetry) -> ValidationPoi
         switch_buffer_bytes: None, // paper: "buffer size set to a large value"
         host_buffer_bytes: None,
         classes: 2,
-        loss_probability: 0.0,
-        loss_seed: 0,
         event_queue: QueueKind::Calendar,
         faults: None,
     };
@@ -377,12 +376,11 @@ pub fn fig10_point(x: f64, scale: Scale, telemetry: &Telemetry) -> ValidationPoi
 }
 
 /// Run the Fig. 10 validation.
-pub fn fig10(scale: Scale) -> Fig10Result {
-    let telemetry = aequitas_telemetry::global();
+pub fn fig10(ctx: &RunCtx) -> Fig10Result {
     let mut points = Vec::new();
     for i in (5..=95).step_by(5) {
         let x = i as f64 / 100.0;
-        points.push(fig10_point(x, scale, &telemetry));
+        points.push(fig10_point(x, ctx));
     }
     let mut max_err = [0.0f64; 2];
     for p in &points {
@@ -500,7 +498,7 @@ mod tests {
 
     #[test]
     fn fig10_simulation_tracks_theory() {
-        let r = fig10(Scale::quick());
+        let r = fig10(&RunCtx::quick());
         // The paper reports close tracking with QoSl slightly above theory
         // (packet vs fluid); accept a modest envelope.
         assert!(

@@ -102,7 +102,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "AQ012",
         name: "string-keyed-telemetry",
-        desc: "string-keyed metric calls, format!/String::new label building, or per-event to_json in hot-path modules; intern a MetricId / reuse a scratch buffer, or justify with a `metric:` comment",
+        desc: "format!/String::new label building or per-event to_json in hot-path modules; intern a MetricId / reuse a scratch buffer, or justify with a `metric:` comment",
     },
     RuleInfo {
         id: "AQ013",
@@ -802,14 +802,15 @@ fn aq011_hot_alloc(ctx: &FileCtx, out: &mut Vec<Finding>) {
     }
 }
 
-/// AQ012: telemetry that allocates or hashes strings per event. The dense
-/// fast path interns a `MetricId` once at wiring time and updates through
-/// `counter_add_id`/`gauge_set_id`/`hist_record_id`; trace serialization
-/// reuses a scratch buffer via `write_json`. In the designated hot modules
-/// this rule flags the string-keyed shims (`counter_add`, `gauge_set`,
-/// `hist_record`), label construction with `format!` / `String::new`, and
-/// per-event `.to_json()` calls. One-time registration and dump/export code
-/// that happens to live in a hot module escapes with a `metric:` comment;
+/// AQ012: telemetry that allocates strings per event. The registry's only
+/// update path interns a `MetricId` once at wiring time and updates through
+/// `counter_add_id`/`gauge_set_id`/`hist_record_id` (the string-keyed
+/// update shims are gone, so the type system covers that half); trace
+/// serialization reuses a scratch buffer via `write_json`. In the
+/// designated hot modules this rule flags label construction with
+/// `format!` / `String::new`, and per-event `.to_json()` calls. One-time
+/// registration and dump/export code that happens to live in a hot module
+/// escapes with a `metric:` comment;
 /// whole setup/export files belong in the `lint.toml` allowlist.
 fn aq012_string_keyed_telemetry(ctx: &FileCtx, out: &mut Vec<Finding>) {
     let hot = HOT_METRIC_MODULES
@@ -818,7 +819,6 @@ fn aq012_string_keyed_telemetry(ctx: &FileCtx, out: &mut Vec<Finding>) {
     if !hot {
         return;
     }
-    const STRING_KEYED: &[&str] = &["counter_add", "gauge_set", "hist_record"];
     let n = ctx.code.len();
     let mut fire = |t: &Tok, what: &str, fix: &str| {
         if ctx.in_test(t.line) || ctx.justified(t.line, "metric:") {
@@ -835,21 +835,6 @@ fn aq012_string_keyed_telemetry(ctx: &FileCtx, out: &mut Vec<Finding>) {
     for w in 0..n {
         let t = ctx.c(w);
         if t.kind != TokKind::Ident {
-            continue;
-        }
-        // `.counter_add(...)` — the string-keyed interning shim. The
-        // `*_id` variants tokenize as distinct idents and never match.
-        if STRING_KEYED.contains(&t.text.as_str())
-            && w >= 1
-            && ctx.c(w - 1).text == "."
-            && w + 1 < n
-            && ctx.c(w + 1).text == "("
-        {
-            fire(
-                t,
-                &format!(".{}(name, labels, ..)", t.text),
-                "intern a MetricId at wiring time and use the `_id` variant",
-            );
             continue;
         }
         // `format!(...)` — per-event label/string construction.
@@ -1254,13 +1239,7 @@ fn f() {
 
     #[test]
     fn aq012_string_keyed_telemetry() {
-        // String-keyed metric shims fire in hot modules.
-        let f = run(
-            "crates/rpc/src/stack.rs",
-            "fn f() { m.counter_add(\"rpc.issued\", l, 1); m.gauge_set(\"g\", l, 1.0); }",
-        );
-        assert_eq!(rules_of(&f), vec!["AQ012", "AQ012"]);
-        // The interned `_id` variants are the sanctioned form.
+        // Updates through interned handles are the sanctioned form.
         assert!(run(
             "crates/rpc/src/stack.rs",
             "fn f() { m.counter_add_id(id, 1); m.gauge_set_id(id, 1.0); m.hist_record_id(id, 5); }"
@@ -1291,11 +1270,11 @@ fn f() {
         )
         .is_empty());
         // Cold modules and test code are out of scope.
-        let src = "fn f() { m.counter_add(\"x\", l, 1); }";
+        let src = "fn f() { let l = format!(\"sw={i}\"); }";
         assert!(run("crates/experiments/src/fig12.rs", src).is_empty());
         assert!(run(
             "crates/rpc/src/stack.rs",
-            "#[cfg(test)]\nmod t { fn f() { m.counter_add(\"x\", l, 1); } }"
+            "#[cfg(test)]\nmod t { fn f() { let l = format!(\"sw={i}\"); } }"
         )
         .is_empty());
     }

@@ -6,7 +6,7 @@ use crate::shard::{Boundary, ShardRole, ShardSpec};
 use crate::topology::{HostId, NodeRef, SwitchId, Topology};
 use aequitas_faults::{FaultPlan, LinkId as FaultLinkId, PacketFate};
 use aequitas_sim_core::{
-    EventQueue, QueueKind, QueueStats, SimDuration, SimRng, SimTime, Slab, SlotId,
+    EventQueue, QueueKind, QueueStats, SimDuration, SimTime, Slab, SlotId,
 };
 use aequitas_telemetry::{labels, MetricId, NodeKind, Telemetry, TraceEvent};
 use std::sync::Arc;
@@ -46,17 +46,10 @@ pub struct EngineConfig {
     pub host_buffer_bytes: Option<u64>,
     /// Number of QoS classes carried in the fabric.
     pub classes: usize,
-    /// Fault injection: probability that a packet arriving at a *switch* is
-    /// dropped (models link corruption/soft errors). 0.0 disables. Uses a
-    /// deterministic stream seeded from `loss_seed`.
-    pub loss_probability: f64,
-    /// Seed for the loss stream.
-    pub loss_seed: u64,
-    /// Structured fault injection: link flaps, per-link loss/corruption and
-    /// jitter from a deterministic, seeded [`FaultPlan`]. `None` disables.
-    /// Unlike `loss_probability` (a legacy uniform-drop knob that consumes a
-    /// shared RNG stream), every plan decision is a pure function of
-    /// `(seed, time, entity)`, so verdicts are independent of event order.
+    /// Fault injection: link flaps, per-link loss/corruption and jitter
+    /// from a deterministic, seeded [`FaultPlan`]. `None` disables. Every
+    /// plan decision is a pure function of `(seed, time, entity)`, so
+    /// verdicts are independent of event order.
     pub faults: Option<Arc<FaultPlan>>,
     /// Future-event list backend. [`QueueKind::Calendar`] (default) is the
     /// fast path; [`QueueKind::Heap`] is the reference implementation kept
@@ -76,8 +69,6 @@ impl EngineConfig {
             switch_buffer_bytes: Some(2 << 20),
             host_buffer_bytes: None,
             classes: 3,
-            loss_probability: 0.0,
-            loss_seed: 0,
             faults: None,
             event_queue: QueueKind::Calendar,
         }
@@ -93,8 +84,6 @@ impl EngineConfig {
             switch_buffer_bytes: Some(2 << 20),
             host_buffer_bytes: None,
             classes: 2,
-            loss_probability: 0.0,
-            loss_seed: 0,
             faults: None,
             event_queue: QueueKind::Calendar,
         }
@@ -216,8 +205,6 @@ pub struct Engine<A: HostAgent> {
     scratch_actions: HostActions,
     started: bool,
     events_processed: u64,
-    loss_rng: SimRng,
-    injected_losses: u64,
     telemetry: Telemetry,
     /// Pre-registered gauge handles; `Some` exactly when telemetry is
     /// enabled.
@@ -309,16 +296,6 @@ impl<A: HostAgent> Engine<A> {
                 ),
             })
             .collect();
-        // Per-domain loss streams: each domain consumes its own sequence, so
-        // verdicts depend only on the (fixed) domain partition, never on the
-        // worker-thread count. Domain 0 of a sharded run and an unsharded
-        // run share a stream on purpose — a single-domain shard is the same
-        // simulation.
-        let domain_salt = shard
-            .as_ref()
-            .map(|r| (r.domain as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .unwrap_or(0);
-        let loss_rng = SimRng::new(config.loss_seed ^ 0x10_55 ^ domain_salt);
         Engine {
             queue: EventQueue::with_kind(config.event_queue),
             events: Slab::with_capacity(1024),
@@ -332,8 +309,6 @@ impl<A: HostAgent> Engine<A> {
             scratch_actions: HostActions::default(),
             started: false,
             events_processed: 0,
-            loss_rng,
-            injected_losses: 0,
             telemetry: Telemetry::disabled(),
             metric_ids: None,
         }
@@ -658,11 +633,6 @@ impl<A: HostAgent> Engine<A> {
         }
     }
 
-    /// Packets destroyed by fault injection so far.
-    pub fn injected_losses(&self) -> u64 {
-        self.injected_losses
-    }
-
     /// Packets destroyed in transit by the structured fault plan, summed
     /// over every port: `(clean losses, corruptions)`.
     pub fn fault_loss_totals(&self) -> (u64, u64) {
@@ -696,12 +666,6 @@ impl<A: HostAgent> Engine<A> {
                     self.call_agent(h, |agent, ctx| agent.on_packet(ctx, pkt));
                 }
                 NodeRef::Switch(s) => {
-                    if self.config.loss_probability > 0.0
-                        && self.loss_rng.bernoulli(self.config.loss_probability)
-                    {
-                        self.injected_losses += 1;
-                        return; // fault injection: packet vanishes
-                    }
                     // Precomputed FIB: one array load per packet; the ECMP
                     // hash is only computed on true fan-out rows.
                     let port = self.topo.next_hop(s, pkt.dst(), &pkt.flow);

@@ -21,7 +21,7 @@
 //! Determinism: the domain partition, the window schedule, and the
 //! domain-ordered merge are all pure functions of the topology and the
 //! event timeline — none depends on how many worker threads execute step 2.
-//! `AEQUITAS_THREADS=1` and `=N` therefore produce byte-identical results
+//! One thread and N therefore produce byte-identical results
 //! (gated by `tests/sharded_determinism.rs`).
 
 use crate::engine::{Engine, EngineConfig, HostAgent};

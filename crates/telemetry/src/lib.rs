@@ -7,7 +7,8 @@
 //! [`Telemetry::emit`] / [`Telemetry::with_metrics`] at its lifecycle
 //! points. A disabled handle is a `None` — each call is a single branch and
 //! no allocation, so instrumentation stays in the hot paths permanently and
-//! costs nothing unless a run opts in (verified by `crates/bench`).
+//! costs nothing unless a run opts in (priced by `aequitas-benchmark`'s
+//! `telemetry.emit_disabled_ns` unit cost).
 //!
 //! Three consumers are built in:
 //!
@@ -34,7 +35,7 @@ pub use trace::{
 };
 
 use aequitas_sim_core::{SimDuration, SimTime};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Tunables for an enabled telemetry handle.
 #[derive(Debug, Clone, Copy)]
@@ -239,54 +240,6 @@ impl Telemetry {
     }
 }
 
-fn global_slot() -> &'static Mutex<Option<Telemetry>> {
-    static GLOBAL: OnceLock<Mutex<Option<Telemetry>>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(None))
-}
-
-/// Install `tel` as the process-global handle. Entry points that cannot
-/// thread a handle through (the CLI's experiment table, baselines'
-/// diagnostics) pick it up via [`global`].
-pub fn install_global(tel: Telemetry) {
-    *global_slot().lock().unwrap() = Some(tel);
-}
-
-/// Remove the process-global handle.
-pub fn clear_global() {
-    *global_slot().lock().unwrap() = None;
-}
-
-/// The process-global handle, or a disabled one when none is installed.
-pub fn global() -> Telemetry {
-    global_slot()
-        .lock()
-        .unwrap()
-        .clone()
-        .unwrap_or_else(Telemetry::disabled)
-}
-
-/// Shared warn helper: records through the global telemetry handle when one
-/// is installed, otherwise falls back to stderr so diagnostics are never
-/// silently lost.
-pub fn warn(component: &str, message: impl Into<String>) {
-    let tel = global();
-    if tel.is_enabled() {
-        tel.warn(component, message);
-    } else {
-        eprintln!("[{component}] {}", message.into());
-    }
-}
-
-/// Trace-only note: recorded when a global handle is installed, dropped
-/// otherwise. For chatty debug events that should never hit stderr. The
-/// message closure is only evaluated when a handle is installed.
-pub fn note(component: &str, message: impl FnOnce() -> String) {
-    let tel = global();
-    if tel.is_enabled() {
-        tel.warn(component, message());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,7 +292,10 @@ mod tests {
             },
         );
         assert!(tel.sample_due(SimTime::ZERO));
-        tel.with_metrics(|m| m.gauge_set("g", String::new(), 1.0));
+        tel.with_metrics(|m| {
+            let g = m.gauge_id("g", String::new());
+            m.gauge_set_id(g, 1.0);
+        });
         tel.sample(SimTime::ZERO);
         assert!(!tel.sample_due(SimTime::from_us(9)));
         assert!(tel.sample_due(SimTime::from_us(10)));
@@ -364,19 +320,5 @@ mod tests {
         tel.warn("b", "y");
         let lines = fr.dump();
         assert!(lines[2].contains("\"t_ps\":5000000"), "{}", lines[2]);
-    }
-
-    #[test]
-    fn global_roundtrip() {
-        clear_global();
-        assert!(!global().is_enabled());
-        let fr = FlightRecorder::new(4);
-        install_global(Telemetry::with_sink(fr.clone(), TelemetryConfig::default()));
-        assert!(global().is_enabled());
-        note("test", || "hello".to_string());
-        // Header line + the note.
-        assert_eq!(fr.len(), 2);
-        clear_global();
-        assert!(!global().is_enabled());
     }
 }

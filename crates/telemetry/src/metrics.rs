@@ -9,8 +9,7 @@
 //! bounds-checked `Vec` index, no string hashing or allocation per event.
 //! Key strings survive only in the registration index (a `BTreeMap`, so
 //! iteration — and therefore every CSV export — stays deterministic) and in
-//! the string-keyed convenience API, which interns on every call and is
-//! meant for tests and cold paths. [`MetricsRegistry::sample`] snapshots the
+//! the by-name read accessors. [`MetricsRegistry::sample`] snapshots the
 //! current value of every counter and gauge (and derived percentiles of
 //! every histogram) into per-key time-series for plotting.
 
@@ -57,8 +56,7 @@ pub struct MetricsRegistry {
     /// Dense slot storage; [`MetricId`] indexes this directly.
     slots: Vec<Slot>,
     /// Registration/export index. Sorted iteration keeps sampling and CSV
-    /// export deterministic and byte-identical to the string-keyed layout
-    /// this replaced.
+    /// export deterministic whatever order callers interned in.
     index: BTreeMap<Key, u32>,
     series: BTreeMap<Key, Vec<(u64, f64)>>,
     samples_taken: u64,
@@ -72,8 +70,7 @@ impl MetricsRegistry {
 
     /// Intern `(name, labels)` and return its dense handle, creating the
     /// slot with `init` if the key is new. Slot *type* is fixed by whoever
-    /// interns first; mismatched updates through any API are debug-asserted
-    /// and ignored, exactly as the string-keyed API always behaved.
+    /// interns first; mismatched updates are debug-asserted and ignored.
     fn intern(&mut self, name: impl Into<String>, labels: String, init: impl FnOnce() -> Slot) -> MetricId {
         let key = (name.into(), labels);
         if let Some(&id) = self.index.get(&key) {
@@ -127,29 +124,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Add `delta` to a counter, creating it at zero first if needed.
-    ///
-    /// Interns on every call — cold paths and tests only; hot paths hold a
-    /// [`MetricId`] from [`MetricsRegistry::counter_id`].
-    pub fn counter_add(&mut self, name: impl Into<String>, labels: String, delta: u64) {
-        let id = self.counter_id(name, labels);
-        self.counter_add_id(id, delta);
-    }
-
-    /// Set a gauge to `value`. Interns on every call (see
-    /// [`MetricsRegistry::counter_add`]).
-    pub fn gauge_set(&mut self, name: impl Into<String>, labels: String, value: f64) {
-        let id = self.gauge_id(name, labels);
-        self.gauge_set_id(id, value);
-    }
-
-    /// Record `value` into a histogram metric. Interns on every call (see
-    /// [`MetricsRegistry::counter_add`]).
-    pub fn hist_record(&mut self, name: impl Into<String>, labels: String, value: u64) {
-        let id = self.hist_id(name, labels);
-        self.hist_record_id(id, value);
-    }
-
     fn slot(&self, name: &str, labels: &str) -> Option<&Slot> {
         let id = *self.index.get(&(name.to_string(), labels.to_string()))?;
         Some(&self.slots[id as usize])
@@ -193,7 +167,7 @@ impl MetricsRegistry {
         let t = now.as_ps();
         self.samples_taken += 1;
         // Walk the sorted index so series creation order (and therefore CSV
-        // export) is identical to the old string-keyed registry.
+        // export) does not depend on interning order.
         let MetricsRegistry { slots, index, series, .. } = self;
         for ((name, labels), &id) in index.iter() {
             match &slots[id as usize] {
@@ -275,11 +249,12 @@ mod tests {
     #[test]
     fn counters_accumulate_and_sample() {
         let mut r = MetricsRegistry::new();
-        r.counter_add("pkts", labels(&[("class", "0")]), 3);
-        r.counter_add("pkts", labels(&[("class", "0")]), 4);
+        let pkts = r.counter_id("pkts", labels(&[("class", "0")]));
+        r.counter_add_id(pkts, 3);
+        r.counter_add_id(pkts, 4);
         assert_eq!(r.counter("pkts", "class=0"), Some(7));
         r.sample(SimTime::from_us(1));
-        r.counter_add("pkts", labels(&[("class", "0")]), 1);
+        r.counter_add_id(pkts, 1);
         r.sample(SimTime::from_us(2));
         let s = r.series("pkts", "class=0").unwrap();
         assert_eq!(s, &[(1_000_000, 7.0), (2_000_000, 8.0)]);
@@ -288,16 +263,18 @@ mod tests {
     #[test]
     fn gauges_overwrite() {
         let mut r = MetricsRegistry::new();
-        r.gauge_set("depth", String::new(), 5.0);
-        r.gauge_set("depth", String::new(), 2.5);
+        let depth = r.gauge_id("depth", String::new());
+        r.gauge_set_id(depth, 5.0);
+        r.gauge_set_id(depth, 2.5);
         assert_eq!(r.gauge("depth", ""), Some(2.5));
     }
 
     #[test]
     fn histograms_sample_percentiles() {
         let mut r = MetricsRegistry::new();
+        let rnl = r.hist_id("rnl", labels(&[("qos", "0")]));
         for v in 1..=1000u64 {
-            r.hist_record("rnl", labels(&[("qos", "0")]), v);
+            r.hist_record_id(rnl, v);
         }
         let p99 = r.percentile("rnl", "qos=0", 99.0).unwrap();
         assert!((985..=1000).contains(&p99), "{p99}");
@@ -308,37 +285,45 @@ mod tests {
 
     #[test]
     fn handle_api_matches_string_api() {
-        let mut a = MetricsRegistry::new();
-        let mut b = MetricsRegistry::new();
-        // Register out of sorted order: export order must still come from
-        // the sorted index, not slot-creation order.
-        let c = a.counter_id("pkts", labels(&[("class", "1")]));
-        let g = a.gauge_id("depth", String::new());
-        let h = a.hist_id("rnl", labels(&[("qos", "0")]));
-        a.counter_add_id(c, 5);
-        a.gauge_set_id(g, 2.5);
-        b.counter_add("pkts", labels(&[("class", "1")]), 5);
-        b.gauge_set("depth", String::new(), 2.5);
-        for v in 1..=100u64 {
-            a.hist_record_id(h, v);
-            b.hist_record("rnl", labels(&[("qos", "0")]), v);
-        }
-        a.sample(SimTime::from_us(3));
-        b.sample(SimTime::from_us(3));
-        let (mut csv_a, mut csv_b) = (Vec::new(), Vec::new());
-        a.write_series_csv(&mut csv_a).unwrap();
-        b.write_series_csv(&mut csv_b).unwrap();
-        assert_eq!(csv_a, csv_b);
-        assert_eq!(a.counter("pkts", "class=1"), Some(5));
-        // Re-interning the same key returns the same handle.
-        assert_eq!(a.counter_id("pkts", labels(&[("class", "1")])), c);
+        // Two registries interning the same keys in opposite orders: export
+        // order comes from the sorted string index, not slot-creation
+        // order, and the by-name accessors read through to the handles.
+        let fill = |reverse: bool| {
+            let mut r = MetricsRegistry::new();
+            let (c, g, h);
+            if reverse {
+                h = r.hist_id("rnl", labels(&[("qos", "0")]));
+                g = r.gauge_id("depth", String::new());
+                c = r.counter_id("pkts", labels(&[("class", "1")]));
+            } else {
+                c = r.counter_id("pkts", labels(&[("class", "1")]));
+                g = r.gauge_id("depth", String::new());
+                h = r.hist_id("rnl", labels(&[("qos", "0")]));
+            }
+            r.counter_add_id(c, 5);
+            r.gauge_set_id(g, 2.5);
+            for v in 1..=100u64 {
+                r.hist_record_id(h, v);
+            }
+            r.sample(SimTime::from_us(3));
+            let mut csv = Vec::new();
+            r.write_series_csv(&mut csv).unwrap();
+            // Re-interning the same key returns the same handle.
+            assert_eq!(r.counter_id("pkts", labels(&[("class", "1")])), c);
+            assert_eq!(r.counter("pkts", "class=1"), Some(5));
+            assert_eq!(r.gauge("depth", ""), Some(2.5));
+            csv
+        };
+        assert_eq!(fill(false), fill(true));
     }
 
     #[test]
     fn csv_export_is_deterministic_and_parses() {
         let mut r = MetricsRegistry::new();
-        r.gauge_set("b", String::new(), 1.0);
-        r.counter_add("a", labels(&[("x", "1")]), 2);
+        let b = r.gauge_id("b", String::new());
+        r.gauge_set_id(b, 1.0);
+        let a = r.counter_id("a", labels(&[("x", "1")]));
+        r.counter_add_id(a, 2);
         r.sample(SimTime::from_us(5));
         let mut out = Vec::new();
         r.write_series_csv(&mut out).unwrap();

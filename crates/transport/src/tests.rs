@@ -311,9 +311,26 @@ fn fixed_window_transport_ignores_delay() {
     assert_eq!(eng.agents()[0].transport.cwnd(&flow), Some(64.0));
 }
 
+/// The 3-QoS fabric under a fault plan that drops each frame on every link
+/// with probability `prob`.
+fn uniform_loss_config(seed: u64, prob: f64) -> EngineConfig {
+    use aequitas_netsim::faults::{FaultPlan, LinkSel, LossRule};
+    let mut config = EngineConfig::default_3qos();
+    config.faults = Some(std::sync::Arc::new(FaultPlan {
+        seed,
+        loss: vec![LossRule {
+            link: LinkSel::Any,
+            prob,
+            burst: None,
+        }],
+        ..FaultPlan::default()
+    }));
+    config
+}
+
 #[test]
 fn fault_injection_losses_are_recovered() {
-    // 0.5% random packet loss at the switch: the retransmission machinery
+    // 0.5% random packet loss on every link: the retransmission machinery
     // must still complete every message, at the cost of retransmits.
     let scripts = vec![
         (0..300)
@@ -326,12 +343,9 @@ fn fault_injection_losses_are_recovered() {
         .enumerate()
         .map(|(i, s)| ScriptedHost::new(HostId(i), TransportConfig::default(), s))
         .collect();
-    let mut config = EngineConfig::default_3qos();
-    config.loss_probability = 0.005;
-    config.loss_seed = 99;
-    let mut eng = Engine::new(star(2), agents, config);
+    let mut eng = Engine::new(star(2), agents, uniform_loss_config(99, 0.005));
     eng.run_until(SimTime::from_ms(200));
-    assert!(eng.injected_losses() > 0, "injector never fired");
+    assert!(eng.fault_loss_totals().0 > 0, "injector never fired");
     assert_eq!(eng.agents()[0].completed.len(), 300);
     let flow = aequitas_netsim::FlowKey {
         src: HostId(0),
@@ -494,13 +508,10 @@ fn deterministic_fault_injection() {
             .enumerate()
             .map(|(i, s)| ScriptedHost::new(HostId(i), TransportConfig::default(), s))
             .collect();
-        let mut config = EngineConfig::default_3qos();
-        config.loss_probability = 0.01;
-        config.loss_seed = 7;
-        let mut eng = Engine::new(star(2), agents, config);
+        let mut eng = Engine::new(star(2), agents, uniform_loss_config(7, 0.01));
         eng.run_until(SimTime::from_ms(100));
         (
-            eng.injected_losses(),
+            eng.fault_loss_totals(),
             eng.agents()[0]
                 .completed
                 .iter()

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Render every CSV produced by `AEQUITAS_CSV_DIR=<dir> cargo bench` into a
+# Render every CSV produced by `AEQUITAS_CSV_DIR=<dir> aequitas-sim run all` into a
 # quick-look PNG using gnuplot (first column = x, remaining columns = series).
 # Usage: scripts/plot_csv.sh <csv-dir> [out-dir]
 set -euo pipefail

@@ -3,7 +3,9 @@
 # the telemetry outputs through `aequitas-replay` — the trace must carry a
 # recognized schema header, parse line-by-line, reconstruct with clean
 # integrity (contiguous seq, byte conservation), cross-check against the
-# sampled metrics CSV, and audit without a FAIL verdict.
+# sampled metrics CSV, and audit without a FAIL verdict. Also checks the
+# front door's `--threads` flag: the worker count never changes what a run
+# prints, and a value that is not a positive integer is a usage error.
 #
 # Usage: scripts/trace_smoke.sh [experiment]   (default: trace-demo — the
 # figure experiments simulate enough 100 Gbps traffic that a traced run is
@@ -48,5 +50,20 @@ head -1 "$METRICS" | grep -qx 't_us,metric,labels,value' \
 ROWS=$(($(wc -l < "$METRICS") - 1))
 [ "$ROWS" -ge 10 ] || { echo "FAIL: only $ROWS metric samples" >&2; exit 1; }
 echo "ok: $ROWS metric samples"
+
+echo "== --threads is a pure wall-clock knob, and validated =="
+target/release/aequitas-sim run "$EXP" --threads 1 > "$OUT/threads-1.txt"
+target/release/aequitas-sim run "$EXP" --threads 4 > "$OUT/threads-4.txt"
+diff "$OUT/threads-1.txt" "$OUT/threads-4.txt" \
+    || { echo "FAIL: output depends on --threads" >&2; exit 1; }
+for bad in 0 abc; do
+    rc=0
+    target/release/aequitas-sim run "$EXP" --threads "$bad" >/dev/null 2>"$OUT/err.txt" || rc=$?
+    [ "$rc" -eq 2 ] \
+        || { echo "FAIL: --threads $bad exited $rc, want usage error 2" >&2; exit 1; }
+    grep -q -- "--threads needs a positive integer" "$OUT/err.txt" \
+        || { echo "FAIL: no diagnostic for --threads $bad" >&2; cat "$OUT/err.txt" >&2; exit 1; }
+done
+echo "ok: --threads 1 == --threads 4; --threads 0 / abc exit 2"
 
 echo "trace smoke passed"

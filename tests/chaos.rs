@@ -3,7 +3,7 @@
 //! events reach the telemetry stream.
 
 use aequitas_experiments::chaos;
-use aequitas_experiments::harness::Scale;
+use aequitas_experiments::harness::RunCtx;
 use aequitas_telemetry::{FlightRecorder, Telemetry, TelemetryConfig};
 use aequitas_sim_core::SimDuration;
 
@@ -13,8 +13,8 @@ use aequitas_sim_core::SimDuration;
 /// and no RPC is silently lost.
 #[test]
 fn link_flap_is_contained_and_deterministic() {
-    let a = chaos::link_flap(Scale::quick());
-    let b = chaos::link_flap(Scale::quick());
+    let a = chaos::link_flap(&RunCtx::quick());
+    let b = chaos::link_flap(&RunCtx::quick());
     assert_eq!(a.digest, b.digest, "fault injection must be deterministic");
     assert_eq!(a.flapped_done, b.flapped_done);
     assert_eq!(a.fault_drops, b.fault_drops);
@@ -58,7 +58,7 @@ fn link_flap_is_contained_and_deterministic() {
 /// after recovery.
 #[test]
 fn quota_outage_degrades_gracefully_and_recovers() {
-    let r = chaos::quota_outage(Scale::quick());
+    let r = chaos::quota_outage(&RunCtx::quick());
     let [pre, during, post] = r.tenant0_gbps;
 
     // Before the outage the guarantee (plus its share of the remainder) is
@@ -96,7 +96,10 @@ fn fault_events_reach_the_flight_recorder() {
             sample_every: SimDuration::from_ms(1),
         },
     );
-    chaos::link_flap_traced(Scale::quick(), tel);
+    chaos::link_flap(&RunCtx {
+        telemetry: tel,
+        ..RunCtx::quick()
+    });
     let lines = recorder.dump();
     assert!(!lines.is_empty(), "no trace lines recorded");
     for required in ["\"fault_link_down\"", "\"fault_link_up\"", "\"fault_pkt_drop\""] {
@@ -114,7 +117,10 @@ fn fault_events_reach_the_flight_recorder() {
             sample_every: SimDuration::from_ms(1),
         },
     );
-    chaos::quota_outage_traced(Scale::quick(), tel);
+    chaos::quota_outage(&RunCtx {
+        telemetry: tel,
+        ..RunCtx::quick()
+    });
     let lines = recorder.dump();
     let outages: Vec<&String> = lines
         .iter()
@@ -134,7 +140,7 @@ fn fault_events_reach_the_flight_recorder() {
 /// the fault — it happens after repair, not before.
 #[test]
 fn containment_matrix_restores_aequitas_slo_in_finite_time() {
-    let r = chaos::containment(Scale::quick());
+    let r = chaos::containment(&RunCtx::quick());
     assert_eq!(r.rows.len(), 6, "Aequitas + five baselines");
     let names: Vec<&str> = r.rows.iter().map(|s| s.name).collect();
     assert_eq!(names, ["Aequitas", "pFabric", "QJump", "D3", "PDQ", "Homa"]);
@@ -173,8 +179,8 @@ fn containment_matrix_restores_aequitas_slo_in_finite_time() {
 /// on every row, including the recovery times.
 #[test]
 fn containment_matrix_is_deterministic() {
-    let a = chaos::containment(Scale::quick());
-    let b = chaos::containment(Scale::quick());
+    let a = chaos::containment(&RunCtx::quick());
+    let b = chaos::containment(&RunCtx::quick());
     for (x, y) in a.rows.iter().zip(&b.rows) {
         assert_eq!(x.name, y.name);
         assert_eq!(x.completed, y.completed, "{} diverged", x.name);

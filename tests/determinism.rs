@@ -1,15 +1,26 @@
 //! Determinism under the performance knobs.
 //!
 //! The parallel sweep harness and the calendar event queue are pure
-//! optimizations: neither the sweep worker count (`AEQUITAS_THREADS`) nor
-//! the event-queue backend may change a single figure value. This runs the
+//! optimizations: neither the sweep worker count (`--threads`) nor the
+//! event-queue backend may change a single figure value. This runs the
 //! Fig. 11 sweep — a real multi-point experiment through the full stack —
-//! under each knob and requires bit-identical results.
+//! under each knob and requires bit-identical results, and requires the
+//! same of a traced sweep's trace stream.
 
+use aequitas_experiments::harness::{run_macro, MacroSetup, PolicyChoice};
 use aequitas_experiments::slo::{fig11_configured, fig11_invariance_probe, Fig11Result};
-use aequitas_experiments::Scale;
+use aequitas_experiments::RunCtx;
 use aequitas_netsim::QueueKind;
-use aequitas_telemetry::{FlightRecorder, Telemetry, TelemetryConfig};
+use aequitas_sim_core::SimDuration;
+use aequitas_telemetry::{FlightRecorder, Telemetry, TelemetryConfig, TraceSink};
+use std::sync::{Arc, Mutex};
+
+fn on_threads(threads: usize) -> RunCtx {
+    RunCtx {
+        threads,
+        ..RunCtx::quick()
+    }
+}
 
 fn fingerprint(r: &Fig11Result) -> Vec<(u64, u64, u64)> {
     r.points
@@ -30,13 +41,13 @@ fn fingerprint(r: &Fig11Result) -> Vec<(u64, u64, u64)> {
 /// length.
 #[test]
 fn fig11_smoke_is_invariant_under_threads_and_queue_backend() {
-    let baseline = fingerprint(&fig11_invariance_probe(1, QueueKind::Calendar));
-    let threaded = fingerprint(&fig11_invariance_probe(4, QueueKind::Calendar));
+    let baseline = fingerprint(&fig11_invariance_probe(&on_threads(1), QueueKind::Calendar));
+    let threaded = fingerprint(&fig11_invariance_probe(&on_threads(4), QueueKind::Calendar));
     assert_eq!(
         baseline, threaded,
         "sweep results must not depend on the worker count"
     );
-    let heap = fingerprint(&fig11_invariance_probe(4, QueueKind::Heap));
+    let heap = fingerprint(&fig11_invariance_probe(&on_threads(4), QueueKind::Heap));
     assert_eq!(
         baseline, heap,
         "calendar and heap event queues must order events identically"
@@ -49,18 +60,47 @@ fn fig11_smoke_is_invariant_under_threads_and_queue_backend() {
 #[test]
 #[ignore = "full-length fig11 sweep; the smoke variant covers CI"]
 fn fig11_is_invariant_under_threads_and_queue_backend() {
-    let scale = Scale::quick();
-    let baseline = fingerprint(&fig11_configured(scale, 1, QueueKind::Calendar));
-    let threaded = fingerprint(&fig11_configured(scale, 4, QueueKind::Calendar));
+    let baseline = fingerprint(&fig11_configured(&on_threads(1), QueueKind::Calendar));
+    let threaded = fingerprint(&fig11_configured(&on_threads(4), QueueKind::Calendar));
     assert_eq!(
         baseline, threaded,
         "sweep results must not depend on the worker count"
     );
-    let heap = fingerprint(&fig11_configured(scale, 4, QueueKind::Heap));
+    let heap = fingerprint(&fig11_configured(&on_threads(4), QueueKind::Heap));
     assert_eq!(
         baseline, heap,
         "calendar and heap event queues must order events identically"
     );
+}
+
+/// A `trace-demo`-shaped run: two senders overloading one receiver under
+/// Aequitas, so every event family fires.
+fn overload_setup(duration: SimDuration, seed: u64) -> MacroSetup {
+    use aequitas::{AequitasConfig, SloTarget};
+    use aequitas_rpc::{ArrivalProcess, Priority, PrioritySpec, TrafficPattern, WorkloadSpec};
+    use aequitas_workloads::{QosMapping, SizeDist};
+
+    let slo = SloTarget::absolute(SimDuration::from_us(15), 8, 99.9);
+    let mut setup = MacroSetup::star_3qos(3);
+    setup.mapping = QosMapping::two_level();
+    setup.engine = aequitas_netsim::EngineConfig::default_2qos();
+    setup.policy = PolicyChoice::Aequitas(AequitasConfig::two_qos(slo));
+    setup.duration = duration;
+    setup.warmup = duration.mul_f64(0.2);
+    setup.seed = seed;
+    for h in 0..2 {
+        setup.workloads[h] = Some(WorkloadSpec {
+            arrival: ArrivalProcess::Poisson { load: 0.9 },
+            pattern: TrafficPattern::ManyToOne { dst: 2 },
+            classes: vec![PrioritySpec {
+                priority: Priority::PerformanceCritical,
+                byte_share: 1.0,
+                sizes: SizeDist::Fixed(32_768),
+            }],
+            stop: None,
+        });
+    }
+    setup
 }
 
 /// Telemetry is an observer, never a participant: running the same
@@ -68,33 +108,9 @@ fn fig11_is_invariant_under_threads_and_queue_backend() {
 /// simulation results to a run with telemetry disabled.
 #[test]
 fn telemetry_does_not_perturb_the_simulation() {
-    use aequitas::{AequitasConfig, SloTarget};
-    use aequitas_experiments::harness::{run_macro, MacroSetup, PolicyChoice};
-    use aequitas_rpc::{ArrivalProcess, Priority, PrioritySpec, TrafficPattern, WorkloadSpec};
-    use aequitas_sim_core::SimDuration;
-    use aequitas_workloads::{QosMapping, SizeDist};
-
     let run = |tel: Telemetry| {
-        let slo = SloTarget::absolute(SimDuration::from_us(15), 8, 99.9);
-        let mut setup = MacroSetup::star_3qos(3);
-        setup.mapping = QosMapping::two_level();
-        setup.engine = aequitas_netsim::EngineConfig::default_2qos();
-        setup.policy = PolicyChoice::Aequitas(AequitasConfig::two_qos(slo));
-        setup.duration = SimDuration::from_ms(5);
-        setup.warmup = SimDuration::from_ms(1);
+        let mut setup = overload_setup(SimDuration::from_ms(5), 2022);
         setup.telemetry = tel;
-        for h in 0..2 {
-            setup.workloads[h] = Some(WorkloadSpec {
-                arrival: ArrivalProcess::Poisson { load: 0.9 },
-                pattern: TrafficPattern::ManyToOne { dst: 2 },
-                classes: vec![PrioritySpec {
-                    priority: Priority::PerformanceCritical,
-                    byte_share: 1.0,
-                    sizes: SizeDist::Fixed(32_768),
-                }],
-                stop: None,
-            });
-        }
         let r = run_macro(setup);
         (
             r.completions.len(),
@@ -115,4 +131,54 @@ fn telemetry_does_not_perturb_the_simulation() {
     );
     // And the traced run did actually record something.
     assert!(!recorder.is_empty());
+}
+
+/// The whole JSONL stream, in memory.
+#[derive(Clone, Default)]
+struct MemSink(Arc<Mutex<Vec<u8>>>);
+
+impl TraceSink for MemSink {
+    fn record_line(&mut self, line: &str) {
+        let mut bytes = self.0.lock().unwrap();
+        bytes.extend_from_slice(line.as_bytes());
+        bytes.push(b'\n');
+    }
+}
+
+/// A sweep traced through the run context writes one canonical stream: the
+/// points land whole and in input order whatever `threads` says, so the
+/// bytes are identical at 1 and 4 workers and replay sees three clean
+/// epochs — not the interleaving of concurrent runs that a handle shared
+/// by parallel workers produces (every line of which replay would take for
+/// an epoch boundary).
+#[test]
+fn traced_sweep_is_deterministic_and_replays() {
+    let traced_sweep = |threads: usize| {
+        let sink = MemSink::default();
+        let ctx = RunCtx {
+            telemetry: Telemetry::with_sink(sink.clone(), TelemetryConfig::default()),
+            ..on_threads(threads)
+        };
+        let counts = ctx.sweep(vec![41u64, 42, 43], |seed| {
+            let r = ctx.run_macro(overload_setup(SimDuration::from_ms(1), seed));
+            (r.issued, r.completions.len(), r.events)
+        });
+        ctx.telemetry.flush();
+        let bytes = std::mem::take(&mut *sink.0.lock().unwrap());
+        (counts, bytes)
+    };
+    let (counts_1, trace_1) = traced_sweep(1);
+    let (counts_4, trace_4) = traced_sweep(4);
+    assert_eq!(counts_1, counts_4);
+    assert!(
+        trace_1 == trace_4,
+        "trace bytes depend on the worker count ({} vs {} bytes)",
+        trace_1.len(),
+        trace_4.len()
+    );
+
+    let recon = aequitas_replay::Reconstruction::from_reader(&trace_1[..]).unwrap();
+    assert_eq!(recon.integrity.seq_gaps, 0);
+    assert_eq!(recon.epochs, 3, "one epoch per sweep point");
+    assert_eq!(recon.integrity.time_regressions, 2);
 }

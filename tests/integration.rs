@@ -182,9 +182,10 @@ fn port_counters_conserve_offered_load() {
                 engine.switch_port_class_packets(SwitchId(0), port, class) as u64;
         }
     }
+    let (fault_lost, fault_corrupted) = engine.fault_loss_totals();
     assert_eq!(
         host_tx,
-        switch_accounted + engine.injected_losses(),
+        switch_accounted + fault_lost + fault_corrupted,
         "offered {host_tx} packets but the switch accounts for {switch_accounted}"
     );
     assert!(total_drops > 0, "a 2x overload must overflow the hot port");

@@ -4,7 +4,7 @@
 //! deterministically, and reject unknown schema versions.
 
 use aequitas::{AequitasConfig, SloTarget};
-use aequitas_experiments::harness::{run_macro, MacroSetup, PolicyChoice};
+use aequitas_experiments::harness::{run_macro, MacroSetup, PolicyChoice, RunCtx};
 use aequitas_experiments::theory;
 use aequitas_netsim::EngineConfig;
 use aequitas_replay::audit::audit;
@@ -27,8 +27,12 @@ fn tmpdir(name: &str) -> PathBuf {
 /// Write a fig-10 validation point (fig-8 parameters, x = 0.7) as a trace.
 fn traced_fig10(path: &std::path::Path) -> theory::ValidationPoint {
     let tel = Telemetry::to_file(path, TelemetryConfig::default()).unwrap();
-    let point = theory::fig10_point(0.7, aequitas_experiments::harness::Scale::quick(), &tel);
-    tel.flush();
+    let ctx = RunCtx {
+        telemetry: tel,
+        ..RunCtx::quick()
+    };
+    let point = theory::fig10_point(0.7, &ctx);
+    ctx.telemetry.flush();
     point
 }
 

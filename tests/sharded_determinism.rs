@@ -1,5 +1,5 @@
 //! The sharded engine's headline guarantee: the worker-thread count is a
-//! pure wall-clock knob. `AEQUITAS_THREADS=1` and `=N` must produce
+//! pure wall-clock knob. `--threads 1` and `--threads N` must produce
 //! byte-identical results — same completions at the same picosecond, same
 //! event count — on a multi-domain Clos fabric, with and without an active
 //! chaos fault plan.
