@@ -12,11 +12,14 @@
 //! results in input order; experiments reach it through
 //! [`crate::harness::RunCtx::sweep`], which supplies the worker count.
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Run `f` over every point on `threads` workers; results come back in
-/// input order.
+/// input order. A point that panics fails the sweep with
+/// "sweep point <i> panicked" (its own message has gone to stderr by then)
+/// and no further point is started.
 pub fn run_sweep_on<P, R, F>(threads: usize, points: Vec<P>, f: F) -> Vec<R>
 where
     P: Send,
@@ -29,8 +32,21 @@ where
     // per-point locking — which matters on single-core machines where the
     // "parallel" path used to lose to the serial loops outright.
     let threads = threads.min(n.max(1));
+    let next = AtomicUsize::new(0);
+    let run_point = |i: usize, p: P| {
+        // The closure is not called again for this point and the sweep's
+        // result is discarded, so no broken state outlives the unwind.
+        catch_unwind(AssertUnwindSafe(|| f(p))).unwrap_or_else(|_| {
+            next.store(n, Ordering::Relaxed); // nothing left to claim
+            panic!("sweep point {i} panicked")
+        })
+    };
     if threads <= 1 {
-        return points.into_iter().map(f).collect();
+        return points
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| run_point(i, p))
+            .collect();
     }
     // Work-stealing by atomic index: each worker claims the next unclaimed
     // chunk of points, so long and short runs balance without static
@@ -40,21 +56,32 @@ where
     let chunk = (n / (threads * 4)).max(1);
     let slots: Vec<Mutex<Option<P>>> = points.into_iter().map(|p| Mutex::new(Some(p))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let f = &f;
     std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| loop {
-                let start = next.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
-                    break;
-                }
-                for i in start..(start + chunk).min(n) {
-                    let p = slots[i].lock().unwrap().take().expect("point claimed once");
-                    let r = f(p);
-                    *results[i].lock().unwrap() = Some(r);
-                }
-            });
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| loop {
+                    let start = next.fetch_add(chunk, Ordering::Relaxed);
+                    if start >= n {
+                        break;
+                    }
+                    for i in start..(start + chunk).min(n) {
+                        let p = slots[i].lock().unwrap().take().expect("point claimed once");
+                        let r = run_point(i, p);
+                        *results[i].lock().unwrap() = Some(r);
+                    }
+                })
+            })
+            .collect();
+        // Joined by hand so the point's name reaches the caller instead of
+        // the scope's anonymous "a scoped thread panicked".
+        let mut panicked = None;
+        for worker in workers {
+            if let Err(payload) = worker.join() {
+                panicked.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = panicked {
+            resume_unwind(payload);
         }
     });
     results
@@ -85,6 +112,25 @@ mod tests {
             run_sweep_on(1, points.clone(), f),
             run_sweep_on(3, points, f)
         );
+    }
+
+    fn sweep_with_a_bad_point(threads: usize) {
+        run_sweep_on(threads, (0..16).collect(), |x: u32| {
+            assert_ne!(x, 5, "the simulation at this point is broken");
+            x
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep point 5 panicked")]
+    fn a_panicking_point_fails_the_sweep_by_name() {
+        sweep_with_a_bad_point(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "sweep point 5 panicked")]
+    fn a_panicking_point_is_named_on_the_inline_path_too() {
+        sweep_with_a_bad_point(1);
     }
 
     #[test]

@@ -63,5 +63,5 @@ pub use aequitas_faults as faults;
 pub use aequitas_sim_core::{QueueKind, QueueStats};
 pub use packet::{FlowKey, Packet, PacketKind};
 pub use port::{PortStats, SchedulerKind};
-pub use shard::{ShardSpec, ShardedEngine};
+pub use shard::{ShardSpec, ShardStats, ShardedEngine};
 pub use topology::{HostId, LinkSpec, NodeRef, SwitchId, Topology};

@@ -18,18 +18,37 @@
 //! packet from a peer *within* the window it is running — the decomposition
 //! is exact, not approximate.
 //!
+//! **Who runs a window.** The domains are dealt into *lanes*, one per
+//! worker, heaviest domain first onto the least-loaded lane
+//! ([`ShardSpec::lanes`]). A `run_until` call that needs more than one
+//! window spawns its `workers − 1` scoped threads once; each owns its lane
+//! for the whole call and the calling thread (the *coordinator*) runs
+//! lane 0. A window is handed over through an epoch barrier: the
+//! coordinator publishes `wend` and bumps an atomic epoch, every thread
+//! runs its lane, and a completion counter comes back. Both sides wait by
+//! spinning for a bounded number of [`std::hint::spin_loop`] hints (a few
+//! tens of µs) and only then `yield_now` — a window is ~100 µs of work, so
+//! a futex sleep/wake pair per window costs as much as the thread spawn it
+//! would replace. Steps 1 and 3 stay on the coordinator. A lane sits behind
+//! a `Mutex` that the barrier keeps uncontended: its worker holds it inside
+//! a window, the coordinator between windows. A thread that panics sets a
+//! halt flag both sides check in their wait loops, so a failing agent fails
+//! the run (naming the domain) instead of hanging it.
+//!
 //! Determinism: the domain partition, the window schedule, and the
 //! domain-ordered merge are all pure functions of the topology and the
 //! event timeline — none depends on how many worker threads execute step 2.
-//! One thread and N therefore produce byte-identical results
-//! (gated by `tests/sharded_determinism.rs`).
+//! One thread and N therefore produce byte-identical results, and identical
+//! [`ShardStats`] (gated by `tests/sharded_determinism.rs`).
 
 use crate::engine::{Engine, EngineConfig, HostAgent};
 use crate::packet::Packet;
 use crate::port::PortStats;
 use crate::topology::{HostId, NodeRef, SwitchId, Topology};
 use aequitas_sim_core::{SimDuration, SimTime};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A packet crossing a domain boundary: deliver `pkt` to `node` at `at`.
 #[derive(Debug, Clone, Copy)]
@@ -49,10 +68,7 @@ pub(crate) struct ShardRole {
 impl ShardRole {
     /// Whether `node` belongs to this domain.
     pub(crate) fn owns(&self, node: NodeRef) -> bool {
-        match node {
-            NodeRef::Host(h) => self.spec.domain_of_host[h.0] == self.domain,
-            NodeRef::Switch(s) => self.spec.domain_of_switch[s.0] == self.domain,
-        }
+        self.spec.domain_of(node) == self.domain
     }
 }
 
@@ -160,10 +176,198 @@ impl ShardSpec {
             .collect();
         ShardSpec::new(topo, domain_of_switch)
     }
+
+    /// The domain that owns `node`.
+    pub fn domain_of(&self, node: NodeRef) -> usize {
+        match node {
+            NodeRef::Host(h) => self.domain_of_host[h.0],
+            NodeRef::Switch(s) => self.domain_of_switch[s.0],
+        }
+    }
+
+    /// Deal the domains into `workers` lanes (clamped to
+    /// `[1, num_domains]`): heaviest domain first — by (hosts owned,
+    /// switches owned), ties to the lower domain id — onto the lane with
+    /// the least load so far, ties to the lower lane. Each lane lists its
+    /// domains in ascending id order. A pure function of the spec, so the
+    /// thread-to-domain assignment is the same on every run; it can move
+    /// wall-clock time only, since domains are independent inside a window.
+    pub fn lanes(&self, workers: usize) -> Vec<Vec<usize>> {
+        let workers = workers.clamp(1, self.num_domains.max(1));
+        let mut weight: Vec<(usize, usize)> = (0..self.num_domains).map(|_| (0, 0)).collect();
+        for &d in &self.domain_of_host {
+            weight[d].0 += 1;
+        }
+        for &d in &self.domain_of_switch {
+            weight[d].1 += 1;
+        }
+        let mut heaviest_first: Vec<usize> = (0..self.num_domains).collect();
+        heaviest_first.sort_by_key(|&d| (std::cmp::Reverse(weight[d]), d));
+        let mut load: Vec<(usize, usize)> = (0..workers).map(|_| (0, 0)).collect();
+        let mut lanes: Vec<Vec<usize>> = (0..workers)
+            .map(|_| Vec::with_capacity(self.num_domains.div_ceil(workers)))
+            .collect();
+        for d in heaviest_first {
+            let lane = (0..workers)
+                .min_by_key(|&l| load[l])
+                .expect("at least one worker");
+            load[lane].0 += weight[d].0;
+            load[lane].1 += weight[d].1;
+            lanes[lane].push(d);
+        }
+        for lane in &mut lanes {
+            lane.sort_unstable();
+        }
+        lanes
+    }
+}
+
+/// What the window protocol did, in exact counts — no wall clock, so the
+/// numbers repeat run for run and are the same for every worker count.
+/// They name the limit on the sharded engine's speed-up: `events / windows`
+/// is the work a barrier crossing buys (lookahead width),
+/// `boundary_packets` is the serial merge, and `events_per_domain` folded
+/// over [`ShardedEngine::lanes`] is the imbalance
+/// ([`ShardedEngine::lane_imbalance`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct ShardStats {
+    /// Lookahead windows run.
+    pub windows: u64,
+    /// Events dispatched, summed over windows (and so over domains).
+    pub events: u64,
+    /// Most events any one window dispatched.
+    pub max_window_events: u64,
+    /// Packets carried across a domain boundary by the merge.
+    pub boundary_packets: u64,
+    /// Events dispatched by each domain.
+    pub events_per_domain: Vec<u64>,
+}
+
+/// How many `spin_loop` hints a waiter issues before it starts yielding its
+/// time slice: a few tens of µs, enough to cover the coordinator's merge
+/// and ordinary lane imbalance on dedicated cores. Past that the peer is
+/// probably descheduled (more threads than cores), and burning the slice
+/// would only delay it.
+const SPIN_LIMIT: u32 = 2_048;
+
+/// `Barrier::halt` while windows are being handed out.
+const RUNNING: usize = usize::MAX;
+/// `Barrier::halt` once the call is over: workers return.
+const FINISHED: usize = usize::MAX - 1;
+
+/// The hand-off between the coordinator and its lane workers for one
+/// `run_until` call. Engine state travels under the lane mutexes; the
+/// atomics publish only `wend_ps`: the coordinator stores it and then bumps
+/// `epoch` with `Release`, a worker reads `epoch` with `Acquire` before it
+/// reads `wend_ps`.
+struct Barrier {
+    /// Number of the window being run; workers wait for it to change.
+    epoch: AtomicU64,
+    /// Horizon of that window, in picoseconds.
+    wend_ps: AtomicU64,
+    /// Lanes finished by workers, summed over the call.
+    arrived: AtomicU64,
+    /// [`RUNNING`], [`FINISHED`], or the domain a thread was running when
+    /// it panicked.
+    halt: AtomicUsize,
+}
+
+impl Barrier {
+    /// Spin, then yield, until `ready()`. `false` when the run halted
+    /// first.
+    fn wait(&self, ready: impl Fn() -> bool) -> bool {
+        let mut spins = 0;
+        loop {
+            if ready() {
+                return true;
+            }
+            if self.halt.load(Ordering::Acquire) != RUNNING {
+                return false;
+            }
+            if spins < SPIN_LIMIT {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+    }
+}
+
+/// Held by every thread of a call while it runs domains: if the thread
+/// unwinds, the barrier halts with the domain it was in, so no peer waits
+/// for a completion that will never come.
+struct HaltOnUnwind<'a> {
+    barrier: &'a Barrier,
+    domain: Cell<usize>,
+}
+
+impl Drop for HaltOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // The first panic names the domain; the coordinator's own
+            // re-panic must not overwrite it.
+            let _ = self.barrier.halt.compare_exchange(
+                RUNNING,
+                self.domain.get(),
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            );
+        }
+    }
+}
+
+/// One worker's share of the domains for a `run_until` call, with their
+/// ids.
+type Lane<'a, A> = Vec<(usize, &'a mut Engine<A>)>;
+
+/// Advance every domain of `lane` to `wend`.
+fn run_lane<A: HostAgent>(lane: &Mutex<Lane<'_, A>>, wend: SimTime, unwind: &HaltOnUnwind<'_>) {
+    let mut lane = lane
+        .lock()
+        .expect("a lane is locked by one thread at a time, and a panic under it halts the run");
+    for (d, engine) in lane.iter_mut() {
+        unwind.domain.set(*d);
+        engine.run_until(wend);
+    }
+}
+
+/// A lane worker: run the lane once per epoch until the call is over.
+fn lane_worker<A: HostAgent>(barrier: &Barrier, lane: &Mutex<Lane<'_, A>>) {
+    let unwind = HaltOnUnwind {
+        barrier,
+        domain: Cell::new(0),
+    };
+    let mut seen = 0;
+    while barrier.wait(|| barrier.epoch.load(Ordering::Acquire) != seen) {
+        seen += 1;
+        let wend = SimTime::from_ps(barrier.wend_ps.load(Ordering::Relaxed));
+        run_lane(lane, wend, &unwind);
+        barrier.arrived.fetch_add(1, Ordering::Release);
+    }
+}
+
+/// The next horizon: `min(end, m + lookahead)` for `m` the earliest pending
+/// event, or `None` when every queue is empty (no boundary traffic pending)
+/// or `m` lies beyond `end`.
+fn horizon(
+    pending: impl Iterator<Item = Option<SimTime>>,
+    end: SimTime,
+    lookahead: SimDuration,
+) -> Option<SimTime> {
+    let m = pending.flatten().min()?;
+    if m > end {
+        None
+    } else if lookahead == SimDuration::MAX {
+        Some(end)
+    } else {
+        Some(end.min(m + lookahead))
+    }
 }
 
 /// A sharded simulation: one [`Engine`] per domain, advanced in
-/// conservative-lookahead windows, optionally on multiple worker threads.
+/// conservative-lookahead windows by persistent lane workers (see the
+/// module docs).
 ///
 /// The worker-thread count is a pure wall-clock knob: results are
 /// byte-identical for every value (see the module docs for the argument).
@@ -174,15 +378,19 @@ impl ShardSpec {
 pub struct ShardedEngine<A: HostAgent> {
     domains: Vec<Engine<A>>,
     spec: Arc<ShardSpec>,
-    threads: usize,
+    /// [`ShardSpec::lanes`] for the effective worker count.
+    lanes: Vec<Vec<usize>>,
     /// Per-domain spare outbox vectors, recycled across windows.
     scratch: Vec<Vec<Boundary>>,
+    stats: ShardStats,
+    spawned: u64,
 }
 
 impl<A: HostAgent + Send> ShardedEngine<A> {
     /// Build a sharded simulation over `topo` with one agent per host
     /// (host-id order, exactly as [`Engine::new`] takes them) and `threads`
-    /// worker threads (values are clamped to `[1, num_domains]`).
+    /// worker threads, clamped here, once, to `[1, num_domains]`
+    /// ([`ShardedEngine::workers`] is the effective count).
     pub fn new(
         topo: impl Into<Arc<Topology>>,
         agents: Vec<A>,
@@ -212,84 +420,180 @@ impl<A: HostAgent + Send> ShardedEngine<A> {
         let scratch = (0..spec.num_domains).map(|_| Vec::new()).collect();
         ShardedEngine {
             domains,
+            lanes: spec.lanes(threads),
             spec,
-            threads: threads.max(1),
             scratch,
+            stats: ShardStats::default(),
+            spawned: 0,
         }
     }
 
     /// Run until simulated time reaches `end` (or all event queues drain),
     /// exchanging boundary packets at lookahead horizons.
+    ///
+    /// A call that needs more than one window spawns `workers() − 1`
+    /// scoped threads for its duration; a call whose first horizon is
+    /// already `end` (one window: `run_until(SimTime::ZERO)` as set-up, a
+    /// step no longer than the lookahead, a single domain) runs on the
+    /// calling thread alone, as does every call at one worker.
     pub fn run_until(&mut self, end: SimTime) {
         // Start every domain first (serially, in domain order) so the first
         // horizon sees each domain's initial events.
         for d in self.domains.iter_mut() {
             d.ensure_started();
         }
-        // Loop ends when every queue drains (no boundary traffic pending)
-        // or the earliest pending event lies beyond `end`.
-        while let Some(m) = self.domains.iter().filter_map(|d| d.peek_next_time()).min() {
-            if m > end {
-                break;
-            }
-            let wend = if self.spec.lookahead == SimDuration::MAX {
-                end
-            } else {
-                end.min(m + self.spec.lookahead)
-            };
-            self.run_window(wend);
-            // Deterministic merge: outboxes drain in domain-id order on this
-            // thread. Every boundary arrival is ≥ wend, so injection never
-            // violates a destination domain's clock.
-            for d in 0..self.domains.len() {
-                let mut out = std::mem::take(&mut self.scratch[d]);
-                self.domains[d].take_outbox(&mut out);
-                for b in out.drain(..) {
-                    let target = match b.node {
-                        NodeRef::Host(h) => self.spec.domain_of_host[h.0],
-                        NodeRef::Switch(s) => self.spec.domain_of_switch[s.0],
-                    };
-                    self.domains[target].inject_arrival(b);
+        let lookahead = self.spec.lookahead;
+        let pending = self.domains.iter().map(Engine::peek_next_time);
+        let Some(first) = horizon(pending, end, lookahead) else {
+            return;
+        };
+        let ShardedEngine {
+            domains,
+            spec,
+            lanes,
+            scratch,
+            stats,
+            spawned,
+        } = self;
+        // One lane — everything on this thread — when there is nothing to
+        // overlap a spawn with.
+        let lane_count = if first == end { 1 } else { lanes.len() };
+        // Where domain `d` sits: (lane, slot in the lane).
+        let mut place: Vec<(usize, usize)> = (0..domains.len()).map(|d| (0, d)).collect();
+        if lane_count > 1 {
+            for (l, lane) in lanes.iter().enumerate() {
+                for (slot, &d) in lane.iter().enumerate() {
+                    place[d] = (l, slot);
                 }
-                self.scratch[d] = out;
             }
+        }
+        // Lanes list their domains in ascending id order, so dealing the
+        // engines in id order fills the slots in order.
+        let mut dealt: Vec<Lane<'_, A>> = (0..lane_count)
+            .map(|_| Vec::with_capacity(domains.len()))
+            .collect();
+        for (d, engine) in domains.iter_mut().enumerate() {
+            dealt[place[d].0].push((d, engine));
+        }
+        let dealt: Vec<Mutex<Lane<'_, A>>> = dealt.into_iter().map(Mutex::new).collect();
+        let barrier = Barrier {
+            epoch: AtomicU64::new(0),
+            wend_ps: AtomicU64::new(0),
+            arrived: AtomicU64::new(0),
+            halt: AtomicUsize::new(RUNNING),
+        };
+        let workers = (lane_count - 1) as u64;
+        *spawned += workers;
+
+        std::thread::scope(|scope| {
+            let unwind = HaltOnUnwind {
+                barrier: &barrier,
+                domain: Cell::new(0),
+            };
+            for lane in &dealt[1..] {
+                let barrier = &barrier;
+                scope.spawn(move || lane_worker(barrier, lane));
+            }
+            // Every lane's guard, held between windows (merge, horizon) and
+            // released for the window itself.
+            let mut held: Vec<MutexGuard<'_, Lane<'_, A>>> = Vec::with_capacity(lane_count);
+            let mut next = Some(first);
+            let mut epoch = 0;
+            while let Some(wend) = next {
+                held.clear();
+                epoch += 1;
+                barrier.wend_ps.store(wend.as_ps(), Ordering::Relaxed);
+                barrier.epoch.store(epoch, Ordering::Release);
+                run_lane(&dealt[0], wend, &unwind);
+                let all_in = || barrier.arrived.load(Ordering::Acquire) == epoch * workers;
+                if !barrier.wait(all_in) {
+                    panic!(
+                        "shard worker panicked while running domain {}",
+                        barrier.halt.load(Ordering::Acquire)
+                    );
+                }
+                held.extend(dealt.iter().map(|lane| {
+                    lane.lock()
+                        .expect("every worker has released its lane unpoisoned")
+                }));
+                // Deterministic merge: outboxes drain in domain-id order on
+                // this thread, each in export order; the destination queue's
+                // (time, seq) order does the rest. Every boundary arrival is
+                // ≥ wend, so injection never violates a destination
+                // domain's clock.
+                for d in 0..place.len() {
+                    let (lane, slot) = place[d];
+                    let mut out = std::mem::take(&mut scratch[d]);
+                    held[lane][slot].1.take_outbox(&mut out);
+                    stats.boundary_packets += out.len() as u64;
+                    for b in out.drain(..) {
+                        let (lane, slot) = place[spec.domain_of(b.node)];
+                        held[lane][slot].1.inject_arrival(b);
+                    }
+                    scratch[d] = out;
+                }
+                let engines = || held.iter().flat_map(|lane| lane.iter()).map(|(_, e)| &**e);
+                let events: u64 = engines().map(Engine::events_processed).sum();
+                stats.windows += 1;
+                stats.max_window_events = stats.max_window_events.max(events - stats.events);
+                stats.events = events;
+                next = horizon(engines().map(Engine::peek_next_time), end, lookahead);
+            }
+            barrier.halt.store(FINISHED, Ordering::Release);
+        });
+        stats.events_per_domain.clear();
+        stats
+            .events_per_domain
+            .extend(domains.iter().map(Engine::events_processed));
+    }
+
+    /// Effective worker-thread count: the constructor's `threads` clamped
+    /// to `[1, num_domains]`.
+    pub fn workers(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// The domains each worker runs ([`ShardSpec::lanes`] for
+    /// [`ShardedEngine::workers`]); lane 0 is the calling thread's.
+    pub fn lanes(&self) -> &[Vec<usize>] {
+        &self.lanes
+    }
+
+    /// Exact counts of the window protocol so far.
+    pub fn stats(&self) -> &ShardStats {
+        &self.stats
+    }
+
+    /// Events dispatched by each lane's domains.
+    pub fn lane_events(&self) -> Vec<u64> {
+        self.lanes
+            .iter()
+            .map(|lane| {
+                lane.iter()
+                    .map(|&d| self.domains[d].events_processed())
+                    .sum()
+            })
+            .collect()
+    }
+
+    /// Busiest lane's events ÷ the mean over lanes (1.0 = perfectly even;
+    /// `workers()` = one lane does everything). The critical path of a
+    /// window is its busiest lane, so `workers() / lane_imbalance()` bounds
+    /// the speed-up from threads.
+    pub fn lane_imbalance(&self) -> f64 {
+        let per_lane = self.lane_events();
+        let max = per_lane.iter().copied().max().unwrap_or(0);
+        let total: u64 = per_lane.iter().sum();
+        if total == 0 {
+            1.0
+        } else {
+            max as f64 * per_lane.len() as f64 / total as f64
         }
     }
 
-    /// Advance every domain to `wend`, in parallel when `threads > 1`.
-    /// Domains are independent inside a window, so the thread-to-domain
-    /// assignment (contiguous chunks) cannot affect results.
-    fn run_window(&mut self, wend: SimTime) {
-        let workers = self.threads.min(self.domains.len());
-        if workers <= 1 {
-            for d in self.domains.iter_mut() {
-                d.run_until(wend);
-            }
-            return;
-        }
-        let per = self.domains.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            let mut chunks = self.domains.chunks_mut(per);
-            // First chunk runs on the calling thread; the rest get workers.
-            let first = chunks.next();
-            let handles: Vec<_> = chunks
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        for d in chunk {
-                            d.run_until(wend);
-                        }
-                    })
-                })
-                .collect();
-            if let Some(chunk) = first {
-                for d in chunk {
-                    d.run_until(wend);
-                }
-            }
-            for h in handles {
-                h.join().expect("shard worker panicked");
-            }
-        });
+    /// Worker threads spawned so far, over all `run_until` calls.
+    pub fn spawned_workers(&self) -> u64 {
+        self.spawned
     }
 
     /// The partition this simulation runs under.
@@ -369,6 +673,8 @@ mod tests {
         peer: Option<HostId>,
         n: u64,
         received: Vec<(SimTime, u64)>,
+        /// Panic on the first packet received.
+        explosive: bool,
     }
 
     impl Pinger {
@@ -377,6 +683,7 @@ mod tests {
                 peer: Some(peer),
                 n,
                 received: Vec::new(),
+                explosive: false,
             }
         }
         fn sink() -> Self {
@@ -384,6 +691,7 @@ mod tests {
                 peer: None,
                 n: 0,
                 received: Vec::new(),
+                explosive: false,
             }
         }
     }
@@ -412,6 +720,7 @@ mod tests {
             }
         }
         fn on_packet(&mut self, ctx: &mut crate::engine::HostCtx, pkt: Packet) {
+            assert!(!self.explosive, "pinger exploded");
             self.received.push((ctx.now(), pkt.id));
         }
         fn on_timer(&mut self, _ctx: &mut crate::engine::HostCtx, _token: u64) {}
@@ -547,6 +856,68 @@ mod tests {
                 sharded.agent(HostId(h)).received
             );
         }
+    }
+
+    #[test]
+    fn lanes_are_a_pure_function_of_the_spec_and_balance_clos_pods() {
+        // 4 pods × (2 spines, 2 leaves × 2 hosts) + 2 cores = 5 domains.
+        let link = LinkSpec::default_100g();
+        let topo = Topology::clos(4, 2, 2, 2, 2, link, link, link);
+        let spec = ShardSpec::clos_pods(&topo, 4, 2, 2);
+        // Pods weigh (4 hosts, 4 switches), the core tier (0, 2): pods
+        // alternate, the core breaks the tie toward lane 0.
+        let lanes = spec.lanes(2);
+        assert_eq!(lanes, [vec![0, 2, 4], vec![1, 3]]);
+        let hosts_of = |lane: &[usize]| {
+            spec.domain_of_host
+                .iter()
+                .filter(|d| lane.contains(d))
+                .count()
+        };
+        assert_eq!(hosts_of(&lanes[0]), hosts_of(&lanes[1]));
+        assert_eq!(spec.lanes(2), lanes, "same spec, same lanes");
+        assert_eq!(spec.lanes(3), [vec![0, 3], vec![1, 4], vec![2]]);
+        // Clamped to [1, num_domains].
+        assert_eq!(spec.lanes(0), [vec![0, 1, 2, 3, 4]]);
+        assert_eq!(spec.lanes(8), spec.lanes(5));
+        assert_eq!(spec.lanes(5).len(), 5);
+
+        let n = topo.num_hosts();
+        let cfg = EngineConfig::default_2qos();
+        let mut eng = ShardedEngine::new(topo, cross_pod_agents(n, 20), cfg, spec, 8);
+        assert_eq!(eng.workers(), 5);
+        eng.run_until(SimTime::from_ms(1));
+        assert_eq!(eng.lane_events(), eng.stats().events_per_domain);
+        assert_eq!(eng.lane_events().iter().sum::<u64>(), eng.stats().events);
+        assert!((1.0..=5.0).contains(&eng.lane_imbalance()));
+    }
+
+    /// Host `bomb` panics on its first packet; `threads` workers.
+    fn run_with_bomb(bomb: usize, threads: usize) {
+        let (topo, spec) = small_clos();
+        // Pod 0 and the core tier share lane 0 (the caller's); pod 1 is
+        // the spawned worker's.
+        assert_eq!(spec.lanes(2), [vec![0, 2], vec![1]]);
+        let n = topo.num_hosts();
+        let mut agents = cross_pod_agents(n, 50);
+        agents[bomb].explosive = true;
+        let mut eng = ShardedEngine::new(topo, agents, EngineConfig::default_2qos(), spec, threads);
+        eng.run_until(SimTime::from_ms(2));
+    }
+
+    // Without the halt flag either test would spin forever instead of
+    // failing: the coordinator on a completion count that never arrives,
+    // the worker on an epoch that never comes.
+    #[test]
+    #[should_panic(expected = "shard worker panicked while running domain 1")]
+    fn a_panicking_worker_fails_the_run_naming_its_domain() {
+        run_with_bomb(5, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "pinger exploded")]
+    fn a_panic_on_the_calling_thread_releases_the_workers() {
+        run_with_bomb(1, 2);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI gate: first-party lint + suppression-debt gate, release build, tier-1
-# tests, the simsan (simulation sanitizer) test job, an overflow-checks +
+# CI gate: first-party lint + suppression-debt gate, release build, the
+# sharded engine's tests under a time limit, tier-1 tests, the simsan
+# (simulation sanitizer) test job, an overflow-checks +
 # simsan lane, a simsan determinism diff, clippy with
 # warnings denied, the benchmark's build + self-checks, and the telemetry +
 # replay + chaos smokes. Performance is not gated here: the merge gate runs
@@ -18,6 +19,14 @@ scripts/lint.sh
 echo "== build (release) =="
 cargo build --release --offline
 
+echo "== sharded engine (time-limited) =="
+# The lane workers wait by spinning: a lost wake-up or a halt flag nobody
+# checks is a hang, not a failure. Run what exercises them first and under
+# `timeout`, so that such a bug fails here in minutes instead of hanging
+# the tier-1 step below, which runs the same tests without a limit.
+timeout 600 cargo test -q --offline -p aequitas-netsim shard::
+timeout 600 cargo test -q --offline --test sharded_determinism
+
 echo "== tier-1 tests =="
 cargo test -q --offline
 
@@ -26,6 +35,10 @@ echo "== tier-1 tests (simsan) =="
 # checks must hold on every test, and the deliberately-broken fixtures
 # flip from silent to should_panic.
 cargo test -q --offline --features simsan
+# Once more one test at a time: above, a competing test keeps the second
+# core busy, so spinning workers mostly ran descheduled; here they get it.
+timeout 600 cargo test -q --offline --features simsan --test sharded_determinism \
+    -- --test-threads=1
 
 echo "== tier-1 tests (overflow-checks + simsan) =="
 # Release profile disables overflow checks; this lane compiles the whole
@@ -63,7 +76,7 @@ echo "== benchmark (build + self-check) =="
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload star33_traced_audit --seed 2022 --seconds 2 --trace 0 > /dev/null
-cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+timeout 600 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload clos128_sharded --seed 2022 --seconds 2 --trace 1 > /dev/null
 
 echo "== trace smoke =="

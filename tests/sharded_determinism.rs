@@ -2,20 +2,24 @@
 //! pure wall-clock knob. `--threads 1` and `--threads N` must produce
 //! byte-identical results — same completions at the same picosecond, same
 //! event count — on a multi-domain Clos fabric, with and without an active
-//! chaos fault plan.
+//! chaos fault plan. So must the window protocol's own counts
+//! (`ShardStats`), for even, uneven and clamped lane assignments, and
+//! however the run is cut into `run_until` calls.
 //!
 //! (This is deliberately stronger than `tests/determinism.rs`'s sweep
 //! invariance: there the parallelism is *between* independent runs; here
 //! the domains of a single simulation run concurrently and exchange
 //! boundary packets.)
 
-use aequitas_experiments::harness::{run_macro_sharded, MacroResult, MacroSetup, PolicyChoice};
+use aequitas_experiments::harness::{
+    build_sharded_engine, run_macro_sharded, MacroResult, MacroSetup, PolicyChoice,
+};
 use aequitas_experiments::slo;
 use aequitas_netsim::faults::{
     FaultPlan, GrayDegrade, LinkFlap, LinkSel, LossRule, PodLayout, PodOutage, SwitchOutage,
     Window,
 };
-use aequitas_netsim::{LinkSpec, QueueKind, ShardSpec, Topology};
+use aequitas_netsim::{HostId, LinkSpec, QueueKind, ShardSpec, ShardStats, Topology};
 use aequitas_sim_core::{BitRate, SimDuration, SimTime};
 use std::sync::Arc;
 
@@ -59,18 +63,14 @@ type Fingerprint = (u64, u64, CompletionLog, CompletionLog);
 /// Every observable of the run, at picosecond resolution. Two fingerprints
 /// are equal iff the simulations were byte-identical.
 fn fingerprint(r: &MacroResult) -> Fingerprint {
-    let enc = |cs: &[aequitas_rpc::RpcCompletion]| {
-        cs.iter()
-            .map(|c| {
-                (
-                    c.issued_at.as_ps(),
-                    c.completed_at.as_ps(),
-                    c.rnl().as_ps(),
-                )
-            })
-            .collect::<Vec<_>>()
-    };
-    (r.issued, r.events, enc(&r.completions), enc(&r.warmup_completions))
+    (r.issued, r.events, log_of(&r.completions), log_of(&r.warmup_completions))
+}
+
+fn log_of(completions: &[aequitas_rpc::RpcCompletion]) -> CompletionLog {
+    completions
+        .iter()
+        .map(|c| (c.issued_at.as_ps(), c.completed_at.as_ps(), c.rnl().as_ps()))
+        .collect()
 }
 
 fn run(threads: usize, faults: Option<Arc<FaultPlan>>) -> Fingerprint {
@@ -239,4 +239,95 @@ fn queue_backend_is_invisible_on_the_sharded_engine() {
             "{queue:?} at {threads} threads diverged from the heap at 1 thread"
         );
     }
+}
+
+/// What `run_engine` observed: the event count, every host's issue count
+/// and completion stream (host-id order, picoseconds), the protocol's
+/// counts, and how many worker threads the run spawned.
+type EngineRun = (u64, Vec<(u64, CompletionLog)>, ShardStats, u64);
+
+/// Drive the engine directly — `run_macro_sharded` hides it — to `duration`
+/// in calls of `step` (the harness's sampling-loop shape; workers are
+/// re-created per call).
+fn run_engine(threads: usize, faults: Option<Arc<FaultPlan>>, step: SimDuration) -> EngineRun {
+    let (setup, spec) = clos_setup(faults);
+    let end = SimTime::ZERO + setup.duration;
+    let hosts = setup.topo.num_hosts();
+    let mut engine = build_sharded_engine(setup, spec, threads);
+    assert_eq!(engine.workers(), threads.clamp(1, engine.num_domains()));
+    let mut next = SimTime::ZERO;
+    while next < end {
+        next = if step == SimDuration::MAX { end } else { end.min(next + step) };
+        engine.run_until(next);
+    }
+    let per_host = (0..hosts)
+        .map(|h| {
+            let host = engine.agent(HostId(h));
+            (host.issued(), log_of(host.completions()))
+        })
+        .collect();
+    (
+        engine.events_processed(),
+        per_host,
+        engine.stats().clone(),
+        engine.spawned_workers(),
+    )
+}
+
+/// 3 domains: 2 workers is an even split of the pods, 3 one domain per
+/// lane, 5 and 8 are clamped to 3. Fingerprint *and* protocol counts must
+/// not notice.
+#[test]
+fn every_lane_assignment_gives_the_same_run_and_the_same_shard_stats() {
+    for faults in [None, Some(chaos_plan())] {
+        let (events, hosts, stats, spawned) = run_engine(1, faults.clone(), SimDuration::MAX);
+        assert_eq!(spawned, 0, "one worker is the calling thread alone");
+        assert!(stats.windows > 100, "only {} windows", stats.windows);
+        assert_eq!(stats.events, events);
+        assert_eq!(stats.events_per_domain.iter().sum::<u64>(), events);
+        assert!(stats.boundary_packets > 0 && stats.max_window_events > 0);
+        for threads in [2, 3, 5, 8] {
+            let (e, h, s, spawned) = run_engine(threads, faults.clone(), SimDuration::MAX);
+            assert_eq!((e, &h), (events, &hosts), "{threads} threads diverged");
+            assert_eq!(s, stats, "ShardStats differ at {threads} threads");
+            // One multi-window call: its workers are spawned exactly once.
+            assert_eq!(spawned, threads.min(3) as u64 - 1);
+        }
+    }
+}
+
+/// The harness's sampling-loop shape: the run cut into 100 µs `run_until`
+/// calls, workers re-created by each. Where the calls end is part of the
+/// window schedule, so a stepped run is its own simulation (same-instant
+/// ties at a port can fall differently than in one call, at any thread
+/// count) — but it, too, must not notice the worker count.
+#[test]
+fn stepped_run_until_is_thread_count_invariant() {
+    let step = SimDuration::from_us(100);
+    let (events, hosts, stats, spawned) = run_engine(1, Some(chaos_plan()), step);
+    assert_eq!(spawned, 0);
+    for threads in [2, 3] {
+        let (e, h, s, spawned) = run_engine(threads, Some(chaos_plan()), step);
+        assert_eq!((e, &h), (events, &hosts), "{threads} threads diverged");
+        assert_eq!(s, stats, "ShardStats differ at {threads} threads");
+        // 30 multi-window calls, each spawning its own workers.
+        assert_eq!(spawned, 30 * (threads as u64 - 1));
+    }
+}
+
+/// A call that is one window long has nothing to overlap a spawn with: it
+/// runs on the calling thread (the benchmark's `run_until(ZERO)` set-up
+/// call, and any step no longer than the 2 µs lookahead).
+#[test]
+fn single_window_call_spawns_no_worker() {
+    let (setup, spec) = clos_setup(None);
+    let mut engine = build_sharded_engine(setup, spec, 4);
+    assert_eq!(engine.workers(), 3);
+    engine.run_until(SimTime::ZERO); // nothing is due at t = 0: no window
+    engine.run_until(SimTime::from_us(2));
+    assert_eq!(engine.stats().windows, 1);
+    assert_eq!(engine.spawned_workers(), 0);
+    engine.run_until(SimTime::from_us(50));
+    assert!(engine.stats().windows > 10);
+    assert_eq!(engine.spawned_workers(), 2);
 }
