@@ -23,9 +23,10 @@
 //!   priority assignment over 8 strict-priority fabric levels; unscheduled
 //!   first-RTT packets.
 //!
-//! All schemes consume the same workload generator ([`WorkloadGen`]) and
-//! emit the same [`BaselineCompletion`] records so the Fig. 22 harness can
-//! score them uniformly.
+//! All schemes are built on one sender skeleton ([`Sender`]): they consume
+//! the same workload generator ([`WorkloadGen`]), count the bytes they were
+//! offered, and emit the same [`BaselineCompletion`] records, so the Fig. 22
+//! harness can drive and score any [`BaselineHost`] uniformly.
 
 pub mod deadline;
 pub mod homa;
@@ -38,6 +39,7 @@ pub use deadline::{DeadlineHost, DeadlineMode};
 pub use homa::HomaHost;
 pub use pfabric::PfabricHost;
 pub use qjump::QjumpHost;
+pub use reliable::{BaselineHost, Sender};
 pub use workgen::WorkloadGen;
 
 use aequitas_sim_core::{SimDuration, SimTime};
@@ -66,4 +68,28 @@ impl BaselineCompletion {
     pub fn latency(&self) -> SimDuration {
         self.completed_at.since(self.issued_at)
     }
+}
+
+/// The unit tests' load: host `src` of `n` sends `priority` RPCs of `sizes`
+/// to the last host, Poisson at `load` of 100 Gbps, until `stop_ms`.
+#[cfg(test)]
+fn test_gen(
+    src: usize,
+    n: usize,
+    load: f64,
+    priority: Priority,
+    sizes: aequitas_workloads::SizeDist,
+    stop_ms: u64,
+    seed: u64,
+) -> WorkloadGen {
+    WorkloadGen::new(
+        aequitas_workloads::ArrivalProcess::Poisson { load },
+        aequitas_workloads::TrafficPattern::ManyToOne { dst: n - 1 },
+        vec![(priority, 1.0, sizes)],
+        src,
+        n,
+        aequitas_sim_core::BitRate::from_gbps(100),
+        Some(SimTime::from_ms(stop_ms)),
+        seed,
+    )
 }
