@@ -25,6 +25,7 @@
 
 use crate::harness::{MacroSetup, PolicyChoice, RunCtx};
 use crate::report::{f1, print_table};
+use crate::scheme::{Comparison, Scheme, SchemeRun};
 use aequitas::{FallbackConfig, Grant, GrantKeeper, QuotaServer, QuotaSpec, SloTarget, TenantId};
 use aequitas_netsim::faults::{FaultPlan, LinkFlap, LinkSel, LossRule, Window};
 use aequitas_netsim::HostId;
@@ -521,155 +522,6 @@ pub fn containment_plan() -> Arc<FaultPlan> {
     )
 }
 
-fn ct_topology() -> aequitas_netsim::Topology {
-    aequitas_netsim::Topology::leaf_spine(
-        2,
-        4,
-        2,
-        aequitas_netsim::LinkSpec::default_100g(),
-        aequitas_netsim::LinkSpec::default_100g(),
-    )
-}
-
-fn ct_gen(src: usize) -> aequitas_baselines::WorkloadGen {
-    aequitas_baselines::WorkloadGen::new(
-        ArrivalProcess::Uniform { load: CT_LOAD },
-        TrafficPattern::ManyToOne { dst: CT_DST },
-        vec![(
-            Priority::PerformanceCritical,
-            1.0,
-            SizeDist::Fixed(CT_SIZE),
-        )],
-        src,
-        CT_N,
-        aequitas_sim_core::BitRate::from_gbps(100),
-        Some(SimTime::from_ms(CT_STOP_MS)),
-        CT_SEED ^ (src as u64 * 0x9E37),
-    )
-}
-
-/// `(completed_at ps, latency µs)` points for non-terminated completions,
-/// clipped at the offered-load stop so drain-phase completions cannot
-/// retroactively repair a window.
-fn ct_collect<A: aequitas_netsim::HostAgent>(
-    mut eng: aequitas_netsim::Engine<A>,
-    completions: impl Fn(&A) -> &[aequitas_baselines::BaselineCompletion],
-) -> Vec<(u64, f64)> {
-    eng.run_until(SimTime::from_ms(CT_RUN_MS));
-    let mut out = Vec::new();
-    for a in eng.agents() {
-        for c in completions(a) {
-            if !c.terminated && c.completed_at <= SimTime::from_ms(CT_STOP_MS) {
-                out.push((c.completed_at.as_ps(), c.latency().as_us_f64()));
-            }
-        }
-    }
-    out.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    out
-}
-
-fn ct_pfabric(plan: Arc<FaultPlan>) -> Vec<(u64, f64)> {
-    use aequitas_baselines::{pfabric, PfabricHost};
-    let agents = (0..CT_N)
-        .map(|h| PfabricHost::new(HostId(h), (h < CT_SENDERS).then(|| ct_gen(h))))
-        .collect();
-    let eng = aequitas_netsim::Engine::new(
-        ct_topology(),
-        agents,
-        aequitas_netsim::EngineConfig {
-            faults: Some(plan),
-            ..pfabric::engine_config()
-        },
-    );
-    ct_collect(eng, |a: &PfabricHost| a.completions())
-}
-
-fn ct_qjump(plan: Arc<FaultPlan>) -> Vec<(u64, f64)> {
-    use aequitas_baselines::{qjump, QjumpHost};
-    let rate = aequitas_sim_core::BitRate::from_gbps(100);
-    let agents = (0..CT_N)
-        .map(|h| QjumpHost::new(HostId(h), (h < CT_SENDERS).then(|| ct_gen(h)), rate))
-        .collect();
-    let eng = aequitas_netsim::Engine::new(
-        ct_topology(),
-        agents,
-        aequitas_netsim::EngineConfig {
-            faults: Some(plan),
-            ..qjump::engine_config()
-        },
-    );
-    ct_collect(eng, |a: &QjumpHost| a.completions())
-}
-
-fn ct_deadline(plan: Arc<FaultPlan>, mode: aequitas_baselines::DeadlineMode) -> Vec<(u64, f64)> {
-    use aequitas_baselines::{deadline, DeadlineHost};
-    let rate = aequitas_sim_core::BitRate::from_gbps(100);
-    let agents = (0..CT_N)
-        .map(|h| DeadlineHost::new(HostId(h), mode, (h < CT_SENDERS).then(|| ct_gen(h)), rate))
-        .collect();
-    let eng = aequitas_netsim::Engine::new(
-        ct_topology(),
-        agents,
-        aequitas_netsim::EngineConfig {
-            faults: Some(plan),
-            ..deadline::engine_config()
-        },
-    );
-    ct_collect(eng, |a: &DeadlineHost| a.completions())
-}
-
-fn ct_homa(plan: Arc<FaultPlan>) -> Vec<(u64, f64)> {
-    use aequitas_baselines::{homa, HomaHost};
-    let agents = (0..CT_N)
-        .map(|h| HomaHost::new(HostId(h), (h < CT_SENDERS).then(|| ct_gen(h))))
-        .collect();
-    let eng = aequitas_netsim::Engine::new(
-        ct_topology(),
-        agents,
-        aequitas_netsim::EngineConfig {
-            faults: Some(plan),
-            ..homa::engine_config()
-        },
-    );
-    ct_collect(eng, |a: &HomaHost| a.completions())
-}
-
-fn ct_aequitas(ctx: &RunCtx, plan: Arc<FaultPlan>) -> Vec<(u64, f64)> {
-    let mut setup = MacroSetup::star_3qos(CT_N);
-    setup.topo = ct_topology();
-    setup.engine = aequitas_netsim::EngineConfig::default_2qos();
-    setup.engine.faults = Some(plan);
-    setup.mapping = QosMapping::two_level();
-    setup.policy = PolicyChoice::Aequitas(aequitas::AequitasConfig::two_qos(
-        SloTarget::absolute(SimDuration::from_us_f64(CT_SLO_US), 8, 99.0),
-    ));
-    setup.duration = SimDuration::from_ms(CT_RUN_MS);
-    setup.warmup = SimDuration::ZERO;
-    setup.seed = CT_SEED;
-    for h in 0..CT_SENDERS {
-        setup.workloads[h] = Some(WorkloadSpec {
-            arrival: ArrivalProcess::Uniform { load: CT_LOAD },
-            pattern: TrafficPattern::ManyToOne { dst: CT_DST },
-            classes: vec![PrioritySpec {
-                priority: Priority::PerformanceCritical,
-                byte_share: 1.0,
-                sizes: SizeDist::Fixed(CT_SIZE),
-            }],
-            stop: Some(SimTime::from_ms(CT_STOP_MS)),
-        });
-    }
-    let r = ctx.run_macro(setup);
-    let mut out: Vec<(u64, f64)> = r
-        .completions
-        .iter()
-        .chain(r.warmup_completions.iter())
-        .filter(|c| c.completed_at <= SimTime::from_ms(CT_STOP_MS))
-        .map(|c| (c.completed_at.as_ps(), c.rnl().as_us_f64()))
-        .collect();
-    out.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    out
-}
-
 /// One scheme's row in the containment table.
 #[derive(Debug, Clone)]
 pub struct ContainmentRow {
@@ -692,9 +544,20 @@ pub struct ContainmentResult {
     pub rows: Vec<ContainmentRow>,
 }
 
-fn ct_row(name: &'static str, points: Vec<(u64, f64)>) -> ContainmentRow {
+/// Window one scheme's outcomes: `(completed_at ps, latency µs)` of the
+/// non-terminated completions, clipped at the offered-load stop so
+/// drain-phase completions cannot retroactively repair a window.
+fn ct_row(name: &'static str, run: SchemeRun) -> ContainmentRow {
     use aequitas_replay::timeline;
-    let horizon = SimTime::from_ms(CT_STOP_MS).as_ps();
+    let stop = SimTime::from_ms(CT_STOP_MS);
+    let mut points: Vec<(u64, f64)> = run
+        .outcomes
+        .iter()
+        .filter(|o| !o.terminated && o.completed_at <= stop)
+        .map(|o| (o.completed_at.as_ps(), o.latency_us()))
+        .collect();
+    points.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+    let horizon = stop.as_ps();
     let onset = SimTime::from_ms(CT_ONSET_MS).as_ps();
     let windows = timeline::windowed_until(&points, CT_WINDOW_PS, horizon);
     let pre: Vec<f64> = windows
@@ -726,17 +589,34 @@ fn ct_row(name: &'static str, points: Vec<(u64, f64)>) -> ContainmentRow {
 /// one seeded fault schedule of [`containment_plan`]. The six runs are
 /// independent simulations, so they fan out across the sweep harness.
 pub fn containment(ctx: &RunCtx) -> ContainmentResult {
-    use aequitas_baselines::DeadlineMode;
-    let plan = containment_plan();
-    let schemes: Vec<usize> = (0..6).collect();
-    let rows = ctx.sweep(schemes, |k| match k {
-        0 => ct_row("Aequitas", ct_aequitas(ctx, plan.clone())),
-        1 => ct_row("pFabric", ct_pfabric(plan.clone())),
-        2 => ct_row("QJump", ct_qjump(plan.clone())),
-        3 => ct_row("D3", ct_deadline(plan.clone(), DeadlineMode::D3)),
-        4 => ct_row("PDQ", ct_deadline(plan.clone(), DeadlineMode::Pdq)),
-        _ => ct_row("Homa", ct_homa(plan.clone())),
-    });
+    let sender = WorkloadSpec {
+        arrival: ArrivalProcess::Uniform { load: CT_LOAD },
+        pattern: TrafficPattern::ManyToOne { dst: CT_DST },
+        classes: vec![PrioritySpec {
+            priority: Priority::PerformanceCritical,
+            byte_share: 1.0,
+            sizes: SizeDist::Fixed(CT_SIZE),
+        }],
+        stop: Some(SimTime::from_ms(CT_STOP_MS)),
+    };
+    let link = aequitas_netsim::LinkSpec::default_100g();
+    let cmp = Comparison {
+        topo: aequitas_netsim::Topology::leaf_spine(2, 4, 2, link, link),
+        workloads: (0..CT_N)
+            .map(|h| (h < CT_SENDERS).then(|| sender.clone()))
+            .collect(),
+        seed: |_| CT_SEED,
+        faults: Some(containment_plan()),
+        end: SimTime::from_ms(CT_RUN_MS),
+        engine: aequitas_netsim::EngineConfig::default_2qos(),
+        mapping: QosMapping::two_level(),
+        aequitas: aequitas::AequitasConfig::two_qos(SloTarget::absolute(
+            SimDuration::from_us_f64(CT_SLO_US),
+            8,
+            99.0,
+        )),
+    };
+    let rows = ctx.sweep(Scheme::ALL.to_vec(), |s| ct_row(s.name(), s.run(ctx, &cmp)));
     ContainmentResult { rows }
 }
 

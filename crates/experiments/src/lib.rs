@@ -22,6 +22,7 @@
 //! | [`large`] | Figs. 21, 23 (144-node production sizes, testbed analogue) |
 //! | [`fleet`] | Fleet-scale 3-tier Clos on the sharded parallel engine |
 //! | [`related`] | Fig. 22 (pFabric/QJump/D3/PDQ/Homa comparison) |
+//! | [`scheme`] | The six systems under test, run on one [`scheme::Comparison`] |
 //! | [`production`] | Figs. 3, 4, 5, 24 (overload episode, fleet alignment) |
 //! | [`chaos`] | Fault injection: link flaps, loss, quota-server outages |
 
@@ -38,6 +39,7 @@ pub mod parallel;
 pub mod production;
 pub mod related;
 pub mod report;
+pub mod scheme;
 pub mod sizes_fig;
 pub mod slo;
 pub mod spq;
