@@ -70,14 +70,18 @@ echo "== benchmark (build + self-check) =="
 # tests, then the one workload that drives the trace writer and the replay
 # reader end to end, and the one that drives the event queue through the
 # sharded window protocol (peek every domain, then inject earlier arrivals)
-# — span-traced, because one_thread_matches_n_threads runs only there. A
-# run exits non-zero if a built-in check fails
-# (traced_slice_matches_untraced_slice, audit_trace_integrity_pass, ...).
+# — span-traced, because one_thread_matches_n_threads runs only there —
+# and the one that builds crates/baselines through their own constructors
+# (D3 and PDQ, then the other three), span-traced too. A run exits
+# non-zero if a built-in check fails (every_rep_same_simulation,
+# spans_do_not_perturb_the_simulation, audit_trace_integrity_pass, ...).
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload star33_traced_audit --seed 2022 --seconds 2 --trace 0 > /dev/null
 timeout 600 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload clos128_sharded --seed 2022 --seconds 2 --trace 1 > /dev/null
+timeout 600 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload star33_deadline --seed 2022 --seconds 2 --trace 1 > /dev/null
 
 echo "== trace smoke =="
 scripts/trace_smoke.sh
