@@ -47,6 +47,8 @@ pub struct WorkloadHost {
     next_arrival: Option<SimTime>,
     completions: Vec<RpcCompletion>,
     issued: u64,
+    /// Payload bytes issued, per [`Priority`] in declaration order.
+    issued_bytes: [u64; 3],
 }
 
 impl WorkloadHost {
@@ -86,6 +88,7 @@ impl WorkloadHost {
             next_arrival: None,
             completions: Vec::new(),
             issued: 0,
+            issued_bytes: [0; 3],
         }
     }
 
@@ -112,6 +115,11 @@ impl WorkloadHost {
     /// RPCs issued so far.
     pub fn issued(&self) -> u64 {
         self.issued
+    }
+
+    /// Payload bytes issued so far, per priority (PC, NC, BE).
+    pub fn issued_bytes(&self) -> [u64; 3] {
+        self.issued_bytes
     }
 
     /// Adjust one workload class's byte share at runtime (the knob an
@@ -185,15 +193,15 @@ impl WorkloadHost {
         if spec.stop.is_none_or(|stop| ctx.now() < stop) {
             let class_idx = self.rng.weighted_index(&self.count_weights);
             let class = &spec.classes[class_idx];
-            let size = class.sizes.sample(&mut self.rng);
+            let size = class.sizes.sample(&mut self.rng).max(1);
             let priority = class.priority;
             if let Some(dst) = spec
                 .pattern
                 .pick_dst(ctx.host().0, self.n_hosts, &mut self.rng)
             {
-                self.stack
-                    .issue_rpc(ctx, HostId(dst), priority, size.max(1));
+                self.stack.issue_rpc(ctx, HostId(dst), priority, size);
                 self.issued += 1;
+                self.issued_bytes[priority as usize] += size;
             }
         } else {
             return; // past stop: no more arrivals
@@ -355,6 +363,7 @@ mod tests {
         );
         // Everything issued completes.
         assert_eq!(eng.agents()[0].completions().len() as u64, issued);
+        assert_eq!(eng.agents()[0].issued_bytes(), [issued * 32_768, 0, 0]);
     }
 
     #[test]
