@@ -287,7 +287,32 @@ fn open_telemetry(trace: Option<&str>, metrics: Option<&str>, sample_us: Option<
     }
 }
 
+/// Exit status when stdout's reader has gone away: 128 + SIGPIPE, what a
+/// shell reports for a process the signal killed.
+const CLOSED_STDOUT: i32 = 141;
+
+/// Let a closed stdout (`aequitas-sim run fig08 | head -1`) end the process
+/// quietly. The Rust runtime ignores SIGPIPE, so `println!` panics on the
+/// broken pipe instead; this hook turns exactly that panic into
+/// [`CLOSED_STDOUT`] and leaves every other panic to the default hook.
+fn exit_quietly_on_closed_stdout() {
+    let default_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        let payload = info.payload();
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        if msg.starts_with("failed printing to stdout") && msg.contains("Broken pipe") {
+            std::process::exit(CLOSED_STDOUT);
+        }
+        default_hook(info);
+    }));
+}
+
 fn main() {
+    exit_quietly_on_closed_stdout();
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut ctx = RunCtx::quick();
     let mut trace: Option<String> = None;

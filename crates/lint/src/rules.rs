@@ -97,7 +97,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "AQ011",
         name: "hot-path-allocation",
-        desc: "Box::new/vec!/Vec::new in per-event modules; recycle via sim-core arena (Slab/VecPool), preallocate with with_capacity, or justify with an `alloc:` comment",
+        desc: "Box::new/vec!/Vec::new in per-event modules; recycle via a sim-core Slab, preallocate with with_capacity, or justify with an `alloc:` comment",
     },
     RuleInfo {
         id: "AQ012",
@@ -755,8 +755,8 @@ fn aq010_todo(ctx: &FileCtx, out: &mut Vec<Finding>) {
 /// AQ011: heap allocation on the per-event path. `Box::new`, `vec![...]`,
 /// and `Vec::new()` (which starts at capacity 0 and reallocates as it
 /// grows) churn the allocator once per packet/event; the sanctioned forms
-/// are the sim-core arena types (`Slab`, `VecPool`), `Vec::with_capacity`
-/// at setup time, or buffer reuse. An `alloc:` comment marks audited
+/// are the sim-core arena (`Slab`), `Vec::with_capacity` at setup time,
+/// or buffer reuse. An `alloc:` comment marks audited
 /// cold-path allocations (setup code that happens to live in a hot
 /// module).
 fn aq011_hot_alloc(ctx: &FileCtx, out: &mut Vec<Finding>) {
@@ -777,7 +777,7 @@ fn aq011_hot_alloc(ctx: &FileCtx, out: &mut Vec<Finding>) {
             ctx,
             t,
             format!(
-                "`{what}` allocates on a per-event module; recycle via Slab/VecPool, \
+                "`{what}` allocates on a per-event module; recycle via a Slab, \
                  preallocate with with_capacity, or justify with an `alloc:` comment"
             ),
         );

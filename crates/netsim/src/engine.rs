@@ -142,8 +142,9 @@ pub trait HostAgent {
 
 #[derive(Debug)]
 enum Event {
-    /// Packet fully arrived at a node (serialization + propagation done).
-    Arrive { node: NodeRef, pkt: Packet },
+    /// Packet fully arrived at a node (serialization + propagation done);
+    /// `pkt` is its handle in the packet slab.
+    Arrive { node: NodeRef, pkt: SlotId },
     /// An egress port finished serializing its in-flight packet.
     TxDone { node: NodeRef, port: usize },
     /// A faulted link's down window ended; resume deferred transmissions.
@@ -186,12 +187,19 @@ struct EngineMetricIds {
 
 /// The simulator engine, generic over the host agent type.
 ///
-/// Events live in a [`Slab`] arena and only 4-byte handles move through the
-/// future-event list, so the calendar queue's bucket vectors stay small and
-/// steady-state scheduling performs no heap allocation.
+/// Events and packets live in two [`Slab`] arenas, and only 4-byte handles
+/// move between the engine's parts: the future-event list carries event
+/// handles; port queues, in-flight slots and `Arrive` events carry packet
+/// handles. A packet is parked once, when its host sends it or a shard
+/// boundary injects it, and taken out once: at delivery to its host agent,
+/// a tail drop, a PIFO eviction, a fault loss or corruption, or export to a
+/// shard outbox. So the calendar queue's bucket vectors stay small, no
+/// packet is copied hop by hop, and steady-state scheduling performs no
+/// heap allocation.
 pub struct Engine<A: HostAgent> {
     queue: EventQueue<SlotId>,
     events: Slab<Event>,
+    packets: Slab<Packet>,
     topo: Arc<Topology>,
     config: EngineConfig,
     switches: Vec<SwitchState>,
@@ -299,6 +307,7 @@ impl<A: HostAgent> Engine<A> {
         Engine {
             queue: EventQueue::with_kind(config.event_queue),
             events: Slab::with_capacity(1024),
+            packets: Slab::with_capacity(1024),
             topo,
             config,
             switches,
@@ -497,12 +506,16 @@ impl<A: HostAgent> Engine<A> {
         self.scratch_actions.timers = timers;
     }
 
-    /// Hand `pkt` to `host`'s NIC: enqueue and kick the transmitter.
+    /// Hand `pkt` to `host`'s NIC: park it in the packet slab, enqueue its
+    /// handle and kick the transmitter.
     fn host_transmit(&mut self, host: HostId, pkt: Packet) {
-        let class = pkt.class().min(self.config.classes - 1);
-        let bytes = pkt.size_bytes;
+        let (wire_class, bytes, rank) = (pkt.class(), pkt.size_bytes, pkt.rank);
+        let class = wire_class.min(self.config.classes - 1);
+        let id = self.packets.insert(pkt);
         let nic = &mut self.hosts[host.0].nic;
-        if nic.enqueue(pkt) {
+        if nic.enqueue(id, wire_class, bytes, rank, |victim| {
+            self.packets.remove(victim);
+        }) {
             if self.telemetry.is_enabled() {
                 let depth_pkts = nic.class_backlog_packets(class);
                 let backlog_bytes = nic.backlog_bytes();
@@ -520,7 +533,10 @@ impl<A: HostAgent> Engine<A> {
                 );
             }
             self.kick_port(NodeRef::Host(host));
-        } else if self.telemetry.is_enabled() {
+            return;
+        }
+        self.packets.remove(id);
+        if self.telemetry.is_enabled() {
             let backlog_bytes = self.hosts[host.0].nic.backlog_bytes();
             self.telemetry.emit(
                 self.queue.now(),
@@ -596,14 +612,14 @@ impl<A: HostAgent> Engine<A> {
                 gray_frac = plan.gray_rate_frac(flink, now);
             }
         }
-        if let Some(pkt) = port_state.dequeue() {
+        if let Some((pkt, bytes)) = port_state.dequeue() {
             // Exact fast path: ps/bit was precomputed at topology build for
             // rates that divide the picosecond grid (all the defaults);
             // bit-identical to the 128-bit division it replaces.
             let ser = if ppb != 0 {
-                SimDuration::from_ps(pkt.size_bytes as u64 * 8 * ppb)
+                SimDuration::from_ps(bytes as u64 * 8 * ppb)
             } else {
-                link.rate.serialize_time(pkt.size_bytes as u64)
+                link.rate.serialize_time(bytes as u64)
             };
             let ser = if gray_frac < 1.0 {
                 ser.mul_f64(1.0 / gray_frac)
@@ -613,7 +629,7 @@ impl<A: HostAgent> Engine<A> {
             let tel_info = self
                 .telemetry
                 .is_enabled()
-                .then(|| (pkt.class(), pkt.size_bytes, port_state.backlog_bytes()));
+                .then(|| (self.packets[pkt].class(), bytes, port_state.backlog_bytes()));
             port_state.in_flight = Some(pkt);
             self.schedule_ev(now + ser, Event::TxDone { node, port });
             if let Some((class, bytes, backlog_bytes)) = tel_info {
@@ -662,17 +678,21 @@ impl<A: HostAgent> Engine<A> {
         match ev {
             Event::Arrive { node, pkt } => match node {
                 NodeRef::Host(h) => {
+                    let pkt = self.packets.remove(pkt);
                     debug_assert_eq!(pkt.dst(), h, "packet misrouted to host {}", h.0);
                     self.call_agent(h, |agent, ctx| agent.on_packet(ctx, pkt));
                 }
                 NodeRef::Switch(s) => {
                     // Precomputed FIB: one array load per packet; the ECMP
                     // hash is only computed on true fan-out rows.
-                    let port = self.topo.next_hop(s, pkt.dst(), &pkt.flow);
-                    let class = pkt.class().min(self.config.classes - 1);
-                    let bytes = pkt.size_bytes;
+                    let p = &self.packets[pkt];
+                    let port = self.topo.next_hop(s, p.dst(), &p.flow);
+                    let (wire_class, bytes, rank) = (p.class(), p.size_bytes, p.rank);
+                    let class = wire_class.min(self.config.classes - 1);
                     let p = &mut self.switches[s.0].ports[port];
-                    if p.enqueue(pkt) {
+                    if p.enqueue(pkt, wire_class, bytes, rank, |victim| {
+                        self.packets.remove(victim);
+                    }) {
                         if self.telemetry.is_enabled() {
                             let depth_pkts = p.class_backlog_packets(class);
                             let backlog_bytes = p.backlog_bytes();
@@ -690,7 +710,10 @@ impl<A: HostAgent> Engine<A> {
                             );
                         }
                         self.kick_one(node, port);
-                    } else if self.telemetry.is_enabled() {
+                        return;
+                    }
+                    self.packets.remove(pkt);
+                    if self.telemetry.is_enabled() {
                         let backlog_bytes = self.switches[s.0].ports[port].backlog_bytes();
                         self.telemetry.emit(
                             self.queue.now(),
@@ -727,13 +750,13 @@ impl<A: HostAgent> Engine<A> {
                         )
                     }
                 };
-                let mut pkt = pkt.expect("TxDone without in-flight packet");
+                let pkt = pkt.expect("TxDone without in-flight packet");
                 let now = self.queue.now();
                 // NIC hardware timestamping: a host stamps each packet as it
                 // leaves the wire, so RTT measurements exclude local queuing
                 // (as Swift does). Switch forwarding leaves the stamp alone.
                 if matches!(node, NodeRef::Host(_)) {
-                    pkt.sent_at = now;
+                    self.packets[pkt].sent_at = now;
                 }
                 // Structured fault injection: the frame just left the port;
                 // the plan decides whether the link destroys it (loss,
@@ -748,13 +771,14 @@ impl<A: HostAgent> Engine<A> {
                         let fate = if plan.link_down(flink, now) {
                             PacketFate::Lose
                         } else {
-                            plan.packet_fate(flink, pkt.id, now)
+                            plan.packet_fate(flink, self.packets[pkt].id, now)
                         };
                         match fate {
                             PacketFate::Deliver => {
-                                extra = plan.extra_delay(flink, pkt.id, now);
+                                extra = plan.extra_delay(flink, self.packets[pkt].id, now);
                             }
                             PacketFate::Lose | PacketFate::Corrupt => {
+                                let pkt = self.packets.remove(pkt);
                                 let corrupt = fate == PacketFate::Corrupt;
                                 let class =
                                     pkt.class().min(self.config.classes - 1);
@@ -797,6 +821,7 @@ impl<A: HostAgent> Engine<A> {
                 // makes the conservative window protocol exact.
                 match &mut self.shard {
                     Some(role) if !role.owns(peer) => {
+                        let pkt = self.packets.remove(pkt);
                         role.outbox.push(Boundary { at, node: peer, pkt });
                     }
                     _ => self.schedule_ev(at, Event::Arrive { node: peer, pkt }),
@@ -865,7 +890,8 @@ impl<A: HostAgent> Engine<A> {
             self.shard.as_ref().is_some_and(|r| r.owns(b.node)),
             "boundary packet injected into the wrong domain"
         );
-        self.schedule_ev(b.at, Event::Arrive { node: b.node, pkt: b.pkt });
+        let pkt = self.packets.insert(b.pkt);
+        self.schedule_ev(b.at, Event::Arrive { node: b.node, pkt });
     }
 
     /// Run until simulated time reaches `end` (or the event queue drains).
@@ -876,6 +902,29 @@ impl<A: HostAgent> Engine<A> {
             let ev = self.events.remove(ev.event);
             self.dispatch(ev);
         }
+    }
+
+    /// Packets in the fabric, counted twice: `(live packet-slab slots,
+    /// queued + in flight + pending Arrive events)`. Outside a callback the
+    /// two are equal, and both are 0 once the fabric drains.
+    #[cfg(test)]
+    pub(crate) fn packet_census(&self) -> (usize, usize) {
+        let ports = self.hosts.iter().map(|h| &h.nic);
+        let ports = ports.chain(self.switches.iter().flat_map(|sw| &sw.ports));
+        let held: usize = ports
+            .map(|p| {
+                let queued: usize = (0..self.config.classes)
+                    .map(|c| p.class_backlog_packets(c))
+                    .sum();
+                queued + usize::from(p.in_flight.is_some())
+            })
+            .sum();
+        let arriving = self
+            .events
+            .values()
+            .filter(|ev| matches!(ev, Event::Arrive { .. }))
+            .count();
+        (self.packets.len(), held + arriving)
     }
 
     /// Number of configured QoS classes.
@@ -1255,6 +1304,121 @@ mod tests {
         let rx = &eng.agents()[1].received;
         assert_eq!(rx.len(), 1);
         assert_eq!(rx[0].0.as_ps(), 50_000_000 + 332_800 + 500_000);
+    }
+
+    /// Every 2 µs, for `bursts` rounds, sends 8 packets of mixed size and
+    /// PIFO rank to each other host, so queues fill, tail-drop and evict
+    /// while the fault plan loses and corrupts frames in flight.
+    struct Churn {
+        hosts: usize,
+        bursts: u32,
+        sent: u64,
+    }
+
+    impl Churn {
+        fn burst(&mut self, ctx: &mut HostCtx) {
+            let me = ctx.host();
+            for dst in (0..self.hosts).filter(|&d| d != me.0) {
+                for _ in 0..8 {
+                    let id = me.0 as u64 * 1_000_000 + self.sent;
+                    self.sent += 1;
+                    let mix = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    ctx.send(Packet {
+                        id,
+                        flow: FlowKey {
+                            src: me,
+                            dst: HostId(dst),
+                            class: (id % 2) as u8,
+                        },
+                        size_bytes: 64 + (mix >> 52) as u32,
+                        kind: PacketKind::Data {
+                            msg_id: 0,
+                            seq: 0,
+                            is_last: true,
+                        },
+                        sent_at: ctx.now(),
+                        rank: mix >> 40,
+                    });
+                }
+            }
+            if self.bursts > 0 {
+                self.bursts -= 1;
+                ctx.set_timer(ctx.now() + SimDuration::from_us(2), 0);
+            }
+        }
+    }
+
+    impl HostAgent for Churn {
+        fn on_start(&mut self, ctx: &mut HostCtx) {
+            self.burst(ctx);
+        }
+        fn on_packet(&mut self, _ctx: &mut HostCtx, _pkt: Packet) {}
+        fn on_timer(&mut self, ctx: &mut HostCtx, _token: u64) {
+            self.burst(ctx);
+        }
+    }
+
+    #[test]
+    fn every_parked_packet_is_held_somewhere_and_freed_once() {
+        let topo = Topology::star(4, LinkSpec::default_100g());
+        let mut config = cfg2();
+        // Tail drops at the switch; evictions (several per push at times:
+        // sizes vary) and rejections at the PIFO NICs.
+        config.switch_buffer_bytes = Some(20_000);
+        config.host_scheduler = SchedulerKind::Pifo;
+        config.host_buffer_bytes = Some(16_000);
+        config.faults = Some(Arc::new(FaultPlan {
+            seed: 7,
+            flaps: vec![LinkFlap {
+                link: LinkSel::SwitchPort { switch: 0, port: 3 },
+                first_down: SimTime::from_us(10),
+                down: SimDuration::from_us(15),
+                period: SimDuration::from_us(40),
+                count: 2,
+            }],
+            loss: vec![LossRule {
+                link: LinkSel::Any,
+                prob: 0.05,
+                burst: None,
+            }],
+            corrupt: vec![aequitas_faults::CorruptRule {
+                link: LinkSel::Any,
+                prob: 0.05,
+            }],
+            ..FaultPlan::default()
+        }));
+        let agents = (0..4)
+            .map(|_| Churn {
+                hosts: 4,
+                bursts: 40,
+                sent: 0,
+            })
+            .collect();
+        let mut eng = Engine::new(topo, agents, config);
+        let mut peak = 0;
+        for step in 1..=200 {
+            eng.run_until(SimTime::from_us(step));
+            let (live, held) = eng.packet_census();
+            assert_eq!(live, held, "packet slab out of step at {step} us");
+            peak = peak.max(live);
+        }
+        eng.run_until(SimTime::from_ms(10));
+        assert_eq!(
+            eng.packet_census(),
+            (0, 0),
+            "packets leaked after the drain"
+        );
+        assert!(peak > 20, "the fabric never got busy: peak {peak}");
+        let nic_drops: u64 = (0..4)
+            .map(|h| eng.host_nic_stats(HostId(h)).total_drops())
+            .sum();
+        assert!(nic_drops > 0, "no PIFO eviction or rejection happened");
+        assert!(
+            eng.switch_port_stats(SwitchId(0), 3).total_drops() > 0,
+            "no tail drop"
+        );
+        let (lost, corrupted) = eng.fault_loss_totals();
+        assert!(lost > 0 && corrupted > 0, "faults spared every frame");
     }
 }
 

@@ -1,10 +1,12 @@
 //! Egress ports: a scheduler plus a transmitter.
+//!
+//! A port never holds a packet, only its handle into the engine's packet
+//! slab: the schedulers queue [`SlotId`]s and the in-flight slot is one.
 
-use crate::packet::Packet;
 use aequitas_qdisc::{
-    Dequeued, DwrrScheduler, FifoScheduler, PifoPush, PifoQueue, Scheduler, SpqScheduler,
-    WfqScheduler,
+    Dequeued, DwrrScheduler, FifoScheduler, PifoQueue, Scheduler, SpqScheduler, WfqScheduler,
 };
+use aequitas_sim_core::SlotId;
 
 /// Which scheduling discipline an egress port runs.
 #[derive(Debug, Clone)]
@@ -75,11 +77,13 @@ impl PortStats {
 }
 
 enum Sched {
-    Wfq(WfqScheduler<Packet>),
-    Dwrr(DwrrScheduler<Packet>),
-    Spq(SpqScheduler<Packet>),
-    Fifo(FifoScheduler<Packet>),
-    Pifo(PifoQueue<Packet>),
+    Wfq(WfqScheduler<SlotId>),
+    Dwrr(DwrrScheduler<SlotId>),
+    Spq(SpqScheduler<SlotId>),
+    Fifo(FifoScheduler<SlotId>),
+    /// PIFO items carry their stats class: the queue itself has none, and an
+    /// evicted victim's drop is counted under it.
+    Pifo(PifoQueue<(SlotId, usize)>),
 }
 
 /// Conservation ledger (`--features simsan` only): every packet/byte the
@@ -100,7 +104,7 @@ struct PortSan {
 pub(crate) struct Port {
     sched: Sched,
     /// Packet currently being serialized onto the wire, if any.
-    pub(crate) in_flight: Option<Packet>,
+    pub(crate) in_flight: Option<SlotId>,
     /// True while a `LinkUp` wake event is pending for this port, so a link
     /// down window defers transmission with exactly one scheduled wake.
     pub(crate) fault_wake_armed: bool,
@@ -186,30 +190,42 @@ impl Port {
         );
     }
 
-    /// Enqueue a packet; returns false (and counts the drop) if it was
-    /// rejected. A PIFO may instead evict a resident lower-priority packet.
-    pub(crate) fn enqueue(&mut self, pkt: Packet) -> bool {
-        let class = pkt.class().min(self.stats.drops.len() - 1);
-        let bytes = pkt.size_bytes;
+    /// Queue packet `id` of `bytes` wire bytes under `class` (as the packet
+    /// carries it; a class the scheduler lacks is rejected) and PIFO `rank`.
+    /// Returns false, counting the drop, if the port rejected it; the caller
+    /// still owns `id` then. A PIFO may instead make room by evicting
+    /// lower-priority residents: each victim's drop is counted under its
+    /// class and its handle passed to `evicted`.
+    pub(crate) fn enqueue(
+        &mut self,
+        id: SlotId,
+        class: usize,
+        bytes: u32,
+        rank: u64,
+        mut evicted: impl FnMut(SlotId),
+    ) -> bool {
+        let stats_class = class.min(self.stats.drops.len() - 1);
         let ok = match &mut self.sched {
-            Sched::Wfq(s) => s.enqueue(pkt.class(), bytes, pkt).is_ok(),
-            Sched::Dwrr(s) => s.enqueue(pkt.class(), bytes, pkt).is_ok(),
-            Sched::Spq(s) => s.enqueue(pkt.class(), bytes, pkt).is_ok(),
-            Sched::Fifo(s) => s.enqueue(pkt.class(), bytes, pkt).is_ok(),
-            Sched::Pifo(q) => match q.push(pkt.rank, bytes, pkt) {
-                PifoPush::Admitted => true,
-                PifoPush::Evicted(_, _, victim) => {
-                    let vclass = victim.class().min(self.stats.drops.len() - 1);
-                    self.stats.drops[vclass] += 1;
-                    #[cfg(feature = "simsan")]
-                    {
-                        self.san.evicted_pkts += 1;
-                        self.san.evicted_bytes += victim.size_bytes as u64;
-                    }
-                    true
-                }
-                PifoPush::Rejected(_) => false,
-            },
+            Sched::Wfq(s) => s.enqueue(class, bytes, id).is_ok(),
+            Sched::Dwrr(s) => s.enqueue(class, bytes, id).is_ok(),
+            Sched::Spq(s) => s.enqueue(class, bytes, id).is_ok(),
+            Sched::Fifo(s) => s.enqueue(class, bytes, id).is_ok(),
+            Sched::Pifo(q) => q
+                .push_evicting(
+                    rank,
+                    bytes,
+                    (id, stats_class),
+                    |_, _bytes, (victim, vclass)| {
+                        self.stats.drops[vclass] += 1;
+                        #[cfg(feature = "simsan")]
+                        {
+                            self.san.evicted_pkts += 1;
+                            self.san.evicted_bytes += _bytes as u64;
+                        }
+                        evicted(victim);
+                    },
+                )
+                .is_ok(),
         };
         if ok {
             #[cfg(feature = "simsan")]
@@ -217,25 +233,25 @@ impl Port {
                 self.san.in_pkts += 1;
                 self.san.in_bytes += bytes as u64;
             }
-            let depth = self.class_backlog_packets(class) as u64;
-            if depth > self.stats.max_class_depth_pkts[class] {
-                self.stats.max_class_depth_pkts[class] = depth;
+            let depth = self.class_backlog_packets(stats_class) as u64;
+            if depth > self.stats.max_class_depth_pkts[stats_class] {
+                self.stats.max_class_depth_pkts[stats_class] = depth;
             }
             let backlog = self.backlog_bytes();
             if backlog > self.stats.max_backlog_bytes {
                 self.stats.max_backlog_bytes = backlog;
             }
         } else {
-            self.stats.drops[class] += 1;
+            self.stats.drops[stats_class] += 1;
         }
         #[cfg(feature = "simsan")]
         self.san_check_conservation();
         ok
     }
 
-    /// Take the next packet for transmission.
-    pub(crate) fn dequeue(&mut self) -> Option<Packet> {
-        let (class, bytes, pkt) = match &mut self.sched {
+    /// Take the next packet for transmission: its handle and wire bytes.
+    pub(crate) fn dequeue(&mut self) -> Option<(SlotId, u32)> {
+        let (class, bytes, id) = match &mut self.sched {
             Sched::Wfq(s) => s.dequeue().map(
                 |Dequeued { class, bytes, item }| (class, bytes, item),
             )?,
@@ -248,10 +264,7 @@ impl Port {
             Sched::Fifo(s) => s.dequeue().map(
                 |Dequeued { class, bytes, item }| (class, bytes, item),
             )?,
-            Sched::Pifo(q) => q.pop().map(|(_, bytes, item)| {
-                let c = item.class();
-                (c, bytes, item)
-            })?,
+            Sched::Pifo(q) => q.pop().map(|(_, bytes, (id, class))| (class, bytes, id))?,
         };
         let class = class.min(self.stats.tx_packets.len() - 1);
         self.stats.tx_packets[class] += 1;
@@ -262,7 +275,7 @@ impl Port {
             self.san.out_bytes += bytes as u64;
             self.san_check_conservation();
         }
-        Some(pkt)
+        Some((id, bytes))
     }
 
     /// Queued bytes (excluding the in-flight packet).
@@ -306,34 +319,14 @@ impl Port {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{FlowKey, PacketKind};
-    use crate::topology::HostId;
-    use aequitas_sim_core::SimTime;
-
-    fn pkt(id: u64, bytes: u32) -> Packet {
-        Packet {
-            id,
-            flow: FlowKey {
-                src: HostId(0),
-                dst: HostId(1),
-                class: 0,
-            },
-            size_bytes: bytes,
-            kind: PacketKind::Data {
-                msg_id: 0,
-                seq: 0,
-                is_last: true,
-            },
-            sent_at: SimTime::ZERO,
-            rank: 0,
-        }
-    }
+    use aequitas_sim_core::Slab;
 
     /// Fixture: a port whose ledger claims an arrival the scheduler never
-    /// saw, so the next enqueue breaks conservation.
-    fn leaky_port() -> Port {
+    /// saw, so the next enqueue breaks conservation. `ids` stands in for the
+    /// engine's packet slab and holds packet ids.
+    fn leaky_port(ids: &mut Slab<u64>) -> Port {
         let mut port = Port::new(&SchedulerKind::Fifo(1), None, 1);
-        assert!(port.enqueue(pkt(1, 1000)));
+        assert!(port.enqueue(ids.insert(1), 0, 1000, 0, |_| {}));
         port.simsan_phantom_arrival(500);
         port
     }
@@ -342,15 +335,42 @@ mod tests {
     #[test]
     #[should_panic(expected = "simsan[port]")]
     fn simsan_catches_conservation_violation() {
-        let mut port = leaky_port();
-        port.enqueue(pkt(2, 1000));
+        let mut ids = Slab::new();
+        let mut port = leaky_port(&mut ids);
+        port.enqueue(ids.insert(2), 0, 1000, 0, |_| {});
     }
 
     #[cfg(not(feature = "simsan"))]
     #[test]
     fn without_simsan_conservation_violation_is_silent() {
-        let mut port = leaky_port();
-        assert!(port.enqueue(pkt(2, 1000)));
-        assert_eq!(port.dequeue().map(|p| p.id), Some(1));
+        let mut ids = Slab::new();
+        let mut port = leaky_port(&mut ids);
+        assert!(port.enqueue(ids.insert(2), 0, 1000, 0, |_| {}));
+        assert_eq!(port.dequeue().map(|(id, _)| ids[id]), Some(1));
+    }
+
+    #[test]
+    fn pifo_hands_back_every_evicted_victim_and_counts_it_by_class() {
+        let mut ids = Slab::new();
+        let mut port = Port::new(&SchedulerKind::Pifo, Some(3000), 3);
+        let mut victims = Vec::new();
+        let a = ids.insert(1);
+        let b = ids.insert(2);
+        assert!(port.enqueue(a, 2, 1000, 50, |v| victims.push(v)));
+        assert!(port.enqueue(b, 1, 1000, 60, |v| victims.push(v)));
+        // 2500 B at the best rank fit only once both residents are gone:
+        // the worst-ranked goes first.
+        assert!(port.enqueue(ids.insert(3), 0, 2500, 1, |v| victims.push(v)));
+        assert_eq!(victims, [b, a]);
+        assert_eq!(port.stats.drops, [0, 1, 1]);
+        // A newcomer no better than every resident is rejected and stays
+        // the caller's.
+        assert!(!port.enqueue(ids.insert(4), 1, 1000, 9, |v| victims.push(v)));
+        assert_eq!(victims.len(), 2);
+        assert_eq!(port.stats.drops, [0, 2, 1]);
+        assert_eq!(
+            port.dequeue().map(|(id, bytes)| (ids[id], bytes)),
+            Some((3, 2500))
+        );
     }
 }

@@ -828,6 +828,39 @@ mod tests {
     }
 
     #[test]
+    fn every_domain_frees_every_packet_it_parked() {
+        use aequitas_faults::{FaultPlan, LinkSel, LossRule};
+        let (topo, spec) = small_clos();
+        let n = topo.num_hosts();
+        let mut cfg = EngineConfig::default_2qos();
+        cfg.faults = Some(Arc::new(FaultPlan {
+            seed: 5,
+            loss: vec![LossRule {
+                link: LinkSel::Any,
+                prob: 0.05,
+                burst: None,
+            }],
+            ..FaultPlan::default()
+        }));
+        let mut eng = ShardedEngine::new(topo, cross_pod_agents(n, 200), cfg, spec, 2);
+        let live = |eng: &ShardedEngine<Pinger>| -> usize {
+            (0..eng.num_domains())
+                .map(|d| {
+                    let (live, held) = eng.domain(d).packet_census();
+                    assert_eq!(live, held, "domain {d}'s packet slab out of step");
+                    live
+                })
+                .sum()
+        };
+        eng.run_until(SimTime::from_us(20));
+        assert!(live(&eng) > 0, "nothing in flight mid-run");
+        eng.run_until(SimTime::from_ms(5));
+        assert_eq!(live(&eng), 0, "packets leaked after the drain");
+        assert!(eng.stats().boundary_packets > 0);
+        assert!(eng.fault_loss_totals().0 > 0);
+    }
+
+    #[test]
     fn single_domain_spec_is_the_plain_engine() {
         let topo = Topology::star(4, LinkSpec::default_100g());
         let spec = ShardSpec::single(&topo);

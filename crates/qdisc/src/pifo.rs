@@ -138,37 +138,54 @@ impl<T> PifoQueue<T> {
         None
     }
 
-    /// Push a packet of `bytes` with priority `rank` (lower = better).
+    /// Push a packet of `bytes` with priority `rank` (lower = better). When
+    /// room takes more than one eviction, `Evicted` names the last victim;
+    /// [`PifoQueue::push_evicting`] reports each.
     pub fn push(&mut self, rank: u64, bytes: u32, item: T) -> PifoPush<T> {
+        let mut last = None;
+        match self.push_evicting(rank, bytes, item, |r, b, it| last = Some((r, b, it))) {
+            Err(item) => PifoPush::Rejected(item),
+            Ok(()) => match last {
+                Some((r, b, it)) => PifoPush::Evicted(r, b, it),
+                None => PifoPush::Admitted,
+            },
+        }
+    }
+
+    /// Push like [`PifoQueue::push`], handing every evicted resident to
+    /// `evicted` as `(rank, bytes, item)`, worst first. A rejected newcomer
+    /// comes back as `Err`; residents evicted before the rejection stay
+    /// evicted, and are reported too.
+    pub fn push_evicting(
+        &mut self,
+        rank: u64,
+        bytes: u32,
+        item: T,
+        mut evicted: impl FnMut(u64, u32, T),
+    ) -> Result<(), T> {
         if let Some(cap) = self.capacity_bytes {
             if (bytes as u64) > cap {
                 self.drops += 1;
-                return PifoPush::Rejected(item);
+                return Err(item);
             }
-            let mut evicted = None;
             while self.bytes + bytes as u64 > cap {
                 // Evict worst-ranked resident packets. Reject the newcomer if
                 // it is itself the worst.
                 match self.worst_resident_rank() {
                     Some(worst) if worst > rank => {
-                        let victim = self.evict_worst().expect("resident packet exists");
+                        let (r, b, it) = self.evict_worst().expect("resident packet exists");
                         self.drops += 1;
-                        evicted = Some(victim);
+                        evicted(r, b, it);
                     }
                     _ => {
                         self.drops += 1;
-                        return PifoPush::Rejected(item);
+                        return Err(item);
                     }
                 }
             }
-            self.insert(rank, bytes, item);
-            return match evicted {
-                Some((r, b, it)) => PifoPush::Evicted(r, b, it),
-                None => PifoPush::Admitted,
-            };
         }
         self.insert(rank, bytes, item);
-        PifoPush::Admitted
+        Ok(())
     }
 
     fn insert(&mut self, rank: u64, bytes: u32, item: T) {
@@ -284,6 +301,20 @@ mod tests {
         assert_eq!(q.backlog_packets(), 3);
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, _, i)| i)).collect();
         assert_eq!(order, vec!["best", "better", "mid"]);
+    }
+
+    #[test]
+    fn push_evicting_reports_every_victim_worst_first() {
+        let mut q = PifoQueue::new(Some(30));
+        q.push(1, 10, "best");
+        q.push(8, 10, "bad");
+        q.push(9, 10, "worst");
+        let mut victims = Vec::new();
+        let pushed = q.push_evicting(2, 20, "big", |r, b, it| victims.push((r, b, it)));
+        assert!(pushed.is_ok());
+        assert_eq!(victims, [(9, 10, "worst"), (8, 10, "bad")]);
+        assert_eq!(q.drops(), 2);
+        assert_eq!(q.backlog_bytes(), 30);
     }
 
     #[test]

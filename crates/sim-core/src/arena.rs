@@ -2,13 +2,16 @@
 //!
 //! A discrete-event run at fleet scale churns through hundreds of millions
 //! of events and packets. Allocating each one on the heap would put the
-//! allocator on the hot path and scatter queue entries across the address
-//! space; instead, engines park payloads in a [`Slab`] and move only a
-//! 4-byte [`SlotId`] through the future-event list. The slab's backing
-//! vector grows to the high-water mark of *outstanding* objects (a few
-//! thousand even for multi-thousand-host fabrics) and is then recycled
-//! forever via an intrusive freelist — steady-state scheduling performs
-//! zero heap allocation.
+//! allocator on the hot path, and copying each by value through every queue
+//! would put `memcpy` there; instead, the network engine keeps two slabs —
+//! one of pending events, one of packets in the fabric — and moves only
+//! 4-byte [`SlotId`]s through its future-event list, port queues, in-flight
+//! slots and `Arrive` events. A packet is parked once when it enters the
+//! fabric and taken out once when it leaves it. Each slab's backing vector
+//! grows to the high-water mark of *outstanding* objects (a few thousand
+//! even for multi-thousand-host fabrics) and is then recycled forever via an
+//! intrusive freelist — steady-state scheduling performs zero heap
+//! allocation.
 //!
 //! Determinism: slot assignment is a pure function of the insert/remove
 //! sequence (LIFO freelist), so two runs dispatching the same events assign
@@ -142,39 +145,37 @@ impl<T> Slab<T> {
             _ => None,
         }
     }
-}
 
-/// A recycling buffer pool for scratch `Vec<T>`s (boundary-packet outboxes,
-/// drained action lists): `take` hands out an empty vector with warm
-/// capacity, `put` returns it after use. Steady-state loops allocate only
-/// until the pool learns the working-set size.
-pub struct VecPool<T> {
-    spares: Vec<Vec<T>>,
-}
-
-impl<T> Default for VecPool<T> {
-    fn default() -> Self {
-        Self::new()
+    /// The live objects, in slot order.
+    pub fn values(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().filter_map(|slot| match slot {
+            Slot::Full(v) => Some(v),
+            Slot::Free(_) => None,
+        })
     }
 }
 
-impl<T> VecPool<T> {
-    /// An empty pool.
-    pub fn new() -> Self {
-        // alloc: the pool's own registry, created once.
-        VecPool { spares: Vec::new() }
-    }
+/// `slab[id]` borrows a live object; indexing a free slot panics, like
+/// [`Slab::remove`] does, because a stale handle is always an engine bug.
+impl<T> std::ops::Index<SlotId> for Slab<T> {
+    type Output = T;
 
-    /// Hand out an empty vector, reusing a recycled one's capacity when
-    /// available.
-    pub fn take(&mut self) -> Vec<T> {
-        self.spares.pop().unwrap_or_default()
+    #[inline]
+    fn index(&self, id: SlotId) -> &T {
+        match &self.slots[id.index()] {
+            Slot::Full(v) => v,
+            Slot::Free(_) => panic!("slab: index of free slot {}", id.0),
+        }
     }
+}
 
-    /// Return a vector to the pool. Contents are cleared; capacity is kept.
-    pub fn put(&mut self, mut v: Vec<T>) {
-        v.clear();
-        self.spares.push(v);
+impl<T> std::ops::IndexMut<SlotId> for Slab<T> {
+    #[inline]
+    fn index_mut(&mut self, id: SlotId) -> &mut T {
+        match &mut self.slots[id.index()] {
+            Slot::Full(v) => v,
+            Slot::Free(_) => panic!("slab: index of free slot {}", id.0),
+        }
     }
 }
 
@@ -224,23 +225,30 @@ mod tests {
     }
 
     #[test]
+    fn index_and_values_see_live_slots_only() {
+        let mut slab = Slab::new();
+        let ids: Vec<SlotId> = (0..3).map(|i| slab.insert(i * 10)).collect();
+        slab[ids[2]] += 1;
+        assert_eq!(slab[ids[2]], 21);
+        slab.remove(ids[1]);
+        assert_eq!(slab.values().copied().collect::<Vec<_>>(), [0, 21]);
+    }
+
+    #[test]
+    #[should_panic(expected = "index of free slot")]
+    fn index_of_free_slot_panics() {
+        let mut slab = Slab::new();
+        let id = slab.insert(1u8);
+        slab.remove(id);
+        let _ = slab[id];
+    }
+
+    #[test]
     #[should_panic(expected = "remove of free slot")]
     fn double_remove_panics() {
         let mut slab = Slab::new();
         let id = slab.insert(1u8);
         slab.remove(id);
         slab.remove(id);
-    }
-
-    #[test]
-    fn vec_pool_recycles_capacity() {
-        let mut pool: VecPool<u64> = VecPool::new();
-        let mut v = pool.take();
-        v.extend(0..100);
-        let cap = v.capacity();
-        pool.put(v);
-        let v2 = pool.take();
-        assert!(v2.is_empty());
-        assert!(v2.capacity() >= cap, "capacity must be recycled");
     }
 }

@@ -21,7 +21,7 @@ pub mod event;
 pub mod rng;
 pub mod time;
 
-pub use arena::{Slab, SlotId, VecPool};
+pub use arena::{Slab, SlotId};
 pub use event::{EventQueue, QueueKind, QueueStats, ScheduledEvent};
 pub use rng::SimRng;
 pub use time::{BitRate, SimDuration, SimTime};

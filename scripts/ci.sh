@@ -72,7 +72,11 @@ echo "== benchmark (build + self-check) =="
 # sharded window protocol (peek every domain, then inject earlier arrivals)
 # — span-traced, because one_thread_matches_n_threads runs only there —
 # and the one that builds crates/baselines through their own constructors
-# (D3 and PDQ, then the other three), span-traced too. A run exits
+# (D3 and PDQ, then the other three), span-traced too, and the one whose
+# fault plan destroys frames in flight, the only workload that frees
+# packet-slab handles on the loss and corruption paths (a double free
+# panics; a handle used after its slot was recycled reads another packet
+# and fails the checks; the netsim unit tests catch leaks). A run exits
 # non-zero if a built-in check fails (every_rep_same_simulation,
 # spans_do_not_perturb_the_simulation, audit_trace_integrity_pass, ...).
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
@@ -82,6 +86,8 @@ timeout 600 cargo run --release --offline --quiet --manifest-path benchmark/Carg
     --workload clos128_sharded --seed 2022 --seconds 2 --trace 1 > /dev/null
 timeout 600 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
     --workload star33_deadline --seed 2022 --seconds 2 --trace 1 > /dev/null
+timeout 600 cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload star33_faults --seed 2022 --seconds 2 --trace 1 > /dev/null
 
 echo "== trace smoke =="
 scripts/trace_smoke.sh
