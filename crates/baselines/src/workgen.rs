@@ -34,7 +34,7 @@ pub struct WorkloadGen {
 
 impl WorkloadGen {
     /// Build a generator. `classes` carries `(priority, byte_share, sizes)`.
-    #[allow(clippy::too_many_arguments)] // plain config-carrier constructor
+    #[allow(clippy::too_many_arguments, reason = "plain config-carrier constructor")]
     pub fn new(
         arrival: ArrivalProcess,
         pattern: TrafficPattern,

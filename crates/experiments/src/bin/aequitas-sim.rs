@@ -37,6 +37,8 @@
 //! wrote through `aequitas-replay` and checks it against the paper's
 //! analytical bounds; a FAIL verdict exits 1.
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "a CLI reports on stdout/stderr")]
+
 use aequitas_experiments::harness::{RunCtx, Scale};
 use aequitas_experiments::*;
 use aequitas_netsim::faults::FaultPlan;

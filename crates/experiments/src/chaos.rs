@@ -559,7 +559,8 @@ fn ct_row(name: &'static str, run: SchemeRun) -> ContainmentRow {
     points.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     let horizon = stop.as_ps();
     let onset = SimTime::from_ms(CT_ONSET_MS).as_ps();
-    let windows = timeline::windowed_until(&points, CT_WINDOW_PS, horizon);
+    let windows = timeline::windowed_until(&points, CT_WINDOW_PS, horizon)
+        .expect("points are clipped at the 16 ms stop: 32 windows");
     let pre: Vec<f64> = windows
         .iter()
         .filter(|w| w.start_ps + CT_WINDOW_PS <= onset && w.count > 0)

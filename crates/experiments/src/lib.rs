@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "experiments print their tables")]
 
 //! One experiment per table/figure of the paper's evaluation (§6).
 //!

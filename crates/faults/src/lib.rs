@@ -10,8 +10,8 @@
 //! mutable RNG stream, so the verdict for a given packet on a given link at a
 //! given time does not depend on event ordering, thread count, or how many
 //! other faults fired before it. Two runs with the same seed and plan are
-//! byte-identical, and the `simsan` feature cannot perturb them (lint rule
-//! AQ001: no ambient randomness).
+//! byte-identical, and the `simsan` feature cannot perturb them (no ambient
+//! randomness: clippy's `disallowed_types` bans `RandomState`).
 //!
 //! The plan is consumed by `aequitas-netsim` (links honor fault state,
 //! `PortStats` counts fault drops/corruptions), by the experiments harness
@@ -386,8 +386,8 @@ impl FaultPlan {
     /// Sanity-check probabilities, periods, and window shapes; returns
     /// `self` for chaining. Malformed plans are operator input, so errors
     /// are contextful [`Err`]s naming the offending rule, never panics
-    /// (the same no-panic-on-input policy lint rule AQ017 enforces for
-    /// replay code).
+    /// (the same no-panic-on-input policy `crates/replay` denies
+    /// `unwrap`/`expect` for).
     pub fn validated(self) -> Result<Self, String> {
         fn prob(v: f64, what: String) -> Result<(), String> {
             if (0.0..=1.0).contains(&v) {

@@ -161,12 +161,6 @@ pub struct FnDef {
     pub has_self: bool,
     /// Parameters (excluding `self`).
     pub params: Vec<Param>,
-    /// Return type text, when declared.
-    pub ret: Option<String>,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-    /// 1-based column of the `fn` keyword.
-    pub col: u32,
     /// True when the function is test code (`#[cfg(test)]` mod, `#[test]`
     /// attribute, or a whole-file test).
     pub is_test: bool,
@@ -656,7 +650,6 @@ impl<'a> Parser<'a> {
         is_test: bool,
         out: &mut ParsedFile,
     ) -> usize {
-        let fn_tok = self.t(i);
         let mut j = i + 1;
         if j >= end || self.t(j).kind != TokKind::Ident {
             return i + 1;
@@ -671,32 +664,8 @@ impl<'a> Parser<'a> {
         }
         let close_paren = self.match_bracket(j, end);
         let (params, has_self) = self.parse_params(j + 1, close_paren);
+        // Skip the return type and any `where` clause to the body.
         let mut k = close_paren + 1;
-        // Return type: `-> Ty` until `{`, `;`, or `where`.
-        let mut ret = None;
-        if k + 1 < end && self.text(k) == "-" && self.text(k + 1) == ">" {
-            k += 2;
-            let mut ty = String::new();
-            while k < end && !matches!(self.text(k), "{" | ";" | "where") {
-                if self.text(k) == "<" {
-                    let e = self.skip_generics(k, end);
-                    for x in k..e {
-                        if !ty.is_empty() {
-                            ty.push(' ');
-                        }
-                        ty.push_str(self.text(x));
-                    }
-                    k = e;
-                    continue;
-                }
-                if !ty.is_empty() {
-                    ty.push(' ');
-                }
-                ty.push_str(self.text(k));
-                k += 1;
-            }
-            ret = Some(ty);
-        }
         while k < end && !matches!(self.text(k), "{" | ";") {
             if self.text(k) == "<" {
                 k = self.skip_generics(k, end);
@@ -715,9 +684,6 @@ impl<'a> Parser<'a> {
             impl_ty: ctx.impl_ty.clone(),
             has_self,
             params,
-            ret,
-            line: fn_tok.line,
-            col: fn_tok.col,
             is_test,
             body,
         });
@@ -1423,7 +1389,8 @@ trait Agent { fn on_packet(&mut self, p: Packet) { handle(p); } }
         assert_eq!(run.params.len(), 1);
         assert_eq!(run.params[0].name, "end");
         assert_eq!(run.params[0].ty, "SimTime");
-        assert_eq!(run.ret.as_deref(), Some("u64"));
+        // The body is found past the `-> u64` return type.
+        assert_eq!(run.body.calls[0].name, "step");
         let free = &p.fns[1];
         assert_eq!(free.impl_ty, None);
         assert_eq!(free.params[0].name, "delay_ns");

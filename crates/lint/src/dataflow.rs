@@ -30,26 +30,21 @@
 //!   is `crates/telemetry` (per-domain handles; determinism is enforced by
 //!   `tests/sharded_determinism.rs` and the PR 2 perturbation guard).
 //!
-//! Escapes mirror the token rules: a `det:` / `unit:` / `shard:`
+//! Escapes mirror AQ008's: a `det:` / `unit:` / `shard:`
 //! justification comment on the finding line (or the comment block above)
 //! suppresses it. Test functions are never reported.
 
 use crate::ast::{CallKind, CallSite, FnDef, Operand};
-use crate::config::{glob_match, Config};
 use crate::rules::Finding;
 use crate::workspace::Workspace;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 /// Run AQ014–AQ016 over the workspace graph.
-pub fn run_passes(ws: &Workspace, cfg: &Config, out: &mut Vec<Finding>) {
-    let enabled = |id: &str, rel: &str| -> bool {
-        let r = cfg.rule(id);
-        r.enabled && !r.allow.iter().any(|g| glob_match(g, rel))
-    };
-    aq014_determinism_taint(ws, &enabled, out);
-    aq015_unit_safety(ws, &enabled, out);
-    aq016_shard_isolation(ws, &enabled, out);
+pub fn run_passes(ws: &Workspace, out: &mut Vec<Finding>) {
+    aq014_determinism_taint(ws, out);
+    aq015_unit_safety(ws, out);
+    aq016_shard_isolation(ws, out);
 }
 
 // AQ014 — determinism taint ------------------------------------------------
@@ -173,11 +168,7 @@ fn taint_sources(ws: &Workspace, file: usize, id: usize, def: &FnDef) -> Vec<(u3
     srcs
 }
 
-fn aq014_determinism_taint(
-    ws: &Workspace,
-    enabled: &dyn Fn(&str, &str) -> bool,
-    out: &mut Vec<Finding>,
-) {
+fn aq014_determinism_taint(ws: &Workspace, out: &mut Vec<Finding>) {
     // Seed: every function containing an unjustified source.
     let mut taint: BTreeMap<usize, Taint> = BTreeMap::new();
     let mut queue: VecDeque<usize> = VecDeque::new();
@@ -225,7 +216,7 @@ fn aq014_determinism_taint(
     for (&id, cause) in &taint {
         let node = &ws.fns[id];
         let rel = ws.path(id);
-        if node.def.is_test || !aq014_hot_sink(rel) || !enabled("AQ014", rel) {
+        if node.def.is_test || !aq014_hot_sink(rel) {
             continue;
         }
         match cause {
@@ -417,15 +408,11 @@ fn units_clash(a: UnitSig, b: UnitSig) -> bool {
     false
 }
 
-fn aq015_unit_safety(
-    ws: &Workspace,
-    enabled: &dyn Fn(&str, &str) -> bool,
-    out: &mut Vec<Finding>,
-) {
+fn aq015_unit_safety(ws: &Workspace, out: &mut Vec<Finding>) {
     for id in 0..ws.fns.len() {
         let node = &ws.fns[id];
         let rel = ws.path(id);
-        if node.def.is_test || !enabled("AQ015", rel) {
+        if node.def.is_test {
             continue;
         }
         // Intra-function: additive/comparison operators mixing units.
@@ -528,11 +515,7 @@ fn in_domain_crate(rel: &str) -> bool {
         .any(|c| rel.starts_with(&format!("crates/{c}/src/")))
 }
 
-fn aq016_shard_isolation(
-    ws: &Workspace,
-    enabled: &dyn Fn(&str, &str) -> bool,
-    out: &mut Vec<Finding>,
-) {
+fn aq016_shard_isolation(ws: &Workspace, out: &mut Vec<Finding>) {
     // Entry points: Engine::run_until impls (the per-domain window body).
     let Some(entries) = ws
         .by_impl
@@ -563,7 +546,7 @@ fn aq016_shard_isolation(
     for &id in reachable.keys() {
         let node = &ws.fns[id];
         let rel = ws.path(id);
-        if node.def.is_test || !in_domain_crate(rel) || !enabled("AQ016", rel) {
+        if node.def.is_test || !in_domain_crate(rel) {
             continue;
         }
         let fname = ws.display(id);

@@ -1,14 +1,14 @@
 //! A small Rust lexer — just enough to lint safely.
 //!
 //! The rules in this tool must never fire on text inside string literals,
-//! raw strings, char literals, or comments ("`Instant` at which the event
-//! fires" in a doc comment is not a wall-clock read). A full parser is
+//! raw strings, char literals, or comments ("a `HashMap::new()` here" in a
+//! doc comment is not a construction). A full parser is
 //! overkill and would drag in external dependencies; a lexer that
 //! classifies every byte of the file into comment / string / code tokens is
 //! enough, because every rule we enforce is expressible over the token
 //! stream plus comment positions.
 //!
-//! Comments are kept as tokens (rules like AQ007 look for justification
+//! Comments are kept as tokens (rules like AQ008 look for justification
 //! comments); rules that only care about code iterate a filtered view.
 
 /// What a token is.

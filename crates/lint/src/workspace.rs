@@ -15,8 +15,6 @@
 //! helper must not taint the production graph.
 
 use crate::ast::{self, CallKind, FieldDecl, FnDef, ParsedFile};
-use crate::config::{glob_match, Config};
-use crate::lexer::TokKind;
 use crate::SourceFile;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -64,26 +62,17 @@ pub struct Workspace<'a> {
     pub hashy_fields: BTreeSet<(String, String)>,
 }
 
-fn whole_file_test(rel: &str) -> bool {
-    rel.starts_with("tests/") || rel.contains("/tests/") || rel.ends_with("/tests.rs")
-}
-
 fn is_hashy_ty(ty: &str) -> bool {
     ty.contains("HashMap") || ty.contains("HashSet")
 }
 
 impl<'a> Workspace<'a> {
     /// Parse every file and assemble the symbol table and call graph.
-    /// Files under the global allowlist (vendored code) contribute neither
-    /// symbols nor findings.
-    pub fn build(files: &'a [SourceFile], cfg: &Config) -> Workspace<'a> {
+    pub fn build(files: &'a [SourceFile]) -> Workspace<'a> {
         let mut fns: Vec<FnNode> = Vec::new();
         let mut fields: Vec<FieldDecl> = Vec::new();
         for (fi, f) in files.iter().enumerate() {
-            if cfg.global_allow.iter().any(|g| glob_match(g, &f.rel)) {
-                continue;
-            }
-            let parsed: ParsedFile = ast::parse_file(&f.toks, whole_file_test(&f.rel));
+            let parsed: ParsedFile = ast::parse_file(&f.toks, crate::is_test_file(&f.rel));
             fields.extend(parsed.fields);
             for def in parsed.fns {
                 let mut hashy_locals = BTreeSet::new();
@@ -217,35 +206,9 @@ impl<'a> Workspace<'a> {
         }
     }
 
-    /// Is there a justification comment containing `needle` on `line` of
-    /// file `file`, or in the contiguous comment block directly above it?
-    /// Same semantics as the token rules' escape hatches.
+    /// [`crate::justified`] for `line` of file `file`.
     pub fn justified(&self, file: usize, line: u32, needle: &str) -> bool {
-        let toks = &self.files[file].toks;
-        let comments = |l: u32| {
-            toks.iter().filter(move |t| {
-                matches!(t.kind, TokKind::LineComment | TokKind::BlockComment) && t.line == l
-            })
-        };
-        let hit = |l: u32| comments(l).any(|t| needle.is_empty() || t.text.contains(needle));
-        if hit(line) {
-            return true;
-        }
-        let mut l = line.saturating_sub(1);
-        while l >= 1 && comments(l).next().is_some() {
-            if hit(l) {
-                return true;
-            }
-            l -= 1;
-        }
-        false
-    }
-
-    /// All function ids whose file path matches `pred`, in id order.
-    pub fn fns_in_files(&self, pred: impl Fn(&str) -> bool) -> Vec<usize> {
-        (0..self.fns.len())
-            .filter(|&id| pred(self.path(id)))
-            .collect()
+        crate::justified(&self.files[file].toks, line, needle)
     }
 }
 
@@ -254,20 +217,19 @@ mod tests {
     use super::*;
     use crate::lexer::tokenize;
 
-    fn ws_of(files: &[(&str, &str)]) -> (Vec<SourceFile>, Config) {
-        let sources: Vec<SourceFile> = files
+    fn ws_of(files: &[(&str, &str)]) -> Vec<SourceFile> {
+        files
             .iter()
             .map(|(rel, src)| SourceFile {
                 rel: rel.to_string(),
                 toks: tokenize(src),
             })
-            .collect();
-        (sources, Config::default())
+            .collect()
     }
 
     #[test]
     fn resolves_cross_file_calls() {
-        let (files, cfg) = ws_of(&[
+        let files = ws_of(&[
             (
                 "crates/a/src/lib.rs",
                 "pub fn caller() { helper(1); }",
@@ -277,7 +239,7 @@ mod tests {
                 "pub fn helper(x: u64) -> u64 { x }",
             ),
         ]);
-        let ws = Workspace::build(&files, &cfg);
+        let ws = Workspace::build(&files);
         let caller = ws.by_name["caller"][0];
         let helper = ws.by_name["helper"][0];
         assert_eq!(ws.fns[caller].callees.len(), 1);
@@ -287,7 +249,7 @@ mod tests {
 
     #[test]
     fn method_calls_only_target_methods_and_skip_test_fns() {
-        let (files, cfg) = ws_of(&[
+        let files = ws_of(&[
             (
                 "crates/a/src/lib.rs",
                 "impl T { pub fn go(&self) {} }\n\
@@ -295,7 +257,7 @@ mod tests {
                  #[cfg(test)]\nmod tests { pub fn go() {} }",
             ),
         ]);
-        let ws = Workspace::build(&files, &cfg);
+        let ws = Workspace::build(&files);
         let drive = ws.by_name["drive"][0];
         let method = ws.by_impl[&("T".to_string(), "go".to_string())][0];
         assert_eq!(ws.fns[drive].callees.len(), 1);
@@ -304,7 +266,7 @@ mod tests {
 
     #[test]
     fn qualified_calls_prefer_the_impl_match() {
-        let (files, cfg) = ws_of(&[
+        let files = ws_of(&[
             (
                 "crates/a/src/lib.rs",
                 "impl A { pub fn make() -> A { A } }\n\
@@ -312,7 +274,7 @@ mod tests {
                  pub fn f() { A::make(); }",
             ),
         ]);
-        let ws = Workspace::build(&files, &cfg);
+        let ws = Workspace::build(&files);
         let f = ws.by_name["f"][0];
         let a_make = ws.by_impl[&("A".to_string(), "make".to_string())][0];
         assert_eq!(ws.fns[f].callees.len(), 1);
@@ -321,12 +283,12 @@ mod tests {
 
     #[test]
     fn hashy_locals_and_fields_are_indexed() {
-        let (files, cfg) = ws_of(&[(
+        let files = ws_of(&[(
             "crates/a/src/lib.rs",
             "pub struct S { flows: HashMap < u64 , u64 > }\n\
              pub fn f(m: &HashMap<u64, u64>) { let n = HashSet::new(); let v = Vec::new(); }",
         )]);
-        let ws = Workspace::build(&files, &cfg);
+        let ws = Workspace::build(&files);
         assert!(ws
             .hashy_fields
             .contains(&("S".to_string(), "flows".to_string())));
@@ -338,12 +300,13 @@ mod tests {
 
     #[test]
     fn vendored_files_contribute_nothing() {
-        let cfg = Config::parse("[global]\nallow = [\"vendor/**\"]\n").unwrap();
-        let files: Vec<SourceFile> = vec![SourceFile {
-            rel: "vendor/x/src/lib.rs".into(),
-            toks: tokenize("pub fn vendored() {}"),
-        }];
-        let ws = Workspace::build(&files, &cfg);
-        assert!(ws.fns.is_empty());
+        // Vendored crates are never loaded, so they reach neither the token
+        // rules, the call graph nor the debt count.
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut rels = Vec::new();
+        crate::collect_rs_files(&root, &root, &mut rels);
+        assert!(rels.iter().any(|r| r == "crates/lint/src/workspace.rs"));
+        assert!(root.join("vendor").is_dir());
+        assert!(!rels.iter().any(|r| r.starts_with("vendor/")), "{rels:?}");
     }
 }

@@ -61,7 +61,6 @@ impl EngineConfig {
     /// The paper's default fabric: 3 QoS classes, WFQ 8:4:1, 2 MB port
     /// buffers, matching host NIC scheduling.
     pub fn default_3qos() -> Self {
-        // alloc: config constructor, runs once per engine build
         let weights = vec![8.0, 4.0, 1.0];
         EngineConfig {
             switch_scheduler: SchedulerKind::Wfq(weights.clone()),
@@ -76,7 +75,6 @@ impl EngineConfig {
 
     /// 2-QoS variant with weights 4:1 (the §6.2 microbenchmarks).
     pub fn default_2qos() -> Self {
-        // alloc: config constructor, runs once per engine build
         let weights = vec![4.0, 1.0];
         EngineConfig {
             switch_scheduler: SchedulerKind::Wfq(weights.clone()),
@@ -263,8 +261,7 @@ impl<A: HostAgent> Engine<A> {
         let role = ShardRole {
             spec,
             domain,
-            // alloc: one outbox per domain at engine construction; drained
-            // by swap with a recycled scratch buffer, never reallocated.
+            // Drained by swap with a recycled scratch buffer.
             outbox: Vec::new(),
         };
         Self::build(topo, agents, agent_rank, config, Some(role))
@@ -340,10 +337,8 @@ impl<A: HostAgent> Engine<A> {
     /// dense handles.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.metric_ids = telemetry.with_metrics(|m| {
-            // metric: one-time registration at wiring; the per-tick path in
-            // sample_metrics() runs on the interned ids only.
             let events_processed = m.gauge_id("engine.events_processed", String::new());
-            let queue_len = m.gauge_id("engine.event_queue_len", String::new()); // metric: wiring-time
+            let queue_len = m.gauge_id("engine.event_queue_len", String::new());
             let sw_ports = self
                 .switches
                 .iter()

@@ -54,11 +54,10 @@ pub struct PortStats {
 impl PortStats {
     fn new(classes: usize) -> Self {
         PortStats {
-            // alloc: one stats block per port at topology build.
             tx_packets: vec![0; classes],
-            tx_bytes: vec![0; classes], // alloc: port setup
-            drops: vec![0; classes],    // alloc: port setup
-            max_class_depth_pkts: vec![0; classes], // alloc: port setup
+            tx_bytes: vec![0; classes],
+            drops: vec![0; classes],
+            max_class_depth_pkts: vec![0; classes],
             max_backlog_bytes: 0,
             fault_drops: 0,
             fault_corrupts: 0,
@@ -148,9 +147,10 @@ impl Port {
     /// the ledger without giving the scheduler a packet.
     #[cfg(any(test, feature = "simsan"))]
     #[doc(hidden)]
-    // Only called from fixture tests; unused in a plain `--features simsan`
-    // library build.
-    #[allow(dead_code)]
+    #[allow(
+        dead_code,
+        reason = "only fixture tests call it; unused in a plain `--features simsan` library build"
+    )]
     pub(crate) fn simsan_phantom_arrival(&mut self, bytes: u64) {
         #[cfg(feature = "simsan")]
         {

@@ -143,7 +143,6 @@ impl ShardSpec {
     /// The whole fabric as a single domain (sharding disabled; useful as a
     /// baseline in equivalence tests).
     pub fn single(topo: &Topology) -> ShardSpec {
-        // alloc: spec construction, once per run.
         ShardSpec::new(topo, vec![0; topo.num_switches()])
     }
 
@@ -403,7 +402,6 @@ impl<A: HostAgent + Send> ShardedEngine<A> {
         assert_eq!(agents.len(), topo.num_hosts(), "need one agent per host");
         assert_eq!(spec.domain_of_host.len(), topo.num_hosts());
         assert!(spec.num_domains >= 1, "need at least one domain");
-        // alloc: engine construction — agents are partitioned once.
         let mut per_domain: Vec<Vec<A>> = (0..spec.num_domains).map(|_| Vec::new()).collect();
         for (h, agent) in agents.into_iter().enumerate() {
             per_domain[spec.domain_of_host[h]].push(agent);
@@ -415,8 +413,8 @@ impl<A: HostAgent + Send> ShardedEngine<A> {
                 Engine::new_sharded(topo.clone(), ag, config.clone(), spec.clone(), d)
             })
             .collect();
-        // alloc: per-domain merge scratch, allocated once and recycled
-        // every window via mem::swap with the domain outboxes.
+        // Per-domain merge scratch, recycled every window via mem::swap
+        // with the domain outboxes.
         let scratch = (0..spec.num_domains).map(|_| Vec::new()).collect();
         ShardedEngine {
             domains,

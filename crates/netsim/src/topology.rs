@@ -314,7 +314,7 @@ impl Topology {
     /// spreads non-local traffic over its pod's spines, a spine spreads
     /// cross-pod traffic over the cores, a core spreads traffic over the
     /// destination pod's spines.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "a count and a link spec per Clos tier")]
     pub fn clos(
         pods: usize,
         spines_per_pod: usize,

@@ -45,12 +45,11 @@ impl<T> DwrrScheduler<T> {
         DwrrScheduler {
             weights: weights.to_vec(),
             quantum,
-            // alloc: scheduler construction, once per port.
             queues: weights.iter().map(|_| VecDeque::new()).collect(),
-            class_bytes: vec![0; weights.len()], // alloc: port setup
-            deficit: vec![0.0; weights.len()],   // alloc: port setup
+            class_bytes: vec![0; weights.len()],
+            deficit: vec![0.0; weights.len()],
             active: VecDeque::new(),
-            in_active: vec![false; weights.len()], // alloc: port setup
+            in_active: vec![false; weights.len()],
             buffer: BufferAccounting::new(capacity_bytes),
         }
     }

@@ -27,8 +27,8 @@ impl<T> FifoScheduler<T> {
         FifoScheduler {
             queue: VecDeque::new(),
             classes,
-            class_bytes: vec![0; classes],   // alloc: port setup
-            class_packets: vec![0; classes], // alloc: port setup
+            class_bytes: vec![0; classes],
+            class_packets: vec![0; classes],
             buffer: BufferAccounting::new(capacity_bytes),
         }
     }

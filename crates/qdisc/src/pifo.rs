@@ -224,7 +224,6 @@ impl<T> PifoQueue<T> {
     fn extract_from_min(&mut self, seq: u64) -> Option<(u64, u32, T)> {
         // Linear extraction is acceptable: evictions happen only under
         // overflow, and buffers in pFabric runs are tiny (tens of packets).
-        // alloc: same argument — overflow-only, never on the forwarding path.
         let mut stash = Vec::new();
         let mut found = None;
         while let Some(MinEntry(e)) = self.min_heap.pop() {

@@ -26,7 +26,7 @@ impl<T> SpqScheduler<T> {
         assert!(classes > 0);
         SpqScheduler {
             queues: (0..classes).map(|_| VecDeque::new()).collect(),
-            class_bytes: vec![0; classes], // alloc: port setup
+            class_bytes: vec![0; classes],
             buffer: BufferAccounting::new(capacity_bytes),
         }
     }

@@ -71,19 +71,18 @@ impl<T> WfqScheduler<T> {
         );
         WfqScheduler {
             weights: weights.to_vec(),
-            // alloc: scheduler construction, once per port.
             queues: weights.iter().map(|_| VecDeque::new()).collect(),
-            class_bytes: vec![0; weights.len()], // alloc: port setup
-            last_finish: vec![0.0; weights.len()], // alloc: port setup
+            class_bytes: vec![0; weights.len()],
+            last_finish: vec![0.0; weights.len()],
             virtual_time: 0.0,
             buffer: BufferAccounting::new(capacity_bytes),
             backlogged: 0,
             #[cfg(feature = "simsan")]
             san: WfqSan {
                 seq: 0,
-                norm: vec![0.0; weights.len()],    // alloc: port setup
-                max_bytes: vec![0; weights.len()], // alloc: port setup
-                snap: vec![None; weights.len()],   // alloc: port setup
+                norm: vec![0.0; weights.len()],
+                max_bytes: vec![0; weights.len()],
+                snap: vec![None; weights.len()],
             },
         }
     }

@@ -25,6 +25,7 @@
 //! drift fails loudly instead of silently misparsing.
 
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod audit;
 pub mod compare;

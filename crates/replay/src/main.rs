@@ -12,6 +12,8 @@
 //! Exit codes: 0 = success (audit verdict PASS), 1 = audit verdict FAIL,
 //! 2 = usage, I/O, or schema error.
 
+#![allow(clippy::print_stdout, clippy::print_stderr, reason = "a CLI reports on stdout/stderr")]
+
 use aequitas_replay::audit::{audit, AuditOptions, CheckStatus};
 use aequitas_replay::compare::analyze;
 use aequitas_replay::metrics::MetricsCsv;

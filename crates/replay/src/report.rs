@@ -379,7 +379,14 @@ pub fn report_text(recon: &mut Reconstruction, report: &AuditReport) -> String {
             if slo == 0 {
                 continue;
             }
-            let tl = crate::timeline::windowed(points, RECOVERY_WINDOW_PS);
+            let Some(tl) = crate::timeline::windowed(points, RECOVERY_WINDOW_PS) else {
+                let _ = writeln!(
+                    out,
+                    "  qos{q}: recovery not computed: completions span more than {} windows of 500us",
+                    crate::timeline::MAX_WINDOWS
+                );
+                continue;
+            };
             let restored = crate::timeline::time_to_restore(&tl, onset, slo as f64);
             let _ = match restored {
                 Some(d) => writeln!(

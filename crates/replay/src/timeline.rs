@@ -33,23 +33,30 @@ pub struct WindowPoint {
     pub p99: f64,
 }
 
+/// The most windows one timeline may hold. Trace timestamps are the input's
+/// choice, so two points 2^64 ps apart would otherwise ask for ~3.7e10
+/// windows of 500 us; 2^20 windows of that width span 524 s, far past any
+/// simulated run.
+pub const MAX_WINDOWS: u64 = 1 << 20;
+
 /// Bucket `(t_ps, value)` points into fixed `window_ps`-wide windows and
 /// compute each window's p99. Windows between the first and last non-empty
 /// bucket are emitted even when empty (count 0), so gaps — a blackholed
 /// scheme completing nothing — are visible instead of silently elided.
-pub fn windowed(points: &[(u64, f64)], window_ps: u64) -> Vec<WindowPoint> {
+/// `None` when that span exceeds [`MAX_WINDOWS`].
+pub fn windowed(points: &[(u64, f64)], window_ps: u64) -> Option<Vec<WindowPoint>> {
     assert!(window_ps > 0, "window width must be positive");
-    if points.is_empty() {
-        return Vec::new();
-    }
     let mut buckets: BTreeMap<u64, Vec<f64>> = BTreeMap::new();
     for &(t, v) in points {
         buckets.entry(t / window_ps).or_default().push(v);
     }
     let (Some(&first), Some(&last)) = (buckets.keys().next(), buckets.keys().next_back()) else {
-        return Vec::new();
+        return Some(Vec::new());
     };
-    (first..=last)
+    if last - first >= MAX_WINDOWS {
+        return None;
+    }
+    let windows = (first..=last)
         .map(|k| {
             let vals = buckets.get_mut(&k);
             match vals {
@@ -71,27 +78,35 @@ pub fn windowed(points: &[(u64, f64)], window_ps: u64) -> Vec<WindowPoint> {
                 },
             }
         })
-        .collect()
+        .collect();
+    Some(windows)
 }
 
 /// [`windowed`], then padded with empty windows up to `horizon_ps` — the
 /// end of the observation (e.g. the offered-load stop time). A scheme that
 /// stalls mid-run and never completes again would otherwise end its
 /// timeline at the stall and could look "recovered"; the padding turns the
-/// silence into explicit empty (violating) windows.
-pub fn windowed_until(points: &[(u64, f64)], window_ps: u64, horizon_ps: u64) -> Vec<WindowPoint> {
-    assert!(window_ps > 0, "window width must be positive");
-    let mut w = windowed(points, window_ps);
-    let mut next = w.last().map_or(0, |x| x.start_ps + window_ps);
-    while next < horizon_ps {
+/// silence into explicit empty (violating) windows. `None` when the result
+/// would exceed [`MAX_WINDOWS`].
+pub fn windowed_until(
+    points: &[(u64, f64)],
+    window_ps: u64,
+    horizon_ps: u64,
+) -> Option<Vec<WindowPoint>> {
+    let mut w = windowed(points, window_ps)?;
+    let mut next = w.last().map_or(Some(0), |x| x.start_ps.checked_add(window_ps));
+    while let Some(start_ps) = next.filter(|&t| t < horizon_ps) {
+        if w.len() as u64 >= MAX_WINDOWS {
+            return None;
+        }
         w.push(WindowPoint {
-            start_ps: next,
+            start_ps,
             count: 0,
             p99: 0.0,
         });
-        next += window_ps;
+        next = start_ps.checked_add(window_ps);
     }
-    w
+    Some(w)
 }
 
 /// Time from `onset_ps` until the SLO is *durably* re-met, in ps.
@@ -165,7 +180,7 @@ mod tests {
             // Window 1 empty.
             (2 * MS + 1, 30.0),
         ];
-        let w = windowed(&points, MS);
+        let w = windowed(&points, MS).unwrap();
         assert_eq!(w.len(), 3);
         assert_eq!(w[0].count, 2);
         assert_eq!(w[0].p99, 20.0);
@@ -177,7 +192,7 @@ mod tests {
     #[test]
     fn windowed_p99_is_nearest_rank() {
         let points: Vec<(u64, f64)> = (0..100).map(|i| (i, i as f64)).collect();
-        let w = windowed(&points, MS);
+        let w = windowed(&points, MS).unwrap();
         assert_eq!(w.len(), 1);
         assert_eq!(w[0].p99, 98.0); // ceil(100*0.99) = 99th value, 0-indexed 98
     }
@@ -239,15 +254,29 @@ mod tests {
     fn windowed_until_pads_silence_to_the_horizon() {
         // One completion at 0.5 ms, horizon 4 ms: three trailing empty
         // windows make the stall explicit, so restore is None.
-        let w = windowed_until(&[(MS / 2, 1.0)], MS, 4 * MS);
+        let w = windowed_until(&[(MS / 2, 1.0)], MS, 4 * MS).unwrap();
         assert_eq!(w.len(), 4);
         assert_eq!(w[0].count, 1);
         assert!(w[1..].iter().all(|x| x.count == 0));
         assert_eq!(time_to_restore(&w, MS, 2.0), None);
         // No points at all: all-empty, never recovered.
-        let w = windowed_until(&[], MS, 2 * MS);
+        let w = windowed_until(&[], MS, 2 * MS).unwrap();
         assert_eq!(w.len(), 2);
         assert_eq!(time_to_restore(&w, 0, 2.0), None);
+    }
+
+    #[test]
+    fn spans_past_the_window_limit_are_refused() {
+        // The limit is on the span, not on the number of points.
+        let last = (MAX_WINDOWS - 1) * MS;
+        assert_eq!(windowed(&[(0, 1.0), (last, 1.0)], MS).unwrap().len() as u64, MAX_WINDOWS);
+        assert!(windowed(&[(0, 1.0), (last + MS, 1.0)], MS).is_none());
+        assert!(windowed(&[(0, 1.0), (u64::MAX, 1.0)], 1).is_none());
+        // Padding counts too, and stops short of u64::MAX instead of
+        // wrapping.
+        assert!(windowed_until(&[], MS, u64::MAX).is_none());
+        let w = windowed_until(&[(u64::MAX, 1.0)], MS, u64::MAX).unwrap();
+        assert_eq!(w.len(), 1);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! No trace a user can hand to `aequitas-replay` may panic it (ROADMAP item
-//! 4, lint rule AQ017): a mutation fuzzer over a short trace the real writer
-//! produced. Every mutant either reconstructs — with each damaged line
+//! No trace a user can hand to `aequitas-replay` may panic it (the library
+//! denies `clippy::unwrap_used` and `clippy::expect_used`): a mutation fuzzer
+//! over a short trace the real writer produced. Every mutant either reconstructs — with each damaged line
 //! counted in `Integrity` — or is refused with an error; the audit of
 //! whatever was reconstructed must not panic either. The suite runs with
 //! overflow checks on, so a wrapped sum is a failure here too.
@@ -297,4 +297,35 @@ fn maximal_integers_saturate() {
     let port = recon.ports.values().find(|p| p.enq_pkts == 2).unwrap();
     assert_eq!(port.enq_bytes(), u64::MAX);
     exercise(text.as_bytes());
+}
+
+/// Timestamps are the trace's to choose: two QoS-0 completions 1.8e19 ps
+/// apart behind the seed's fault and QoS-0 SLO would ask the recovery
+/// timeline for ~3.6e10 windows. The text report says it did not compute
+/// recovery instead.
+#[test]
+fn a_completion_span_past_the_window_limit_is_reported_not_materialised() {
+    let mut trace = seed_trace();
+    for t_ps in [0, 18_000_000_000_000_000_000] {
+        let seq = trace.len() as u64;
+        let line = TraceEvent::RpcComplete {
+            host: 0,
+            dst: 2,
+            qos_run: 0,
+            downgraded: false,
+            size_bytes: 4160,
+            rnl_ps: 2_000_000,
+            rnl_per_mtu_ps: 2_000_000,
+        };
+        trace.push(line.to_json(seq, t_ps));
+    }
+    let text = trace.join("\n") + "\n";
+    let mut recon = Reconstruction::from_reader(text.as_bytes()).unwrap();
+    assert_eq!(recon.qos_rnl_points[&0].len(), 2);
+    let report = audit(&mut recon, &AuditOptions::default());
+    let out = aequitas_replay::report::report_text(&mut recon, &report);
+    assert!(
+        out.contains("qos0: recovery not computed: completions span more than 1048576 windows"),
+        "{out}"
+    );
 }

@@ -413,7 +413,7 @@ impl RpcStack {
     /// One send attempt (`attempt` is 1-based; retries pass the original
     /// id and issue time so completions and failures stay correlated with
     /// what the caller saw).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "a retry carries the original id and issue time")]
     fn issue_attempt(
         &mut self,
         ctx: &mut HostCtx,
@@ -789,8 +789,7 @@ impl RpcStack {
                         f.failed_at,
                         TraceEvent::Warn {
                             component: "rpc".into(),
-                            // metric: terminal-failure diagnostics — an RPC
-                            // reaches this at most once, not per event.
+                            // An RPC reaches this at most once.
                             message: format!(
                                 "rpc {:#x} to host {} failed after {} attempts ({})",
                                 info.first_rpc_id,

@@ -57,8 +57,8 @@ impl<T> Slab<T> {
     /// An empty slab.
     pub fn new() -> Self {
         Slab {
-            // alloc: the arena's own backing store; grows amortized, and
-            // slot recycling keeps it from growing at steady state.
+            // Grows amortized; slot recycling keeps it from growing at
+            // steady state.
             slots: Vec::new(),
             free_head: NIL,
             len: 0,

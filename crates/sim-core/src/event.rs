@@ -156,9 +156,9 @@ struct Calendar<E> {
 impl<E> Calendar<E> {
     fn new() -> Self {
         Calendar {
-            // alloc: ring construction, once per queue. Bucket vectors
-            // rotate through `cur` by swap and keep their capacity, so the
-            // steady state allocates only on high-water growth.
+            // Bucket vectors rotate through `cur` by swap and keep their
+            // capacity, so the steady state allocates only on high-water
+            // growth.
             buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
             occupied: [0; WORDS],
             base: 0,
@@ -298,10 +298,11 @@ impl<E> Calendar<E> {
     }
 }
 
-// One Backend lives per EventQueue (one per simulation), so the inline
-// Calendar ring header is fine — boxing it would only add a pointer chase
-// to the hot schedule/pop path.
-#[allow(clippy::large_enum_variant)]
+#[allow(
+    clippy::large_enum_variant,
+    reason = "one Backend per EventQueue, so the inline Calendar ring header is fine; \
+              boxing it would only add a pointer chase to the hot schedule/pop path"
+)]
 enum Backend<E> {
     Heap(BinaryHeap<Entry<E>>),
     Calendar(Calendar<E>),

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used)]
 
 //! Discrete-event simulation kernel used by the Aequitas reproduction.
 //!

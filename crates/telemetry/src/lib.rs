@@ -30,8 +30,7 @@ pub mod trace;
 pub use hist::LogLinearHistogram;
 pub use metrics::{labels, MetricId, MetricsRegistry};
 pub use trace::{
-    FlightRecorder, JsonlWriter, NodeKind, NullSink, TraceEvent, TraceSink,
-    TRACE_SCHEMA_FINGERPRINT, TRACE_SCHEMA_VERSION,
+    FlightRecorder, JsonlWriter, NodeKind, NullSink, TraceEvent, TraceSink, TRACE_SCHEMA_VERSION,
 };
 
 use aequitas_sim_core::{SimDuration, SimTime};

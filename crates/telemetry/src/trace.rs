@@ -19,20 +19,14 @@ use std::sync::{Arc, Mutex};
 /// a `trace_header` line (seq 0) carrying this number, and `aequitas-replay`
 /// refuses traces whose version it does not understand. Bump it whenever a
 /// [`TraceEvent`] variant or field is added, removed, renamed, or its
-/// serialized form changes — lint rule AQ013 cross-checks the enum layout
-/// against [`TRACE_SCHEMA_FINGERPRINT`] so silent drift fails `lint.sh`.
+/// serialized form changes. The committed golden stream
+/// (`tests/fixtures/trace_v2_golden.jsonl`) makes such a change visible: its
+/// event list must name every variant to compile, and the writer must
+/// reproduce it byte for byte.
 ///
 /// History: v1 = the headerless PR 2 format; v2 added the `trace_header` and
 /// `run_info` lines.
 pub const TRACE_SCHEMA_VERSION: u32 = 2;
-
-/// FNV-1a-64 fingerprint of the [`TraceEvent`] variant and field names, in
-/// declaration order. Maintained by lint rule AQ013: when the enum changes,
-/// the lint reports the newly computed value — bump
-/// [`TRACE_SCHEMA_VERSION`] and paste the new fingerprint here. Fields whose
-/// declaration line carries a `schema:` justification comment are excluded
-/// (the escape hatch for schema-neutral refactors).
-pub const TRACE_SCHEMA_FINGERPRINT: u64 = 0xdbe8_0412_4d2f_87e3;
 
 /// Which kind of node a packet event happened at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

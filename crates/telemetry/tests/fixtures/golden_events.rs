@@ -264,3 +264,33 @@ pub fn golden_events() -> Vec<(u64, u64, TraceEvent)> {
         })
         .collect()
 }
+
+/// Declaration-order index of `ev`'s variant. The `match` has no wildcard
+/// arm: a new `TraceEvent` variant does not compile until it is listed here,
+/// and `trace_golden.rs` then fails until [`golden_events`] (and with it the
+/// fixture) has its lines. A new or renamed field fails there too, as a
+/// byte difference from the fixture.
+#[allow(dead_code, reason = "only trace_golden.rs checks coverage")]
+pub fn variant_index(ev: &TraceEvent) -> usize {
+    match ev {
+        TraceEvent::TraceHeader { .. } => 0,
+        TraceEvent::RunInfo { .. } => 1,
+        TraceEvent::PktEnqueue { .. } => 2,
+        TraceEvent::PktDequeue { .. } => 3,
+        TraceEvent::PktDrop { .. } => 4,
+        TraceEvent::RpcIssue { .. } => 5,
+        TraceEvent::RpcComplete { .. } => 6,
+        TraceEvent::CwndUpdate { .. } => 7,
+        TraceEvent::Retransmit { .. } => 8,
+        TraceEvent::AdmitProb { .. } => 9,
+        TraceEvent::FaultLinkDown { .. } => 10,
+        TraceEvent::FaultLinkUp { .. } => 11,
+        TraceEvent::FaultPktDrop { .. } => 12,
+        TraceEvent::FaultQuotaOutage { .. } => 13,
+        TraceEvent::Warn { .. } => 14,
+    }
+}
+
+/// How many arms [`variant_index`] has.
+#[allow(dead_code, reason = "only trace_golden.rs checks coverage")]
+pub const VARIANTS: usize = 15;

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used)]
 
 //! Reliable message transport with Swift-like congestion control.
 //!
@@ -280,9 +281,8 @@ impl Transport {
                         now,
                         TraceEvent::Warn {
                             component: "transport".into(),
-                            // metric: terminal-failure diagnostics, not a
-                            // per-packet path — a message dies here at most
-                            // once, after exhausting its retry budget.
+                            // A message dies here at most once, after
+                            // exhausting its retry budget.
                             message: format!(
                                 "message {:#x} to host {} abandoned after {} retries",
                                 f.msg_id, f.flow.dst.0, self.config.max_retries

@@ -10,6 +10,8 @@
 //! Run with: `cargo run --release --example admissible_region`
 //! Optionally: `... -- <phi_h> <phi_m> <phi_l> <mu> <rho>`
 
+#![allow(clippy::print_stdout, reason = "an example prints its results")]
+
 use aequitas_analysis::{
     admissible_share_for_slo, fluid_delays, guaranteed_share, inversion_free, FluidSpec,
 };

@@ -10,6 +10,8 @@
 //!
 //! Run with: `cargo run --release --example multi_tenant_overload`
 
+#![allow(clippy::print_stdout, reason = "an example prints its results")]
+
 use aequitas_experiments::harness::{run_macro, MacroSetup, PolicyChoice};
 use aequitas_experiments::slo::slo_config_33;
 use aequitas_netsim::HostId;

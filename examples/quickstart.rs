@@ -7,6 +7,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+#![allow(clippy::print_stdout, reason = "an example prints its results")]
+
 use aequitas::{AequitasConfig, SloTarget};
 use aequitas_experiments::harness::{run_macro, MacroSetup, PolicyChoice};
 use aequitas_netsim::EngineConfig;

@@ -9,6 +9,8 @@
 //!
 //! Run with: `cargo run --release --example storage_cluster`
 
+#![allow(clippy::print_stdout, reason = "an example prints its results")]
+
 use aequitas_experiments::harness::{run_macro, MacroSetup, PolicyChoice};
 use aequitas_experiments::large::production_slo_config;
 use aequitas_rpc::{ArrivalProcess, Priority, PrioritySpec, TrafficPattern, WorkloadSpec};

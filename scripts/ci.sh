@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
-# CI gate: first-party lint + suppression-debt gate, release build, the
-# sharded engine's tests under a time limit, tier-1 tests, the simsan
-# (simulation sanitizer) test job, an overflow-checks +
-# simsan lane, a simsan determinism diff, clippy with
-# warnings denied, the benchmark's build + self-checks, and the telemetry +
-# replay + chaos smokes. Performance is not gated here: the merge gate runs
+# CI gate: first-party lint + suppression-debt gate, clippy with warnings
+# denied (it carries most of the static rules: DESIGN §8.1), release build,
+# the sharded engine's tests under a time limit, tier-1 tests, the simsan
+# (simulation sanitizer) test job, an overflow-checks + simsan lane, a
+# simsan determinism diff, the benchmark's build + self-checks, and the
+# telemetry + replay + chaos smokes. Performance is not gated here: the merge gate runs
 # BENCHMARK.json on the parent commit and on the change. The full-length fig11 invariance test is #[ignore]'d in-tree
 # (the quick probe covers thread/backend determinism); run
 # `cargo test -- --ignored` for the long variants.
@@ -15,6 +15,13 @@ cd "$(dirname "$0")/.."
 
 echo "== lint (aequitas-lint) =="
 scripts/lint.sh
+
+echo "== clippy =="
+# Before the long test steps: clippy carries seven of the static rules
+# (wall clock, RandomState, stdio, hot-path unwrap, reason-less allow,
+# todo, replay unwrap/expect), and rustc's `unsafe_code` deny is checked
+# by every build.
+cargo clippy -q --offline --all-targets -- -D warnings
 
 echo "== build (release) =="
 cargo build --release --offline
@@ -59,9 +66,6 @@ cargo run -q --offline -p aequitas-experiments --features simsan --example quick
     > target/simsan-diff-on.txt
 diff target/simsan-diff-off.txt target/simsan-diff-on.txt \
     || { echo "simsan perturbed simulation results"; exit 1; }
-
-echo "== clippy =="
-cargo clippy -q --offline --all-targets -- -D warnings
 
 echo "== benchmark (build + self-check) =="
 # benchmark/ is a workspace of its own (BENCHMARK.json runs it from a fresh

@@ -1,18 +1,32 @@
 //! "Allocation-free" as an exact count, not a timing: a counting global
-//! allocator around the two sides of the trace path. Deterministic, so it
-//! cannot flake on a loaded sandbox the way a nanosecond budget does.
+//! allocator around the trace path and the simulator's per-packet path.
+//! Deterministic, so it cannot flake on a loaded sandbox the way a
+//! nanosecond budget does.
 //!
 //! * Writer: after warm-up, `Telemetry::emit` into `NullSink` allocates
 //!   nothing for any variant without a `String` field.
 //! * Reader: `Reconstruction::from_reader` allocates only as its
 //!   reconstructed state grows (amortised doubling), never per line.
+//! * Fabric: after warm-up, event queue, ports, qdiscs and FIB allocate
+//!   only on high-water `Vec` growth, far below one per packet.
+//! * Full stack: transport, RPC stack, admission control and telemetry
+//!   allocate a small constant per RPC, never per packet.
 
 #[path = "../crates/telemetry/tests/fixtures/golden_events.rs"]
 mod golden_events;
 
+use aequitas::{AequitasConfig, SloTarget};
+use aequitas_experiments::harness::{self, MacroSetup, PolicyChoice};
+use aequitas_experiments::slo;
+use aequitas_netsim::{
+    Engine, EngineConfig, FlowKey, HostAgent, HostCtx, HostId, LinkSpec, Packet, PacketKind,
+    Topology,
+};
 use aequitas_replay::Reconstruction;
-use aequitas_sim_core::SimTime;
+use aequitas_rpc::WorkloadHost;
+use aequitas_sim_core::{SimDuration, SimRng, SimTime};
 use aequitas_telemetry::{NodeKind, NullSink, Telemetry, TelemetryConfig, TraceEvent};
+use aequitas_workloads::SizeDist;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -40,6 +54,7 @@ impl Counting {
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the only addition is a thread-local
 // counter bump that neither allocates nor unwinds.
+#[allow(unsafe_code, reason = "a counting allocator implements the unsafe GlobalAlloc trait")]
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         Counting::count();
@@ -215,4 +230,123 @@ fn reconstruction_allocates_per_growth_not_per_line() {
     // And building the state from nothing stays within a few per port,
     // class and channel doubling: under one per 50 lines at this size.
     assert!(first * 50 < LINES as u64, "{first} allocations for {LINES} lines");
+}
+
+/// Hosts on the star both allocation runs below use.
+const STAR: usize = 33;
+/// One MTU of payload plus the header.
+const PKT_BYTES: u32 = 4096 + aequitas_netsim::packet::HEADER_BYTES;
+
+/// An open-loop Poisson source of full-MTU packets, rotating over every
+/// other host, and a sink that only counts: no transport and no RPC stack,
+/// so whatever allocates is the fabric.
+struct Blaster {
+    host: usize,
+    rng: SimRng,
+    gap: SimDuration,
+    next_send: SimTime,
+    sent: u64,
+}
+
+impl HostAgent for Blaster {
+    fn on_start(&mut self, ctx: &mut HostCtx) {
+        self.on_timer(ctx, 0);
+    }
+
+    fn on_packet(&mut self, _: &mut HostCtx, _: Packet) {}
+
+    fn on_timer(&mut self, ctx: &mut HostCtx, _: u64) {
+        if ctx.now() > SimTime::ZERO {
+            self.sent += 1;
+            let id = (self.host as u64) << 40 | self.sent;
+            ctx.send(Packet {
+                id,
+                flow: FlowKey {
+                    src: HostId(self.host),
+                    dst: HostId((self.host + 1 + self.sent as usize % (STAR - 1)) % STAR),
+                    class: self.rng.weighted_index(&[0.6, 0.3, 0.1]) as u8,
+                },
+                size_bytes: PKT_BYTES,
+                kind: PacketKind::Data { msg_id: id, seq: 0, is_last: true },
+                sent_at: ctx.now(),
+                rank: 0,
+            });
+        }
+        self.next_send += self.rng.exp_duration(self.gap);
+        ctx.set_timer(self.next_send, 0);
+    }
+}
+
+/// The 33-host star at 0.8 load on WFQ 8:4:1 with no host stack: after a
+/// warm-up, what allocates is `Vec` growth to a new high-water mark: ~0.3
+/// per 1 000 events over 3.2 M of them. One allocation per packet would be
+/// one per ~5 events.
+#[test]
+fn fabric_allocates_per_growth_not_per_packet() {
+    let topo = Topology::star(STAR, LinkSpec::default_100g());
+    let gap = topo.host_ports[0].link.rate.serialize_time(PKT_BYTES.into()).mul_f64(1.0 / 0.8);
+    let blasters = (0..STAR)
+        .map(|host| Blaster {
+            host,
+            rng: SimRng::new(2022 ^ (host as u64) << 8),
+            gap,
+            next_send: SimTime::ZERO,
+            sent: 0,
+        })
+        .collect();
+    let mut engine = Engine::new(topo, blasters, EngineConfig::default_3qos());
+    engine.run_until(SimTime::from_ms(4));
+    let (events, before) = (engine.events_processed(), allocs());
+    engine.run_until(SimTime::from_ms(12));
+    let (events, spent) = (engine.events_processed() - events, allocs() - before);
+    assert!(events > 2_000_000, "{events} events");
+    assert!(
+        spent * 1000 < events,
+        "{spent} allocations in {events} events: the fabric allocates per packet"
+    );
+}
+
+/// Allocations per issued RPC on the star33 run of `bytes`-sized RPCs, with
+/// every layer on (Swift transport, RPC stack, Algorithm 1, telemetry into a
+/// `NullSink`), counted over `[warm, end)`.
+fn allocs_per_rpc(bytes: u64, warm: SimTime, end: SimTime) -> f64 {
+    let mut setup = MacroSetup::star_3qos(STAR);
+    setup.policy = PolicyChoice::Aequitas(AequitasConfig::three_qos(
+        SloTarget::absolute(SimDuration::from_us(15), bytes.div_ceil(4096), 99.9),
+        SloTarget::absolute(SimDuration::from_us(25), bytes.div_ceil(4096), 99.9),
+    ));
+    for w in &mut setup.workloads {
+        let mut spec = slo::node33_workload([0.6, 0.3, 0.1], None);
+        for class in &mut spec.classes {
+            class.sizes = SizeDist::Fixed(bytes);
+        }
+        *w = Some(spec);
+    }
+    setup.telemetry = Telemetry::with_sink(NullSink, TelemetryConfig::default());
+    let mut engine = harness::build_engine(setup);
+    let issued =
+        |engine: &Engine<WorkloadHost>| engine.agents().iter().map(|h| h.issued()).sum::<u64>();
+    engine.run_until(warm);
+    let (rpcs, before) = (issued(&engine), allocs());
+    engine.run_until(end);
+    let (rpcs, spent) = (issued(&engine) - rpcs, allocs() - before);
+    assert!(rpcs > 1000, "{rpcs} RPCs");
+    spent as f64 / rpcs as f64
+}
+
+/// A 32 KB RPC is 8 packets out and 8 ACKs back: one allocation per packet
+/// would add at least 16 per RPC to the 3.0 the RPC itself costs.
+#[test]
+fn a_multi_packet_rpc_allocates_per_rpc_not_per_packet() {
+    let per_rpc = allocs_per_rpc(32_768, SimTime::from_ms(1), SimTime::from_ms(3));
+    assert!(per_rpc < 4.0, "{per_rpc:.3} allocations per 32 KB RPC");
+}
+
+/// One-packet RPCs: the per-RPC layers (RPC stack, Algorithm 1, workload
+/// generator) run once per ~9 events here, and still cost 3.0 allocations
+/// per RPC.
+#[test]
+fn a_one_packet_rpc_allocates_a_small_constant() {
+    let per_rpc = allocs_per_rpc(1024, SimTime::from_us(250), SimTime::from_us(750));
+    assert!(per_rpc < 4.0, "{per_rpc:.3} allocations per 1 KB RPC");
 }
