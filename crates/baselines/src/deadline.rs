@@ -20,7 +20,9 @@
 //! allocation the receiver computes is the one the bottleneck router would
 //! have computed.
 
-use crate::reliable::{ack_packet, BaselineHost, OutMsg, PacketIds, Sender, ARRIVAL_TIMER};
+use crate::reliable::{
+    ack_packet, BaselineHost, FlowTable, OutMsg, PacketIds, Sender, ARRIVAL_TIMER,
+};
 use crate::workgen::WorkloadGen;
 use crate::BaselineCompletion;
 use aequitas_netsim::{
@@ -28,7 +30,6 @@ use aequitas_netsim::{
 };
 use aequitas_sim_core::{BitRate, SimDuration, SimTime};
 use aequitas_workloads::Priority;
-use std::collections::BTreeMap;
 
 const RETX_TIMER: u64 = 2;
 const PUMP_TIMER: u64 = 3;
@@ -97,9 +98,44 @@ struct PaceState {
 struct OutFlow {
     msg: OutMsg,
     pace: PaceState,
+    /// The first instant at which the unsent bytes miss the deadline even
+    /// at line rate ([`doomed_at`]); `SimTime::MAX` when they
+    /// cannot. Changes only when a new segment goes out.
+    doomed_at: SimTime,
+    /// The pump has nothing to do for this flow before this instant unless
+    /// an ACK or a grant for it arrives first (which resets it to zero):
+    /// see [`OutFlow::quiet_until`].
+    quiet_until: SimTime,
+}
+
+/// The first instant `now` at which `now + ser(unsent) > deadline` at
+/// `line_rate`, i.e. `(deadline + 1 ps) - ser(unsent)` saturating at zero;
+/// `SimTime::MAX` when nothing is unsent or there is no deadline.
+fn doomed_at(msg: &OutMsg, line_rate: BitRate) -> SimTime {
+    match msg.deadline {
+        Some(d) if msg.unsent_bytes() > 0 => SimTime::from_ps(
+            d.as_ps()
+                .saturating_add(1)
+                .saturating_sub(line_rate.serialize_time(msg.unsent_bytes()).as_ps()),
+        ),
+        _ => SimTime::MAX,
+    }
 }
 
 impl OutFlow {
+    /// When the pump next has work for this flow, as its state stands:
+    /// at once while it may send, else at its termination or its next rate
+    /// refresh. Only an ACK (in flight), a grant (rate) or the pump itself
+    /// changes what the pump would do for a flow that may not send.
+    fn quiet_until(&self, req_interval: SimDuration, max_inflight: usize) -> SimTime {
+        let (msg, pace) = (&self.msg, &self.pace);
+        if !msg.fully_sent() && msg.inflight() < max_inflight && pace.rate_bps != 0 {
+            SimTime::ZERO
+        } else {
+            self.doomed_at.min(pace.last_req + req_interval)
+        }
+    }
+
     /// Ask the receiver for a rate: remaining bytes and deadline.
     fn rate_request(&mut self, ids: &mut PacketIds, ctx: &mut HostCtx) {
         let now = ctx.now();
@@ -120,10 +156,10 @@ pub struct DeadlineHost {
     line_rate: BitRate,
     tx: Sender,
     /// Messages being sent, by id: every walk is in id order.
-    msgs: BTreeMap<u64, OutFlow>,
+    msgs: FlowTable<u64, OutFlow>,
     /// Receiver-side allocator state, by (src, msg_id): grants go out in
     /// key order.
-    inflows: BTreeMap<(usize, u64), InFlow>,
+    inflows: FlowTable<(usize, u64), InFlow>,
     inflow_seq: u64,
     /// Allocator scratch, reused across rate requests: the grant of each
     /// inflow by its position in key order, and D3's (arrival_seq,
@@ -151,8 +187,8 @@ impl DeadlineHost {
             mode,
             line_rate,
             tx: Sender::new(host, gen),
-            msgs: BTreeMap::new(),
-            inflows: BTreeMap::new(),
+            msgs: FlowTable::new(),
+            inflows: FlowTable::new(),
             inflow_seq: 0,
             grants: Vec::new(),
             arrival_order: Vec::new(),
@@ -177,8 +213,11 @@ impl DeadlineHost {
         let now = ctx.now();
         if let Some((id, rpc)) = self.tx.due(now) {
             let deadline = deadline_for(rpc.priority).map(|d| now + d);
+            let msg = OutMsg::new(id, &rpc, self.mtu, now, deadline);
             let mut flow = OutFlow {
-                msg: OutMsg::new(id, &rpc, self.mtu, now, deadline),
+                doomed_at: doomed_at(&msg, self.line_rate),
+                quiet_until: SimTime::ZERO,
+                msg,
                 pace: PaceState {
                     rate_bps: 0,
                     next_allowed: now,
@@ -293,7 +332,7 @@ impl DeadlineHost {
             for (at, &key) in self.inflows.keys().enumerate() {
                 send(at, key);
             }
-        } else if let Some(at) = self.inflows.keys().position(|&k| k == (requester, msg_id)) {
+        } else if let Ok(at) = self.inflows.position(&(requester, msg_id)) {
             send(at, (requester, msg_id));
         }
     }
@@ -312,20 +351,16 @@ impl DeadlineHost {
         let (line_rate, req_interval, max_inflight) =
             (self.line_rate, self.req_interval, self.max_inflight);
         msgs.retain(|&id, flow| {
+            if now < flow.quiet_until {
+                return true;
+            }
             let msg = &flow.msg;
             // Termination check: infeasible even at line rate? Only the
             // bytes not yet transmitted count — in-flight segments are
             // already paid for (their ACKs may be microseconds away), and
             // "better never than late" exists to stop *future* transmission,
             // not to discard flows whose last packet is on the wire.
-            let infeasible = match msg.deadline {
-                Some(d) => {
-                    let unsent = msg.unsent_bytes();
-                    unsent > 0 && now + line_rate.serialize_time(unsent) > d
-                }
-                None => false,
-            };
-            if infeasible && !msg.done() {
+            if now >= flow.doomed_at && !msg.done() {
                 tx.completions.push(msg.completion(now, true));
                 ctx.send(tx.ids.ctrl(msg.dst, CTRL_FLOW_END, id, 0, now));
                 return false;
@@ -334,7 +369,13 @@ impl DeadlineHost {
             if now.saturating_since(flow.pace.last_req) >= req_interval {
                 flow.rate_request(&mut tx.ids, ctx);
             }
-            let OutFlow { msg, pace } = flow;
+            let OutFlow {
+                msg,
+                pace,
+                doomed_at: doomed,
+                ..
+            } = flow;
+            let next_seg = msg.next_seg;
             // Paced transmission: release every due packet; the token clock
             // (`next_allowed`) advances by the granted-rate serialization
             // time per packet, and a precise wakeup is armed for the next
@@ -357,6 +398,10 @@ impl DeadlineHost {
                 ctx.send(pkt);
                 pace.next_allowed = pace.next_allowed.max(now) + gap;
             }
+            if msg.next_seg != next_seg {
+                *doomed = doomed_at(msg, line_rate);
+            }
+            flow.quiet_until = flow.quiet_until(req_interval, max_inflight);
             true
         });
         self.arm_pump(ctx);
@@ -404,6 +449,7 @@ impl HostAgent for DeadlineHost {
             PacketKind::Ack { msg_id, seq, .. } => {
                 if let Some(flow) = self.msgs.get_mut(&msg_id) {
                     flow.msg.on_ack(seq);
+                    flow.quiet_until = SimTime::ZERO;
                     if flow.msg.done() {
                         let done = self.msgs.remove(&msg_id).expect("msg exists").msg;
                         self.tx.completions.push(done.completion(now, false));
@@ -422,13 +468,11 @@ impl HostAgent for DeadlineHost {
                     };
                     let remaining = b >> 1;
                     let seq = self.inflow_seq;
-                    let entry = self.inflows.entry(key).or_insert_with(|| {
-                        InFlow {
-                            arrival_seq: seq,
-                            deadline,
-                            remaining_bytes: remaining,
-                            last_heard: now,
-                        }
+                    let entry = self.inflows.get_or_insert_with(key, || InFlow {
+                        arrival_seq: seq,
+                        deadline,
+                        remaining_bytes: remaining,
+                        last_heard: now,
                     });
                     if entry.arrival_seq == seq {
                         self.inflow_seq += 1;
@@ -440,6 +484,7 @@ impl HostAgent for DeadlineHost {
                 CTRL_RATE_GRANT => {
                     if let Some(flow) = self.msgs.get_mut(&a) {
                         flow.pace.rate_bps = b;
+                        flow.quiet_until = SimTime::ZERO;
                     }
                     self.pump(ctx);
                 }
@@ -472,12 +517,12 @@ impl HostAgent for DeadlineHost {
                 self.retx_armed = false;
                 let now = ctx.now();
                 // Resends leave in (msg id, seq) order.
+                let ids = &mut self.tx.ids;
                 for flow in self.msgs.values_mut() {
-                    for seq in flow.msg.expired(now, self.rto) {
-                        let pkt = flow.msg.data_packet(self.tx.ids.next_id(), seq, 0, now, self.tx.ids.host);
-                        flow.msg.mark_sent(seq, now);
-                        ctx.send(pkt);
-                    }
+                    flow.msg.resend_expired(now, self.rto, |msg, seq| {
+                        ctx.send(msg.data_packet(ids.next_id(), seq, 0, now, ids.host));
+                        true
+                    });
                 }
                 self.arm_retx(ctx);
             }

@@ -14,14 +14,13 @@
 //! Loss recovery is go-back-N from the receiver's cumulative received count
 //! (grants carry it), which is sufficient at the simulated buffer sizes.
 
-use crate::reliable::{BaselineHost, Sender, ARRIVAL_TIMER};
+use crate::reliable::{BaselineHost, FlowTable, Sender, ARRIVAL_TIMER};
 use crate::workgen::WorkloadGen;
 use crate::BaselineCompletion;
 use aequitas_netsim::{
     EngineConfig, FlowKey, HostAgent, HostCtx, HostId, Packet, PacketKind, QueueKind, SchedulerKind,
 };
 use aequitas_sim_core::{SimDuration, SimTime};
-use std::collections::{HashMap, HashSet};
 
 const RETX_TIMER: u64 = 2;
 
@@ -64,6 +63,7 @@ fn unscheduled_priority(total_segs: u32) -> u8 {
 }
 
 struct OutHoma {
+    msg_id: u64,
     dst: HostId,
     qos: u8, // original bijective class, for scoring only
     priority: aequitas_workloads::Priority,
@@ -77,18 +77,66 @@ struct OutHoma {
     last_progress: SimTime,
 }
 
+impl OutHoma {
+    /// Data packet `seq` from `src` on fabric level `prio`.
+    fn data_packet(&self, id: u64, seq: u32, prio: u8, src: HostId, now: SimTime) -> Packet {
+        let total = self.total_segs;
+        let payload = if seq + 1 < total {
+            4096
+        } else {
+            (self.size_bytes - (total as u64 - 1) * 4096).max(1) as u32
+        };
+        Packet {
+            id,
+            flow: FlowKey {
+                src,
+                dst: self.dst,
+                class: prio,
+            },
+            size_bytes: payload + aequitas_netsim::packet::HEADER_BYTES,
+            kind: PacketKind::Data {
+                msg_id: self.msg_id,
+                seq,
+                is_last: seq + 1 == total,
+            },
+            sent_at: now,
+            // Data packets carry the message's total segment count so the
+            // receiver can size its grant state (Homa's header field).
+            rank: total as u64,
+        }
+    }
+}
+
 struct InHoma {
     total_segs: u32,
-    received: HashSet<u32>,
+    /// One bit per segment seq that has arrived.
+    received: Vec<u64>,
+    received_count: u32,
     granted_upto: u32,
     remaining_segs: u32,
+}
+
+impl InHoma {
+    /// Record the arrival of `seq`; returns `true` the first time.
+    fn receive(&mut self, seq: u32) -> bool {
+        let (word, bit) = ((seq / 64) as usize, 1u64 << (seq % 64));
+        if word >= self.received.len() {
+            self.received.resize(word + 1, 0);
+        }
+        let fresh = self.received[word] & bit == 0;
+        self.received[word] |= bit;
+        self.received_count += fresh as u32;
+        fresh
+    }
 }
 
 /// A Homa host.
 pub struct HomaHost {
     tx: Sender,
-    out: HashMap<u64, OutHoma>,
-    inc: HashMap<(usize, u64), InHoma>,
+    /// Outgoing messages, by id.
+    out: FlowTable<u64, OutHoma>,
+    /// Incoming messages, by (src, msg_id).
+    inc: FlowTable<(usize, u64), InHoma>,
     mtu: u64,
     rto: SimDuration,
     retx_armed: bool,
@@ -99,8 +147,8 @@ impl HomaHost {
     pub fn new(host: HostId, gen: Option<WorkloadGen>) -> Self {
         HomaHost {
             tx: Sender::new(host, gen),
-            out: HashMap::new(), // det: stalled-scan collects then sorts; otherwise keyed
-            inc: HashMap::new(), // det: regrant() sorts by (remaining, key); otherwise keyed
+            out: FlowTable::new(),
+            inc: FlowTable::new(),
             mtu: 4096,
             rto: SimDuration::from_us(500),
             retx_armed: false,
@@ -112,66 +160,31 @@ impl HomaHost {
         self.tx.completions()
     }
 
-    fn send_data(&mut self, ctx: &mut HostCtx, msg_id: u64, seq: u32, prio: u8) {
-        let id = self.tx.ids.next_id();
-        let m = self.out.get_mut(&msg_id).expect("message exists");
-        let pkt = Packet {
-            id,
-            flow: FlowKey {
-                src: ctx.host(),
-                dst: m.dst,
-                class: prio,
-            },
-            size_bytes: {
-                let total = m.total_segs;
-                let sz = if seq + 1 < total {
-                    4096
-                } else {
-                    (m.size_bytes - (total as u64 - 1) * 4096).max(1) as u32
-                };
-                sz + aequitas_netsim::packet::HEADER_BYTES
-            },
-            kind: PacketKind::Data {
-                msg_id,
-                seq,
-                is_last: seq + 1 == m.total_segs,
-            },
-            sent_at: ctx.now(),
-            // Data packets carry the message's total segment count so the
-            // receiver can size its grant state (Homa's header field).
-            rank: m.total_segs as u64,
-        };
-        ctx.send(pkt);
-    }
-
     fn fire_arrival(&mut self, ctx: &mut HostCtx) {
-        if let Some((id, rpc)) = self.tx.due(ctx.now()) {
+        let now = ctx.now();
+        if let Some((id, rpc)) = self.tx.due(now) {
             let total = rpc.size_bytes.div_ceil(self.mtu).max(1) as u32;
             let uns = unscheduled_priority(total);
-            self.out.insert(
-                id,
-                OutHoma {
-                    dst: HostId(rpc.dst),
-                    qos: rpc.qos,
-                    priority: rpc.priority,
-                    size_bytes: rpc.size_bytes,
-                    total_segs: total,
-                    sent_upto: 0,
-                    granted_upto: total.min(UNSCHEDULED_SEGS),
-                    confirmed: 0,
-                    sched_prio: uns,
-                    issued_at: ctx.now(),
-                    last_progress: ctx.now(),
-                },
-            );
             // Blast the unscheduled window.
             let first = total.min(UNSCHEDULED_SEGS);
+            let m = OutHoma {
+                msg_id: id,
+                dst: HostId(rpc.dst),
+                qos: rpc.qos,
+                priority: rpc.priority,
+                size_bytes: rpc.size_bytes,
+                total_segs: total,
+                sent_upto: first,
+                granted_upto: first,
+                confirmed: 0,
+                sched_prio: uns,
+                issued_at: now,
+                last_progress: now,
+            };
             for seq in 0..first {
-                self.send_data(ctx, id, seq, uns);
+                ctx.send(m.data_packet(self.tx.ids.next_id(), seq, uns, ctx.host(), now));
             }
-            if let Some(m) = self.out.get_mut(&id) {
-                m.sent_upto = first;
-            }
+            self.out.insert(id, m);
             self.tx.schedule_arrival(ctx);
         }
         self.arm_retx(ctx);
@@ -182,18 +195,26 @@ impl HomaHost {
     /// ahead of what has arrived. Paused messages receive no grants until
     /// they enter the top set.
     fn regrant(&mut self, ctx: &mut HostCtx) {
-        let mut order: Vec<((usize, u64), u32, u32, u32)> = self
-            .inc
-            .iter() // det: collected then sorted by the total key (remaining, k)
-            .map(|(&k, m)| (k, m.remaining_segs, m.received.len() as u32, m.total_segs))
-            .collect();
-        order.sort_by_key(|&(k, remaining, _, _)| (remaining, k));
-        for (rank, &(key, _, received, total)) in
-            order.iter().take(GRANT_OVERCOMMIT).enumerate()
-        {
+        // The top messages by (remaining, key), ascending, with their
+        // positions in `inc`: one pass, ranks are total (keys are unique).
+        let mut top = [None; GRANT_OVERCOMMIT];
+        for (at, (&key, m)) in self.inc.iter().enumerate() {
+            let mut candidate = ((m.remaining_segs, key), at);
+            for held in &mut top {
+                if held.is_some_and(|h| h < candidate) {
+                    continue;
+                }
+                match held.replace(candidate) {
+                    Some(bumped) => candidate = bumped,
+                    None => break,
+                }
+            }
+        }
+        for (rank, ((_, key), at)) in top.into_iter().flatten().enumerate() {
             let prio = (1 + rank.min(HOMA_PRIORITIES - 2)) as u8;
-            let target = (received + UNSCHEDULED_SEGS).min(total);
-            let entry = self.inc.get_mut(&key).expect("ranked message exists");
+            let (_, entry) = self.inc.at_mut(at);
+            let received = entry.received_count;
+            let target = (received + UNSCHEDULED_SEGS).min(entry.total_segs);
             if target > entry.granted_upto {
                 entry.granted_upto = target;
                 let b = target as u64 | (prio as u64) << 16 | (received as u64) << 32;
@@ -227,17 +248,18 @@ impl HostAgent for HomaHost {
             PacketKind::Data { msg_id, seq, .. } => {
                 let key = (pkt.src().0, msg_id);
                 let total = pkt.rank as u32;
-                let entry = self.inc.entry(key).or_insert_with(|| InHoma {
+                let entry = self.inc.get_or_insert_with(key, || InHoma {
                     total_segs: total,
-                    received: HashSet::new(), // det: membership/len only, never iterated
+                    received: vec![0; total.div_ceil(64) as usize],
+                    received_count: 0,
                     granted_upto: total.min(UNSCHEDULED_SEGS),
                     remaining_segs: total,
                 });
-                if entry.received.insert(seq) {
-                    entry.remaining_segs = entry.total_segs - entry.received.len() as u32;
+                if entry.receive(seq) {
+                    entry.remaining_segs = entry.total_segs - entry.received_count;
                 }
                 let done = entry.remaining_segs == 0;
-                let received_count = entry.received.len() as u32;
+                let received_count = entry.received_count;
                 if done {
                     self.inc.remove(&key);
                     let b = received_count as u64;
@@ -252,21 +274,19 @@ impl HostAgent for HomaHost {
                     let granted = (b & 0xFFFF) as u32;
                     let prio = ((b >> 16) & 0xFF) as u8;
                     let confirmed = (b >> 32) as u32;
-                    let (to_send, sp) = {
-                        let Some(m) = self.out.get_mut(&a) else {
-                            return;
-                        };
-                        m.granted_upto = m.granted_upto.max(granted);
-                        m.sched_prio = prio.clamp(1, (HOMA_PRIORITIES - 1) as u8);
-                        m.confirmed = m.confirmed.max(confirmed);
-                        m.last_progress = now;
-                        let from = m.sent_upto;
-                        let to = m.granted_upto.min(m.total_segs);
-                        m.sent_upto = m.sent_upto.max(to);
-                        ((from..to).collect::<Vec<u32>>(), m.sched_prio)
+                    let Some(m) = self.out.get_mut(&a) else {
+                        return;
                     };
-                    for seq in to_send {
-                        self.send_data(ctx, a, seq, sp);
+                    m.granted_upto = m.granted_upto.max(granted);
+                    m.sched_prio = prio.clamp(1, (HOMA_PRIORITIES - 1) as u8);
+                    m.confirmed = m.confirmed.max(confirmed);
+                    m.last_progress = now;
+                    let from = m.sent_upto;
+                    let to = m.granted_upto.min(m.total_segs);
+                    m.sent_upto = m.sent_upto.max(to);
+                    let (src, prio) = (ctx.host(), m.sched_prio);
+                    for seq in from..to {
+                        ctx.send(m.data_packet(self.tx.ids.next_id(), seq, prio, src, now));
                     }
                 }
                 CTRL_DONE => {
@@ -294,26 +314,16 @@ impl HostAgent for HomaHost {
                 self.retx_armed = false;
                 let now = ctx.now();
                 // Go-back-N: any message with no progress for an RTO resends
-                // everything past the receiver's confirmed count.
-                let stalled: Vec<u64> = self
-                    .out
-                    .iter() // det: only fills `stalled`, sorted before use
-                    .filter(|(_, m)| {
-                        now.saturating_since(m.last_progress) >= self.rto
-                            && m.sent_upto >= m.granted_upto.min(m.total_segs)
-                    })
-                    .map(|(&id, _)| id)
-                    .collect();
-                let mut stalled = stalled;
-                stalled.sort_unstable();
-                for id in stalled {
-                    let (from, to, prio) = {
-                        let m = self.out.get_mut(&id).expect("msg exists");
-                        m.last_progress = now;
-                        (m.confirmed, m.sent_upto.min(m.granted_upto), m.sched_prio)
-                    };
-                    for seq in from..to {
-                        self.send_data(ctx, id, seq, prio);
+                // everything past the receiver's confirmed count, in id order.
+                let stalled = self.out.values_mut().filter(|m| {
+                    now.saturating_since(m.last_progress) >= self.rto
+                        && m.sent_upto >= m.granted_upto.min(m.total_segs)
+                });
+                let src = ctx.host();
+                for m in stalled {
+                    m.last_progress = now;
+                    for seq in m.confirmed..m.sent_upto.min(m.granted_upto) {
+                        ctx.send(m.data_packet(self.tx.ids.next_id(), seq, m.sched_prio, src, now));
                     }
                 }
                 self.arm_retx(ctx);

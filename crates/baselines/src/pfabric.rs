@@ -13,14 +13,13 @@
 //! The known failure mode the paper exercises (Fig. 22): SLO-unaware SRPT
 //! starves large RPCs regardless of their priority class.
 
-use crate::reliable::{ack_packet, BaselineHost, OutMsg, Sender, ARRIVAL_TIMER};
+use crate::reliable::{ack_packet, BaselineHost, FlowTable, OutMsg, Sender, ARRIVAL_TIMER};
 use crate::workgen::WorkloadGen;
 use crate::BaselineCompletion;
 use aequitas_netsim::{
     EngineConfig, HostAgent, HostCtx, HostId, Packet, PacketKind, QueueKind, SchedulerKind,
 };
 use aequitas_sim_core::SimDuration;
-use std::collections::HashMap;
 
 const RETX_TIMER: u64 = 2;
 
@@ -42,7 +41,10 @@ pub fn engine_config() -> EngineConfig {
 /// A pFabric host.
 pub struct PfabricHost {
     tx: Sender,
-    msgs: HashMap<u64, OutMsg>,
+    /// Messages being sent, by id.
+    msgs: FlowTable<u64, OutMsg>,
+    /// Outstanding segments summed over `msgs`.
+    inflight: usize,
     window: usize,
     rto: SimDuration,
     mtu: u64,
@@ -54,8 +56,8 @@ impl PfabricHost {
     pub fn new(host: HostId, gen: Option<WorkloadGen>) -> Self {
         PfabricHost {
             tx: Sender::new(host, gen),
-            // det: iterations use min_by_key with id tiebreak or collect-and-sort
-            msgs: HashMap::new(),
+            msgs: FlowTable::new(),
+            inflight: 0,
             window: 12, // ~1 BDP of MTU packets at 100 Gbps, 4 us RTT
             rto: SimDuration::from_us(300),
             mtu: 4096,
@@ -82,17 +84,12 @@ impl PfabricHost {
     /// smallest-remaining message first, up to `window` outstanding packets
     /// per host.
     fn pump(&mut self, ctx: &mut HostCtx) {
-        loop {
-            // det: integer sum is order-independent.
-            let inflight: usize = self.msgs.values().map(|m| m.inflight()).sum();
-            if inflight >= self.window {
-                return;
-            }
+        while self.inflight < self.window {
             // Pick the unsent-segment message with the smallest remaining
             // bytes (ties by id for determinism).
             let Some((&id, _)) = self
                 .msgs
-                .iter() // det: min_by_key ties broken by id below
+                .iter()
                 .filter(|(_, m)| !m.fully_sent())
                 .min_by_key(|(&id, m)| (m.remaining_bytes(), id))
             else {
@@ -105,13 +102,15 @@ impl PfabricHost {
             let rank = msg.remaining_bytes();
             let pkt = msg.data_packet(pkt_id, seq, rank, now, self.tx.ids.host);
             msg.mark_sent(seq, now);
+            self.inflight += 1;
             ctx.send(pkt);
         }
     }
 
     fn arm_retx(&mut self, ctx: &mut HostCtx) {
-        // det: `any` over a pure predicate is order-independent.
-        if !self.retx_armed && self.msgs.values().any(|m| m.inflight() > 0 || !m.fully_sent()) {
+        // A message leaves `msgs` on its last ACK; until then it has a
+        // segment in flight or one never sent.
+        if !self.retx_armed && !self.msgs.is_empty() {
             self.retx_armed = true;
             ctx.set_timer(ctx.now() + self.rto / 2, RETX_TIMER);
         }
@@ -137,7 +136,9 @@ impl HostAgent for PfabricHost {
             }
             PacketKind::Ack { msg_id, seq, .. } => {
                 if let Some(msg) = self.msgs.get_mut(&msg_id) {
-                    msg.on_ack(seq);
+                    if msg.on_ack(seq) {
+                        self.inflight -= 1;
+                    }
                     if msg.done() {
                         let done = self.msgs.remove(&msg_id).expect("msg exists");
                         self.tx.completions.push(done.completion(ctx.now(), false));
@@ -155,22 +156,14 @@ impl HostAgent for PfabricHost {
             RETX_TIMER => {
                 self.retx_armed = false;
                 let now = ctx.now();
-                let mut resend: Vec<(u64, u32)> = Vec::new();
-                // det: iteration only fills `resend`, which is sorted
-                // before any side effect.
-                for (&id, msg) in &self.msgs {
-                    for seq in msg.expired(now, self.rto) {
-                        resend.push((id, seq));
-                    }
-                }
-                resend.sort_unstable();
-                for (id, seq) in resend {
-                    let pkt_id = self.tx.ids.next_id();
-                    let msg = self.msgs.get_mut(&id).expect("msg exists");
-                    let rank = msg.remaining_bytes();
-                    let pkt = msg.data_packet(pkt_id, seq, rank, now, self.tx.ids.host);
-                    msg.mark_sent(seq, now);
-                    ctx.send(pkt);
+                // Resends leave in (msg id, seq) order.
+                let ids = &mut self.tx.ids;
+                for msg in self.msgs.values_mut() {
+                    msg.resend_expired(now, self.rto, |msg, seq| {
+                        let rank = msg.remaining_bytes();
+                        ctx.send(msg.data_packet(ids.next_id(), seq, rank, now, ids.host));
+                        true
+                    });
                 }
                 self.pump(ctx);
                 self.arm_retx(ctx);

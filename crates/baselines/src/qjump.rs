@@ -8,14 +8,14 @@
 //! application offers more than its throttle, which is what the paper's
 //! comparison (Fig. 22) exercises.
 
-use crate::reliable::{ack_packet, BaselineHost, OutMsg, Sender, ARRIVAL_TIMER};
+use crate::reliable::{ack_packet, BaselineHost, FlowTable, OutMsg, Sender, ARRIVAL_TIMER};
 use crate::workgen::WorkloadGen;
 use crate::BaselineCompletion;
 use aequitas_netsim::{
     EngineConfig, HostAgent, HostCtx, HostId, Packet, PacketKind, QueueKind, SchedulerKind,
 };
 use aequitas_sim_core::{BitRate, SimDuration, SimTime};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 const RETX_TIMER: u64 = 2;
 const PACE_TIMER_BASE: u64 = 16;
@@ -50,7 +50,8 @@ struct ClassQueue {
 /// A QJump host.
 pub struct QjumpHost {
     tx: Sender,
-    msgs: HashMap<u64, OutMsg>,
+    /// Messages being sent, by id.
+    msgs: FlowTable<u64, OutMsg>,
     classes: Vec<ClassQueue>,
     rto: SimDuration,
     mtu: u64,
@@ -71,7 +72,7 @@ impl QjumpHost {
             .collect();
         QjumpHost {
             tx: Sender::new(host, gen),
-            msgs: HashMap::new(), // det: retx scan collects then sort_unstable; otherwise keyed
+            msgs: FlowTable::new(),
             classes,
             rto: SimDuration::from_us(500),
             mtu: 4096,
@@ -177,27 +178,23 @@ impl HostAgent for QjumpHost {
             RETX_TIMER => {
                 self.retx_armed = false;
                 let now = ctx.now();
-                let mut resend: Vec<(usize, u64, u32)> = Vec::new();
-                // det: iteration only fills `resend`, which is sorted
-                // before any side effect.
-                for (&id, msg) in &self.msgs {
-                    for seq in msg.expired(now, self.rto) {
-                        resend.push((msg.qos as usize, id, seq));
-                    }
-                }
-                resend.sort_unstable();
-                for (c, id, seq) in resend {
-                    // Retransmissions respect the class rate limit too:
-                    // requeue at the front by sending directly when allowed.
-                    if now >= self.classes[c].next_allowed {
-                        let pkt_id = self.tx.ids.next_id();
-                        let msg = self.msgs.get_mut(&id).expect("msg exists");
-                        let pkt = msg.data_packet(pkt_id, seq, 0, now, self.tx.ids.host);
-                        msg.mark_sent(seq, now);
-                        let wire = pkt.size_bytes as u64;
-                        ctx.send(pkt);
-                        let gap = self.classes[c].rate.serialize_time(wire);
-                        self.classes[c].next_allowed = now + gap;
+                // Resends leave in (class, msg id, seq) order: one walk per
+                // class over the id-ordered messages.
+                let ids = &mut self.tx.ids;
+                for (c, class) in self.classes.iter_mut().enumerate() {
+                    for msg in self.msgs.values_mut().filter(|m| m.qos as usize == c) {
+                        msg.resend_expired(now, self.rto, |msg, seq| {
+                            // Retransmissions respect the class rate limit
+                            // too: sent directly when the token clock allows.
+                            if now < class.next_allowed {
+                                return false;
+                            }
+                            let pkt = msg.data_packet(ids.next_id(), seq, 0, now, ids.host);
+                            let gap = class.rate.serialize_time(pkt.size_bytes as u64);
+                            class.next_allowed = now + gap;
+                            ctx.send(pkt);
+                            true
+                        });
                     }
                 }
                 self.arm_retx(ctx);

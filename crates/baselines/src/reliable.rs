@@ -7,13 +7,23 @@
 //! timeout retransmission — and differ only in *when* and *at what
 //! priority* the next segment may leave. [`OutMsg`] is that common
 //! bookkeeping.
+//!
+//! Per-flow state is ordered and dense: every host keeps its messages (and
+//! a receiver its incoming flows) in a `FlowTable`, a sorted vector, so a
+//! walk runs in key order without a sort, and a message's outstanding
+//! segments live in an `Unacked` window indexed by sequence number.
 
 use crate::workgen::{NextRpc, WorkloadGen};
 use crate::BaselineCompletion;
 use aequitas_netsim::{FlowKey, HostAgent, HostCtx, HostId, Packet, PacketKind};
 use aequitas_sim_core::{SimDuration, SimTime};
 use aequitas_workloads::Priority;
-use std::collections::HashMap;
+use std::collections::VecDeque;
+
+/// Slots a message's [`Unacked`] window starts with (fewer for a shorter
+/// message): enough for the windows the hosts keep in flight, so most
+/// messages never regrow it.
+const UNACKED_SPAN_HINT: u32 = 16;
 
 /// Idealized header bytes (matches the main transport).
 pub const HEADER_BYTES: u32 = aequitas_netsim::packet::HEADER_BYTES;
@@ -127,6 +137,223 @@ pub trait BaselineHost: HostAgent {
     fn sender(&self) -> &Sender;
 }
 
+/// A map from `K` to per-flow state `V`, kept as a vector sorted by key.
+///
+/// Lookups are a binary search; walks run in key order, so nothing that
+/// iterates it needs a sort to be deterministic. A sender allocates message
+/// ids monotonically, so its inserts are appends; a receiver keyed by
+/// `(src, msg_id)` inserts in the middle, which is a short move at the
+/// tens of flows a host holds.
+#[derive(Debug, Clone)]
+pub(crate) struct FlowTable<K, V> {
+    entries: Vec<(K, V)>,
+}
+
+impl<K: Ord + Copy, V> Default for FlowTable<K, V> {
+    fn default() -> Self {
+        FlowTable {
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<K: Ord + Copy, V> FlowTable<K, V> {
+    /// An empty table.
+    pub(crate) fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of entries.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// No entries?
+    pub(crate) fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// The position of `key` in key order, or where it would be inserted.
+    pub(crate) fn position(&self, key: &K) -> Result<usize, usize> {
+        // Appends are the common insert: check the tail before searching.
+        match self.entries.last() {
+            None => Err(0),
+            Some((last, _)) if *last < *key => Err(self.entries.len()),
+            _ => self.entries.binary_search_by(|(k, _)| k.cmp(key)),
+        }
+    }
+
+    /// The value under `key`.
+    pub(crate) fn get(&self, key: &K) -> Option<&V> {
+        let at = self.position(key).ok()?;
+        Some(&self.entries[at].1)
+    }
+
+    /// The value under `key`, mutably.
+    pub(crate) fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        let at = self.position(key).ok()?;
+        Some(&mut self.entries[at].1)
+    }
+
+    /// Insert `value` under `key`, returning the value it replaced.
+    pub(crate) fn insert(&mut self, key: K, value: V) -> Option<V> {
+        match self.position(&key) {
+            Ok(at) => Some(std::mem::replace(&mut self.entries[at].1, value)),
+            Err(at) => {
+                self.entries.insert(at, (key, value));
+                None
+            }
+        }
+    }
+
+    /// The value under `key`, inserting `make()` first if there is none.
+    pub(crate) fn get_or_insert_with(&mut self, key: K, make: impl FnOnce() -> V) -> &mut V {
+        let at = match self.position(&key) {
+            Ok(at) => at,
+            Err(at) => {
+                self.entries.insert(at, (key, make()));
+                at
+            }
+        };
+        &mut self.entries[at].1
+    }
+
+    /// Remove and return the value under `key`.
+    pub(crate) fn remove(&mut self, key: &K) -> Option<V> {
+        let at = self.position(key).ok()?;
+        let v = self.entries.remove(at).1;
+        self.shrink();
+        Some(v)
+    }
+
+    /// Give memory back as a `BTreeMap` would: all of it once the table is
+    /// empty, and half once at most a quarter is in use (keeping room for
+    /// a few entries). A table holds memory for what it holds now, not for
+    /// its peak, at an amortized constant cost.
+    fn shrink(&mut self) {
+        const FLOOR: usize = 8;
+        let (len, cap) = (self.entries.len(), self.entries.capacity());
+        if len == 0 {
+            self.entries = Vec::new();
+        } else if cap > FLOOR && len * 4 <= cap {
+            self.entries.shrink_to((len * 2).max(FLOOR));
+        }
+    }
+
+    /// Keep only the entries for which `keep` returns `true`, visiting them
+    /// in key order.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&K, &mut V) -> bool) {
+        self.entries.retain_mut(|(k, v)| keep(k, v));
+        self.shrink();
+    }
+
+    /// Entries in key order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.entries.iter().map(|(k, v)| (k, v))
+    }
+
+    /// Keys in order.
+    pub(crate) fn keys(&self) -> impl Iterator<Item = &K> {
+        self.entries.iter().map(|(k, _)| k)
+    }
+
+    /// Values in key order.
+    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
+        self.entries.iter().map(|(_, v)| v)
+    }
+
+    /// Values in key order, mutable.
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+        self.entries.iter_mut().map(|(_, v)| v)
+    }
+
+    /// The entry at position `at` in key order.
+    pub(crate) fn at_mut(&mut self, at: usize) -> (K, &mut V) {
+        let (k, v) = &mut self.entries[at];
+        (*k, v)
+    }
+}
+
+/// A message's outstanding segments: the last transmission time of every
+/// sent, unacknowledged segment, indexed by sequence number.
+///
+/// Slots cover the span from the lowest to the highest outstanding seq (an
+/// acked segment inside it leaves an empty slot), so memory follows what is
+/// in flight, not the message's size, and a walk is in seq order.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Unacked {
+    /// Seq of `slots[0]`.
+    base: u32,
+    /// `Some(sent_at)` per outstanding seq; the first and last are `Some`.
+    slots: VecDeque<Option<SimTime>>,
+    count: usize,
+}
+
+impl Unacked {
+    /// Outstanding segments.
+    pub(crate) fn len(&self) -> usize {
+        self.count
+    }
+
+    /// Slots the window can hold before it reallocates.
+    pub(crate) fn capacity(&self) -> usize {
+        self.slots.capacity()
+    }
+
+    /// Make room for at least `span` slots in all.
+    pub(crate) fn reserve(&mut self, span: usize) {
+        self.slots.reserve(span.saturating_sub(self.slots.len()));
+    }
+
+    /// Record a transmission of `seq` at `now`; returns `true` when the
+    /// segment was not outstanding before.
+    pub(crate) fn mark_sent(&mut self, seq: u32, now: SimTime) -> bool {
+        if self.slots.is_empty() {
+            self.base = seq;
+        }
+        while seq < self.base {
+            self.slots.push_front(None);
+            self.base -= 1;
+        }
+        let at = (seq - self.base) as usize;
+        if at >= self.slots.len() {
+            self.slots.resize(at + 1, None);
+        }
+        let fresh = self.slots[at].replace(now).is_none();
+        self.count += fresh as usize;
+        fresh
+    }
+
+    /// Acknowledge `seq`; returns `true` when it was outstanding.
+    pub(crate) fn ack(&mut self, seq: u32) -> bool {
+        let Some(at) = seq.checked_sub(self.base) else {
+            return false;
+        };
+        if self.slots.get_mut(at as usize).and_then(Option::take).is_none() {
+            return false;
+        }
+        self.count -= 1;
+        while self.slots.front().is_some_and(Option::is_none) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        while self.slots.back().is_some_and(Option::is_none) {
+            self.slots.pop_back();
+        }
+        true
+    }
+
+    /// The first outstanding seq at or after `from` whose retransmission
+    /// timer expired. A retransmitting caller walks the window with it,
+    /// resuming after each seq, as it may restart that seq's timer.
+    pub(crate) fn next_expired(&self, from: u32, now: SimTime, rto: SimDuration) -> Option<u32> {
+        let first = from.saturating_sub(self.base) as usize;
+        (first..self.slots.len())
+            .find(|&at| self.slots[at].is_some_and(|t| now.saturating_since(t) >= rto))
+            .map(|at| self.base + at as u32)
+    }
+}
+
 /// An in-progress outgoing message.
 #[derive(Debug, Clone)]
 pub struct OutMsg {
@@ -150,8 +377,8 @@ pub struct OutMsg {
     pub issued_at: SimTime,
     /// Optional deadline (D3/PDQ).
     pub deadline: Option<SimTime>,
-    /// Outstanding segments: seq → last transmission time.
-    pub unacked: HashMap<u32, SimTime>,
+    /// Outstanding segments.
+    unacked: Unacked,
     mtu: u64,
 }
 
@@ -164,18 +391,19 @@ impl OutMsg {
         issued_at: SimTime,
         deadline: Option<SimTime>,
     ) -> Self {
+        let total_segs = rpc.size_bytes.div_ceil(mtu).max(1) as u32;
         OutMsg {
             msg_id,
             dst: HostId(rpc.dst),
             qos: rpc.qos,
             priority: rpc.priority,
             size_bytes: rpc.size_bytes,
-            total_segs: rpc.size_bytes.div_ceil(mtu).max(1) as u32,
+            total_segs,
             next_seg: 0,
             acked: 0,
             issued_at,
             deadline,
-            unacked: HashMap::new(), // det: expired() sorts before returning; otherwise keyed
+            unacked: Unacked::default(),
             mtu,
         }
     }
@@ -239,7 +467,12 @@ impl OutMsg {
 
     /// Record a transmission.
     pub fn mark_sent(&mut self, seq: u32, now: SimTime) {
-        self.unacked.insert(seq, now);
+        if self.unacked.capacity() == 0 {
+            // Sized at the first transmission, so a message that waits
+            // for its rate costs no window.
+            self.unacked.reserve(self.total_segs.min(UNACKED_SPAN_HINT) as usize);
+        }
+        self.unacked.mark_sent(seq, now);
         if seq == self.next_seg {
             self.next_seg += 1;
         }
@@ -247,24 +480,27 @@ impl OutMsg {
 
     /// Record an ACK; returns `true` when the segment was newly acked.
     pub fn on_ack(&mut self, seq: u32) -> bool {
-        if self.unacked.remove(&seq).is_some() {
-            self.acked += 1;
-            true
-        } else {
-            false
-        }
+        let fresh = self.unacked.ack(seq);
+        self.acked += fresh as u32;
+        fresh
     }
 
-    /// Segments whose retransmission timer expired, in deterministic order.
-    pub fn expired(&self, now: SimTime, rto: SimDuration) -> Vec<u32> {
-        let mut v: Vec<u32> = self
-            .unacked
-            .iter() // det: collected then sorted before return
-            .filter(|&(_, &t)| now.saturating_since(t) >= rto)
-            .map(|(&s, _)| s)
-            .collect();
-        v.sort_unstable();
-        v
+    /// Retransmit the segments whose timer expired, in seq order:
+    /// `send(msg, seq)` sends one and returns whether it did, and a sent
+    /// segment's timer restarts at `now`.
+    pub fn resend_expired(
+        &mut self,
+        now: SimTime,
+        rto: SimDuration,
+        mut send: impl FnMut(&OutMsg, u32) -> bool,
+    ) {
+        let mut from = 0;
+        while let Some(seq) = self.unacked.next_expired(from, now, rto) {
+            if send(self, seq) {
+                self.mark_sent(seq, now);
+            }
+            from = seq + 1;
+        }
     }
 
     /// Turn this message into a completion record.
@@ -307,6 +543,153 @@ pub fn ack_packet(receiver: HostId, data: &Packet, packet_id: u64, now: SimTime)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// Apply `ops` to a [`FlowTable`] and a `BTreeMap` oracle side by side;
+    /// after every op both hold the same entries in the same order. Op
+    /// codes: 0 insert, 1 get_or_insert_with, 2 get_mut (bump), 3 remove,
+    /// 4 retain (drop one residue class), 5 get.
+    fn differential<K: Ord + Copy + std::fmt::Debug>(
+        ops: &[(u8, K, u32)],
+    ) -> Result<(), TestCaseError> {
+        let mut table = FlowTable::new();
+        let mut oracle = BTreeMap::new();
+        for &(op, key, v) in ops {
+            match op % 6 {
+                0 => prop_assert_eq!(table.insert(key, v), oracle.insert(key, v)),
+                1 => prop_assert_eq!(
+                    *table.get_or_insert_with(key, || v),
+                    *oracle.entry(key).or_insert(v)
+                ),
+                2 => {
+                    let (a, b) = (table.get_mut(&key), oracle.get_mut(&key));
+                    prop_assert_eq!(a.is_some(), b.is_some());
+                    if let (Some(a), Some(b)) = (a, b) {
+                        *a += 1;
+                        *b += 1;
+                    }
+                }
+                3 => prop_assert_eq!(table.remove(&key), oracle.remove(&key)),
+                4 => {
+                    let drop = v % 3;
+                    let mut visited = Vec::new();
+                    table.retain(|&k, x| {
+                        visited.push(k);
+                        *x % 3 != drop
+                    });
+                    prop_assert_eq!(visited, oracle.keys().copied().collect::<Vec<_>>());
+                    oracle.retain(|_, x| *x % 3 != drop);
+                }
+                _ => prop_assert_eq!(table.get(&key), oracle.get(&key)),
+            }
+            prop_assert_eq!(table.len(), oracle.len());
+            prop_assert!(
+                table.iter().map(|(&k, &v)| (k, v)).eq(oracle.iter().map(|(&k, &v)| (k, v))),
+                "walk order differs after op {} on {:?}",
+                op,
+                key
+            );
+            for (at, (&k, _)) in oracle.iter().enumerate() {
+                prop_assert_eq!(table.position(&k), Ok(at));
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(500))]
+
+        /// A sender's table: ids only grow, so inserts append.
+        #[test]
+        fn prop_flow_table_matches_btreemap_on_monotone_keys(
+            ops in proptest::collection::vec((0u8..6, 0u64..8, 0u32..1000), 1..300)
+        ) {
+            let mut next = 0u64;
+            let ops: Vec<(u8, u64, u32)> = ops
+                .into_iter()
+                .map(|(op, back, v)| {
+                    if op % 6 <= 1 {
+                        next += 1;
+                        (op, next, v)
+                    } else {
+                        (op, next.saturating_sub(back), v)
+                    }
+                })
+                .collect();
+            differential(&ops)?;
+        }
+
+        /// A receiver's table: arbitrary (src, id) keys insert anywhere.
+        #[test]
+        fn prop_flow_table_matches_btreemap_on_arbitrary_keys(
+            ops in proptest::collection::vec((0u8..6, (0usize..6, 0u64..12), 0u32..1000), 1..300)
+        ) {
+            differential(&ops)?;
+        }
+
+        /// The in-flight window against a `BTreeMap<seq, sent_at>` model
+        /// over send, retransmit and ack sequences: same expired seqs in
+        /// the same order, same count, and slots only for the span from
+        /// the lowest to the highest outstanding seq.
+        #[test]
+        fn prop_unacked_matches_model(
+            ops in proptest::collection::vec((0u8..3, 0u32..64, 1u64..50), 1..400)
+        ) {
+            let rto = SimDuration::from_us(20);
+            let (mut window, mut model) = (Unacked::default(), BTreeMap::new());
+            let (mut next_seg, mut now, mut max_span) = (0u32, SimTime::ZERO, 0usize);
+            for (op, pick, dt) in ops {
+                now += SimDuration::from_us(dt % 7);
+                match op {
+                    // Send the next new segment.
+                    0 => {
+                        prop_assert!(window.mark_sent(next_seg, now));
+                        model.insert(next_seg, now);
+                        next_seg += 1;
+                    }
+                    // Resend any segment sent before: a retransmission when
+                    // it is outstanding, a fresh entry when it was acked.
+                    1 if next_seg > 0 => {
+                        let seq = pick % next_seg;
+                        let fresh = model.insert(seq, now).is_none();
+                        prop_assert_eq!(window.mark_sent(seq, now), fresh);
+                    }
+                    1 => {}
+                    // Ack any seq, outstanding, acked or never sent.
+                    _ => {
+                        let seq = pick % (next_seg + 2);
+                        prop_assert_eq!(window.ack(seq), model.remove(&seq).is_some());
+                    }
+                }
+                prop_assert_eq!(window.len(), model.len());
+                let expired: Vec<u32> = model
+                    .iter()
+                    .filter(|&(_, &t)| now.saturating_since(t) >= rto)
+                    .map(|(&s, _)| s)
+                    .collect();
+                let mut walked = Vec::new();
+                let mut from = 0;
+                while let Some(seq) = window.next_expired(from, now, rto) {
+                    walked.push(seq);
+                    from = seq + 1;
+                }
+                prop_assert_eq!(walked, expired);
+                let span = match (model.keys().next(), model.keys().next_back()) {
+                    (Some(&lo), Some(&hi)) => (hi - lo + 1) as usize,
+                    _ => 0,
+                };
+                prop_assert_eq!(window.slots.len(), span);
+                max_span = max_span.max(span);
+                prop_assert!(
+                    window.capacity() <= (2 * max_span).max(4),
+                    "capacity {} for a largest span of {}",
+                    window.capacity(),
+                    max_span
+                );
+            }
+        }
+    }
 
     fn msg(size: u64) -> OutMsg {
         let rpc = NextRpc {
@@ -358,11 +741,28 @@ mod tests {
         m.mark_sent(0, SimTime::ZERO);
         m.mark_sent(1, SimTime::from_us(90));
         let rto = SimDuration::from_us(100);
-        assert_eq!(m.expired(SimTime::from_us(100), rto), vec![0]);
-        assert_eq!(m.expired(SimTime::from_us(200), rto), vec![0, 1]);
+        // Offer every expired segment and send none, so no timer restarts.
+        let expired = |m: &mut OutMsg, us| {
+            let mut offered = Vec::new();
+            m.resend_expired(SimTime::from_us(us), rto, |_, seq| {
+                offered.push(seq);
+                false
+            });
+            offered
+        };
+        assert_eq!(expired(&mut m, 100), vec![0]);
+        assert_eq!(expired(&mut m, 200), vec![0, 1]);
         // Retransmission refreshes the timer.
         m.mark_sent(0, SimTime::from_us(200));
-        assert_eq!(m.expired(SimTime::from_us(250), rto), vec![1]);
+        assert_eq!(expired(&mut m, 250), vec![1]);
+        // A resend restarts the timer only of the segments it sent.
+        let mut offered = Vec::new();
+        m.resend_expired(SimTime::from_us(300), rto, |_, seq| {
+            offered.push(seq);
+            seq == 1
+        });
+        assert_eq!(offered, vec![0, 1]);
+        assert_eq!(expired(&mut m, 300), vec![0]);
     }
 
     #[test]

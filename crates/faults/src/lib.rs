@@ -205,6 +205,17 @@ impl LinkFlap {
         let end = start + self.down;
         (now >= start && now < end).then_some((start, end))
     }
+
+    /// The end of the last down window, or `None` when it lies past the
+    /// last representable instant (~213 days).
+    fn last_end(&self) -> Option<SimTime> {
+        let last_start = self
+            .period
+            .as_ps()
+            .checked_mul(self.count.saturating_sub(1) as u64)?
+            .checked_add(self.first_down.as_ps())?;
+        Some(SimTime::from_ps(last_start.checked_add(self.down.as_ps())?))
+    }
 }
 
 /// Elevated loss during deterministically-chosen burst windows.
@@ -415,6 +426,17 @@ impl FaultPlan {
                     l.pods, l.leaves_per_pod
                 ));
             }
+            let switches = l
+                .leaves_per_pod
+                .checked_add(l.spines_per_pod)
+                .and_then(|per_pod| per_pod.checked_mul(l.pods));
+            if switches.is_none() {
+                return Err(format!(
+                    "pod layout is too large: pods={} x (leaves_per_pod={} + spines_per_pod={}) \
+                     switches overflow",
+                    l.pods, l.leaves_per_pod, l.spines_per_pod
+                ));
+            }
         }
         let need_layout = |sel: LinkSel, what: String| -> Result<(), String> {
             if sel.needs_pod_layout() && layout.is_none() {
@@ -439,6 +461,18 @@ impl FaultPlan {
                     "{at}: down window ({} ps) longer than period ({} ps)",
                     f.down.as_ps(),
                     f.period.as_ps()
+                ));
+            }
+            if f.last_end().is_none() {
+                return Err(format!(
+                    "{at}: last down window ends past the last representable instant \
+                     (first_down {} ps + period {} ps x (count {} - 1) + down {} ps \
+                     overflows the {} ps clock)",
+                    f.first_down.as_ps(),
+                    f.period.as_ps(),
+                    f.count,
+                    f.down.as_ps(),
+                    u64::MAX
                 ));
             }
             need_layout(f.link, at)?;
@@ -467,6 +501,20 @@ impl FaultPlan {
             }
             need_layout(j.link, at)?;
         }
+        // A packet's extra delay is the sum of every jitter draw and gray
+        // ramp that covers it; bound the sum so `extra_delay` cannot wrap.
+        let delays = self.jitter.iter().map(|j| j.max);
+        let delays = delays.chain(self.gray.iter().map(|g| g.jitter_ramp));
+        let mut total_delay = 0u64;
+        for d in delays {
+            total_delay = total_delay.checked_add(d.as_ps()).ok_or_else(|| {
+                format!(
+                    "extra delays (every [[jitter]] max plus every [[gray_degrade]] \
+                     jitter_ramp) sum past the {} ps clock",
+                    u64::MAX
+                )
+            })?;
+        }
         for (i, w) in self.quota_outages.iter().enumerate() {
             window(w, format!("[[quota_outage]] #{i}"))?;
         }
@@ -492,6 +540,14 @@ impl FaultPlan {
         for (i, g) in self.gray.iter().enumerate() {
             let at = format!("[[gray_degrade]] #{i} ({:?})", g.link);
             window(&g.window, at.clone())?;
+            if g.window.end.as_ps().checked_add(g.jitter_ramp.as_ps()).is_none() {
+                return Err(format!(
+                    "{at}: window end ({} ps) plus jitter ramp ({} ps) overflows the {} ps clock",
+                    g.window.end.as_ps(),
+                    g.jitter_ramp.as_ps(),
+                    u64::MAX
+                ));
+            }
             if !(g.rate_frac > 0.0 && g.rate_frac <= 1.0) {
                 return Err(format!(
                     "{at}: rate_frac must be in (0, 1], got {}",

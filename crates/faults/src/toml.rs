@@ -46,6 +46,26 @@ impl Value {
         }
     }
 
+    fn as_u32(&self, key: &str) -> Result<u32, String> {
+        let v = self.as_u64(key)?;
+        u32::try_from(v).map_err(|_| format!("key {key:?}: {v} is larger than {}", u32::MAX))
+    }
+
+    /// A duration of `self` units of `ps_per_unit` picoseconds: finite,
+    /// non-negative, and short enough for the picosecond clock.
+    fn as_duration(&self, key: &str, ps_per_unit: f64) -> Result<f64, String> {
+        let v = self.as_f64(key)?;
+        // 2^64 ps is the first duration the clock cannot hold.
+        if v.is_finite() && v >= 0.0 && v * ps_per_unit < 18_446_744_073_709_551_616.0 {
+            Ok(v)
+        } else {
+            Err(format!(
+                "key {key:?}: expected a finite, non-negative duration below {:.4e} ps, got {v}",
+                u64::MAX as f64
+            ))
+        }
+    }
+
     fn as_str(&self, key: &str) -> Result<&str, String> {
         match self {
             Value::Str(s) => Ok(s),
@@ -170,7 +190,13 @@ fn link_of(table: &Table, section: &str) -> Result<LinkSel, String> {
 }
 
 fn us_duration(table: &Table, section: &str, key: &str) -> Result<SimDuration, String> {
-    Ok(SimDuration::from_us_f64(require(table, section, key)?.as_f64(key)?))
+    let us = require(table, section, key)?.as_duration(key, 1e6)?;
+    Ok(SimDuration::from_us_f64(us))
+}
+
+/// A `*_ns` duration; nanoseconds truncate to whole picoseconds.
+fn ns_duration(value: &Value, key: &str) -> Result<SimDuration, String> {
+    Ok(SimDuration::from_ps((value.as_duration(key, 1e3)? * 1000.0) as u64))
 }
 
 fn window_of(table: &Table, section: &str) -> Result<Window, String> {
@@ -280,7 +306,7 @@ pub fn plan_from_toml(text: &str) -> Result<FaultPlan, String> {
                     first_down: SimTime::ZERO + us_duration(table, name, "first_down_us")?,
                     down: us_duration(table, name, "down_us")?,
                     period: us_duration(table, name, "period_us")?,
-                    count: require(table, name, "count")?.as_u64("count")? as u32,
+                    count: require(table, name, "count")?.as_u32("count")?,
                 });
             }
             "loss" => {
@@ -291,7 +317,7 @@ pub fn plan_from_toml(text: &str) -> Result<FaultPlan, String> {
                 )?;
                 let burst = match get(table, "burst_period_us")? {
                     Some(p) => Some(BurstLoss {
-                        period: SimDuration::from_us_f64(p.as_f64("burst_period_us")?),
+                        period: SimDuration::from_us_f64(p.as_duration("burst_period_us", 1e6)?),
                         frac: require(table, name, "burst_frac")?.as_f64("burst_frac")?,
                         prob: require(table, name, "burst_prob")?.as_f64("burst_prob")?,
                     }),
@@ -322,10 +348,9 @@ pub fn plan_from_toml(text: &str) -> Result<FaultPlan, String> {
             }
             "jitter" => {
                 reject_unknown(table, name, &["link", "max_ns"])?;
-                let max_ns = require(table, name, "max_ns")?.as_f64("max_ns")?;
                 plan.jitter.push(JitterRule {
                     link: link_of(table, name)?,
-                    max: SimDuration::from_ps((max_ns * 1000.0) as u64),
+                    max: ns_duration(require(table, name, "max_ns")?, "max_ns")?,
                 });
             }
             "quota_outage" => {
@@ -360,9 +385,7 @@ pub fn plan_from_toml(text: &str) -> Result<FaultPlan, String> {
                         None => 1.0,
                     },
                     jitter_ramp: match get(table, "jitter_ramp_ns")? {
-                        Some(v) => {
-                            SimDuration::from_ps((v.as_f64("jitter_ramp_ns")? * 1000.0) as u64)
-                        }
+                        Some(v) => ns_duration(v, "jitter_ramp_ns")?,
                         None => SimDuration::ZERO,
                     },
                 });

@@ -296,9 +296,14 @@ impl BitRate {
     }
     /// Time to serialize `bytes` at this rate.
     ///
-    /// Computed as `bits * ps_per_sec / rate` with 128-bit intermediate so
-    /// there is no overflow and the rounding error is below one picosecond.
+    /// Computed as `bits * ps_per_sec / rate`, truncated: below 2^21 bytes
+    /// the product fits in `u64` (2^24 bits * 10^12 < 2^64), so packet-sized
+    /// inputs skip the 128-bit division; larger ones take the 128-bit
+    /// intermediate. Both give the same quotient.
     pub fn serialize_time(self, bytes: u64) -> SimDuration {
+        if bytes < 1 << 21 {
+            return SimDuration(bytes * 8 * PS_PER_SEC / self.0);
+        }
         let bits = bytes as u128 * 8;
         let ps = bits * PS_PER_SEC as u128 / self.0 as u128;
         SimDuration(ps as u64)
@@ -371,6 +376,26 @@ mod tests {
         assert_eq!(BitRate(0).ps_per_bit_exact(), None);
         // 1 bps divides evenly but would overflow the multiply.
         assert_eq!(BitRate(1).ps_per_bit_exact(), None);
+    }
+
+    #[test]
+    fn serialize_time_u64_path_matches_the_128_bit_path() {
+        let wide = |r: BitRate, bytes: u64| {
+            (bytes as u128 * 8 * PS_PER_SEC as u128 / r.0 as u128) as u64
+        };
+        let gbps = |g: u64| g * 1_000_000_000;
+        let rates = [1, 3, 7_000, 999_999_937, gbps(30), gbps(100), gbps(400), u64::MAX];
+        let top = 1 << 21;
+        let sizes = [0, 1, 63, 64, 1500, 4096, 4160, 65_536, top - 1, top, top + 1, 1 << 30];
+        for bps in rates {
+            for bytes in sizes {
+                assert_eq!(
+                    BitRate(bps).serialize_time(bytes).as_ps(),
+                    wide(BitRate(bps), bytes),
+                    "{bps} bps x {bytes} B"
+                );
+            }
+        }
     }
 
     #[test]

@@ -120,6 +120,12 @@ impl Connection {
         self.send_order.push_back(msg_id);
     }
 
+    /// Holds no message: nothing queued, in flight or awaiting an ACK, so a
+    /// retransmission scan or a pump finds nothing to do here.
+    pub(crate) fn is_idle(&self) -> bool {
+        self.msgs.is_empty()
+    }
+
     /// Number of messages not yet fully transmitted.
     pub(crate) fn pending_messages(&self) -> usize {
         self.send_order.len()

@@ -271,6 +271,10 @@ impl Transport {
         let mut expired = std::mem::take(&mut self.expired_scratch);
         let mut failures = std::mem::take(&mut self.failures);
         for idx in 0..self.conns.len() {
+            // An idle connection has nothing to retransmit or pump.
+            if self.conns[idx].is_idle() {
+                continue;
+            }
             let now = ctx.now();
             expired.clear();
             let failed_before = failures.len();

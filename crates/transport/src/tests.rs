@@ -449,6 +449,43 @@ fn outage_longer_than_retry_budget_fails_messages() {
         assert_eq!(f.size_bytes, 32_768);
         assert!(f.failed_at < SimTime::from_ms(50));
     }
+    // Failing its last message leaves the connection idle, so timer scans
+    // skip it.
+    assert!(host.transport.conns.iter().all(|c| c.is_idle()));
+}
+
+/// A connection is idle exactly when it has nothing queued or in flight,
+/// at every step of a run that opens ten connections at staggered times
+/// and drains them all. The retransmission timer scan skips idle
+/// connections, so this is what keeps it doing the same work.
+#[test]
+fn idle_connections_hold_nothing_queued_or_in_flight() {
+    let n = 6;
+    let mut scripts = vec![Vec::new(); n];
+    scripts[0] = (1..n)
+        .flat_map(|dst| {
+            [0u8, 1].map(|class| {
+                let at = SimTime::from_us(dst as u64 * 40 + class as u64 * 15);
+                (at, HostId(dst), class, 65_536u64)
+            })
+        })
+        .collect();
+    let mut eng = engine(star(n), scripts, TransportConfig::default());
+    let mut seen_busy = 0;
+    for step in 1..=80 {
+        eng.run_until(SimTime::from_us(step * 5));
+        for (idx, conn) in eng.agents()[0].transport.conns.iter().enumerate() {
+            let busy = conn.inflight() > 0 || conn.pending_messages() > 0;
+            assert_eq!(busy, !conn.is_idle(), "connection {idx} at step {step}");
+            seen_busy += busy as usize;
+        }
+    }
+    assert!(seen_busy > 0);
+    eng.run_until(SimTime::from_ms(5));
+    let host = &eng.agents()[0];
+    assert_eq!(host.completed.len(), 2 * (n - 1));
+    assert_eq!(host.transport.conns.len(), 2 * (n - 1));
+    assert!(host.transport.conns.iter().all(|c| c.is_idle()));
 }
 
 #[test]

@@ -11,11 +11,18 @@
 //!   only on high-water `Vec` growth, far below one per packet.
 //! * Full stack: transport, RPC stack, admission control and telemetry
 //!   allocate a small constant per RPC, never per packet.
+//! * Baselines: each of the five comparison hosts (pFabric, QJump, D3,
+//!   PDQ, Homa) allocates a small constant per completed RPC, never per
+//!   packet.
 
 #[path = "../crates/telemetry/tests/fixtures/golden_events.rs"]
 mod golden_events;
 
 use aequitas::{AequitasConfig, SloTarget};
+use aequitas_baselines::{
+    deadline, homa, pfabric, qjump, BaselineHost, DeadlineHost, DeadlineMode, HomaHost,
+    PfabricHost, QjumpHost, WorkloadGen,
+};
 use aequitas_experiments::harness::{self, MacroSetup, PolicyChoice};
 use aequitas_experiments::slo;
 use aequitas_netsim::{
@@ -26,7 +33,7 @@ use aequitas_replay::Reconstruction;
 use aequitas_rpc::WorkloadHost;
 use aequitas_sim_core::{SimDuration, SimRng, SimTime};
 use aequitas_telemetry::{NodeKind, NullSink, Telemetry, TelemetryConfig, TraceEvent};
-use aequitas_workloads::SizeDist;
+use aequitas_workloads::{ArrivalProcess, Priority, SizeDist, TrafficPattern};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -349,4 +356,85 @@ fn a_multi_packet_rpc_allocates_per_rpc_not_per_packet() {
 fn a_one_packet_rpc_allocates_a_small_constant() {
     let per_rpc = allocs_per_rpc(1024, SimTime::from_us(250), SimTime::from_us(750));
     assert!(per_rpc < 4.0, "{per_rpc:.3} allocations per 1 KB RPC");
+}
+
+/// Allocations per completed RPC of one baseline on the 33-host star:
+/// Poisson arrivals at 0.7 load, all-to-all, the production size mix per
+/// class, counted over [0.5, 1.5) ms.
+fn baseline_allocs_per_rpc<A: BaselineHost>(
+    config: EngineConfig,
+    host: impl Fn(HostId, WorkloadGen) -> A,
+) -> f64 {
+    let topo = Topology::star(STAR, LinkSpec::default_100g());
+    let rate = topo.host_ports[0].link.rate;
+    let agents = (0..STAR)
+        .map(|h| {
+            let classes = Priority::ALL
+                .into_iter()
+                .zip([0.5, 0.3, 0.2])
+                .map(|(p, share)| (p, share, SizeDist::production_like(p)))
+                .collect();
+            let gen = WorkloadGen::new(
+                ArrivalProcess::Poisson { load: 0.7 },
+                TrafficPattern::AllToAll,
+                classes,
+                h,
+                STAR,
+                rate,
+                None,
+                2022 ^ (h as u64 * 0x9E37),
+            );
+            host(HostId(h), gen)
+        })
+        .collect();
+    let mut engine = Engine::new(topo, agents, config);
+    let done =
+        |e: &Engine<A>| e.agents().iter().map(|a| a.sender().completions().len()).sum::<usize>();
+    engine.run_until(SimTime::from_us(500));
+    let (rpcs, before) = (done(&engine), allocs());
+    engine.run_until(SimTime::from_us(1_500));
+    let (rpcs, spent) = (done(&engine) - rpcs, allocs() - before);
+    assert!(rpcs > 1000, "{rpcs} RPCs");
+    spent as f64 / rpcs as f64
+}
+
+/// A production-mix RPC is several packets and as many ACKs or grants: one
+/// allocation per packet would put every scheme far above 3 per RPC.
+fn assert_per_rpc_constant(scheme: &str, per_rpc: f64) {
+    assert!(per_rpc < 3.0, "{scheme}: {per_rpc:.3} allocations per RPC");
+}
+
+#[test]
+fn pfabric_allocates_per_rpc_not_per_packet() {
+    let per_rpc = baseline_allocs_per_rpc(pfabric::engine_config(), |h, gen| {
+        PfabricHost::new(h, Some(gen))
+    });
+    assert_per_rpc_constant("pFabric", per_rpc);
+}
+
+#[test]
+fn qjump_allocates_per_rpc_not_per_packet() {
+    let rate = LinkSpec::default_100g().rate;
+    let per_rpc = baseline_allocs_per_rpc(qjump::engine_config(), |h, gen| {
+        QjumpHost::new(h, Some(gen), rate)
+    });
+    assert_per_rpc_constant("QJump", per_rpc);
+}
+
+#[test]
+fn d3_and_pdq_allocate_per_rpc_not_per_packet() {
+    let rate = LinkSpec::default_100g().rate;
+    for (name, mode) in [("D3", DeadlineMode::D3), ("PDQ", DeadlineMode::Pdq)] {
+        let per_rpc = baseline_allocs_per_rpc(deadline::engine_config(), |h, gen| {
+            DeadlineHost::new(h, mode, Some(gen), rate)
+        });
+        assert_per_rpc_constant(name, per_rpc);
+    }
+}
+
+#[test]
+fn homa_allocates_per_rpc_not_per_packet() {
+    let per_rpc =
+        baseline_allocs_per_rpc(homa::engine_config(), |h, gen| HomaHost::new(h, Some(gen)));
+    assert_per_rpc_constant("Homa", per_rpc);
 }
