@@ -298,6 +298,7 @@ impl HostAgent for HomaHost {
                             issued_at: m.issued_at,
                             completed_at: now,
                             terminated: false,
+                            downgraded: false,
                         });
                     }
                 }

@@ -23,10 +23,12 @@
 //!   priority assignment over 8 strict-priority fabric levels; unscheduled
 //!   first-RTT packets.
 //!
-//! All schemes are built on one sender skeleton ([`Sender`]): they consume
-//! the same workload generator ([`WorkloadGen`]), count the bytes they were
-//! offered, and emit the same [`BaselineCompletion`] records, so the Fig. 22
-//! harness can drive and score any [`BaselineHost`] uniformly.
+//! All schemes are built on one sender skeleton ([`Sender`]): they draw
+//! their RPCs from the workspace's one workload stream
+//! ([`aequitas_workloads::RpcStream`], handed over as a [`WorkloadGen`]),
+//! count the bytes they were offered, and emit the same
+//! [`BaselineCompletion`] records, so the Fig. 22 harness can drive and
+//! score any [`BaselineHost`] — and Aequitas — uniformly.
 
 pub mod deadline;
 pub mod homa;
@@ -45,12 +47,14 @@ pub use workgen::WorkloadGen;
 use aequitas_sim_core::{SimDuration, SimTime};
 use aequitas_workloads::Priority;
 
-/// A finished (or terminated) RPC under a baseline scheme.
+/// A finished (or terminated) RPC under a baseline scheme, or under
+/// Aequitas when the Fig. 22 harness scores it alongside them.
 #[derive(Debug, Clone, Copy)]
 pub struct BaselineCompletion {
     /// Application priority class.
     pub priority: Priority,
-    /// The QoS class the RPC was initially assigned (bijective mapping).
+    /// The QoS class the RPC ran on: the bijective mapping's for a
+    /// baseline, the admitted (possibly downgraded) one for Aequitas.
     pub qos: u8,
     /// Payload bytes.
     pub size_bytes: u64,
@@ -61,6 +65,9 @@ pub struct BaselineCompletion {
     /// D3/PDQ: the scheme gave up on the RPC (deadline infeasible). The
     /// bytes never fully transferred.
     pub terminated: bool,
+    /// Aequitas downgraded the RPC from its requested QoS. No baseline
+    /// sets it.
+    pub downgraded: bool,
 }
 
 impl BaselineCompletion {

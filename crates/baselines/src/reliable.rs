@@ -1,8 +1,9 @@
 //! Shared sender machinery for the baseline hosts.
 //!
-//! Every baseline host draws its RPCs from a [`WorkloadGen`], numbers its
-//! messages and packets, and logs what finished; [`Sender`] is that
-//! skeleton. The sender-driven baselines (pFabric, QJump, D3, PDQ) also
+//! Every baseline host draws its RPCs from an [`RpcStream`] — the stream
+//! an Aequitas host of the same spec and seed draws — whole, one arrival
+//! ahead; numbers its messages and packets; and logs what finished.
+//! [`Sender`] is that skeleton. The sender-driven baselines (pFabric, QJump, D3, PDQ) also
 //! track outgoing messages the same way — segmentation, per-packet ACKs,
 //! timeout retransmission — and differ only in *when* and *at what
 //! priority* the next segment may leave. [`OutMsg`] is that common
@@ -13,11 +14,11 @@
 //! walk runs in key order without a sort, and a message's outstanding
 //! segments live in an `Unacked` window indexed by sequence number.
 
-use crate::workgen::{NextRpc, WorkloadGen};
+use crate::workgen::WorkloadGen;
 use crate::BaselineCompletion;
 use aequitas_netsim::{FlowKey, HostAgent, HostCtx, HostId, Packet, PacketKind};
 use aequitas_sim_core::{SimDuration, SimTime};
-use aequitas_workloads::Priority;
+use aequitas_workloads::{NextRpc, Priority, RpcStream};
 use std::collections::VecDeque;
 
 /// Slots a message's [`Unacked`] window starts with (fewer for a shorter
@@ -73,7 +74,7 @@ pub struct Sender {
     pub(crate) ids: PacketIds,
     /// Completions (including terminations) so far.
     pub(crate) completions: Vec<BaselineCompletion>,
-    gen: Option<WorkloadGen>,
+    stream: Option<RpcStream>,
     /// The next RPC, its `at` clamped to when its timer was armed.
     pending_arrival: Option<NextRpc>,
     next_msg_id: u64,
@@ -89,7 +90,7 @@ impl Sender {
                 next: (host.0 as u64) << 40,
             },
             completions: Vec::new(),
-            gen,
+            stream: gen.map(|g| g.0),
             pending_arrival: None,
             next_msg_id: (host.0 as u64) << 32,
             offered: [0; 3],
@@ -102,7 +103,7 @@ impl Sender {
         if self.pending_arrival.is_some() {
             return;
         }
-        if let Some(rpc) = self.gen.as_mut().and_then(WorkloadGen::next_rpc) {
+        if let Some(rpc) = self.stream.as_mut().and_then(RpcStream::next_rpc) {
             let at = rpc.at.max(ctx.now());
             self.pending_arrival = Some(NextRpc { at, ..rpc });
             ctx.set_timer(at, ARRIVAL_TIMER);
@@ -512,6 +513,7 @@ impl OutMsg {
             issued_at: self.issued_at,
             completed_at: now,
             terminated,
+            downgraded: false,
         }
     }
 }

@@ -544,17 +544,17 @@ pub struct ContainmentResult {
     pub rows: Vec<ContainmentRow>,
 }
 
-/// Window one scheme's outcomes: `(completed_at ps, latency µs)` of the
+/// Window one scheme's completions: `(completed_at ps, latency µs)` of the
 /// non-terminated completions, clipped at the offered-load stop so
 /// drain-phase completions cannot retroactively repair a window.
 fn ct_row(name: &'static str, run: SchemeRun) -> ContainmentRow {
     use aequitas_replay::timeline;
     let stop = SimTime::from_ms(CT_STOP_MS);
     let mut points: Vec<(u64, f64)> = run
-        .outcomes
+        .completions
         .iter()
-        .filter(|o| !o.terminated && o.completed_at <= stop)
-        .map(|o| (o.completed_at.as_ps(), o.latency_us()))
+        .filter(|c| !c.terminated && c.completed_at <= stop)
+        .map(|c| (c.completed_at.as_ps(), c.latency().as_us_f64()))
         .collect();
     points.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
     let horizon = stop.as_ps();
@@ -586,10 +586,9 @@ fn ct_row(name: &'static str, run: SchemeRun) -> ContainmentRow {
     }
 }
 
-/// Run the containment matrix: Aequitas plus all five baselines under the
-/// one seeded fault schedule of [`containment_plan`]. The six runs are
-/// independent simulations, so they fan out across the sweep harness.
-pub fn containment(ctx: &RunCtx) -> ContainmentResult {
+/// The containment scenario: four senders offer 32 KB PC RPCs to one
+/// receiver of a 2-leaf, 2-spine fabric under [`containment_plan`].
+pub fn containment_comparison() -> Comparison {
     let sender = WorkloadSpec {
         arrival: ArrivalProcess::Uniform { load: CT_LOAD },
         pattern: TrafficPattern::ManyToOne { dst: CT_DST },
@@ -601,7 +600,7 @@ pub fn containment(ctx: &RunCtx) -> ContainmentResult {
         stop: Some(SimTime::from_ms(CT_STOP_MS)),
     };
     let link = aequitas_netsim::LinkSpec::default_100g();
-    let cmp = Comparison {
+    Comparison {
         topo: aequitas_netsim::Topology::leaf_spine(2, 4, 2, link, link),
         workloads: (0..CT_N)
             .map(|h| (h < CT_SENDERS).then(|| sender.clone()))
@@ -616,7 +615,14 @@ pub fn containment(ctx: &RunCtx) -> ContainmentResult {
             8,
             99.0,
         )),
-    };
+    }
+}
+
+/// Run the containment matrix: Aequitas plus all five baselines under the
+/// one seeded fault schedule of [`containment_plan`]. The six runs are
+/// independent simulations, so they fan out across the sweep harness.
+pub fn containment(ctx: &RunCtx) -> ContainmentResult {
+    let cmp = containment_comparison();
     let rows = ctx.sweep(Scheme::ALL.to_vec(), |s| ct_row(s.name(), s.run(ctx, &cmp)));
     ContainmentResult { rows }
 }

@@ -158,6 +158,11 @@ pub enum PolicyChoice {
     DropExcess(AequitasConfig),
 }
 
+/// The workload seed of host `h` in a run seeded `seed`.
+pub(crate) fn host_seed(seed: u64, h: usize) -> u64 {
+    seed ^ (h as u64) << 8
+}
+
 /// Full description of a macro experiment run.
 pub struct MacroSetup {
     /// Experiment name stamped into the trace's `run_info` event so replay
@@ -252,7 +257,7 @@ impl MacroSetup {
                 if telemetry.is_enabled() {
                     stack.set_telemetry(telemetry.clone());
                 }
-                WorkloadHost::new(stack, spec, n, line_rate, self.seed ^ (h as u64) << 8)
+                WorkloadHost::new(stack, spec, n, line_rate, host_seed(self.seed, h))
             })
             .collect()
     }

@@ -70,8 +70,8 @@ pub fn score(name: &'static str, run: &SchemeRun) -> SchemeScore {
         Percentiles::new(),
         Percentiles::new(),
     ];
-    for r in &run.outcomes {
-        let latency_us = r.latency_us();
+    for r in &run.completions {
+        let latency_us = r.latency().as_us_f64();
         if !r.terminated {
             good_bytes += r.size_bytes;
             per_qos[(r.qos as usize).min(2)].record(latency_us);
@@ -86,7 +86,7 @@ pub fn score(name: &'static str, run: &SchemeRun) -> SchemeScore {
             _ => None,
         };
         if let Some(budget) = budget {
-            if !r.terminated && r.on_initial_qos && latency_us <= budget {
+            if !r.terminated && !r.downgraded && latency_us <= budget {
                 if r.qos == 0 {
                     qosh_meeting += r.size_bytes;
                 } else {

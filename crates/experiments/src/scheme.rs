@@ -4,14 +4,14 @@
 //! baselines on one scenario. A [`Comparison`] states that scenario once —
 //! topology, per-host offered load, seeds, fault plan, end time and the
 //! Aequitas side's fabric and controller — and [`Scheme::run`] runs any of
-//! the six on it, returning scheme-agnostic [`Outcome`]s and the bytes each
+//! the six on it, returning [`BaselineCompletion`]s and the bytes each
 //! class offered. Another system under test is one more variant.
 
 use crate::harness::{MacroSetup, PolicyChoice, RunCtx};
 use aequitas::AequitasConfig;
 use aequitas_baselines::{
-    deadline, homa, pfabric, qjump, BaselineHost, DeadlineHost, DeadlineMode, HomaHost,
-    PfabricHost, QjumpHost, WorkloadGen,
+    deadline, homa, pfabric, qjump, BaselineCompletion, BaselineHost, DeadlineHost,
+    DeadlineMode, HomaHost, PfabricHost, QjumpHost, WorkloadGen,
 };
 use aequitas_netsim::faults::FaultPlan;
 use aequitas_netsim::{Engine, EngineConfig, HostId, Topology};
@@ -65,9 +65,9 @@ impl Scheme {
     /// under the scenario's fault plan, or `ctx`'s when it has none.
     pub fn run(self, ctx: &RunCtx, cmp: &Comparison) -> SchemeRun {
         let faults = ctx.adopt_faults(cmp.faults.clone());
-        let seed = (cmp.seed)(self);
         let n = cmp.topo.num_hosts();
         let rate = cmp.topo.host_ports[0].link.rate;
+        let seed = (cmp.seed)(self);
         let gen = |h: HostId| {
             cmp.workloads[h.0].as_ref().map(|spec| {
                 WorkloadGen::new(
@@ -104,16 +104,17 @@ impl Scheme {
                 // No warm-up: every completion is in `r.completions`.
                 let r = ctx.run_macro(setup);
                 SchemeRun {
-                    outcomes: r
+                    completions: r
                         .completions
                         .iter()
-                        .map(|c| Outcome {
+                        .map(|c| BaselineCompletion {
+                            priority: c.priority,
                             qos: c.qos_run.0,
                             size_bytes: c.size_bytes,
                             issued_at: c.issued_at,
                             completed_at: c.completed_at,
                             terminated: false,
-                            on_initial_qos: !c.downgraded,
+                            downgraded: c.downgraded,
                         })
                         .collect(),
                     offered: r.issued_bytes,
@@ -143,8 +144,7 @@ impl Scheme {
 pub struct Comparison {
     /// The network.
     pub topo: Topology,
-    /// Per-host offered load (`None` = receiver only). Aequitas runs the
-    /// specs as they are; a baseline host gets a [`WorkloadGen`] of its spec.
+    /// Per-host offered load (`None` = receiver only).
     pub workloads: Vec<Option<WorkloadSpec>>,
     /// Each scheme's seed.
     pub seed: fn(Scheme) -> u64,
@@ -160,37 +160,11 @@ pub struct Comparison {
     pub aequitas: AequitasConfig,
 }
 
-/// A finished (or terminated) RPC, whichever scheme ran it.
-#[derive(Debug, Clone, Copy)]
-pub struct Outcome {
-    /// QoS class: the bijective one for the baselines, the one it ran on
-    /// for Aequitas.
-    pub qos: u8,
-    /// Payload bytes.
-    pub size_bytes: u64,
-    /// When the RPC was issued.
-    pub issued_at: SimTime,
-    /// When it completed (or was terminated).
-    pub completed_at: SimTime,
-    /// D3/PDQ gave up on it; its bytes never fully transferred.
-    pub terminated: bool,
-    /// It ran on its initially assigned QoS (false once Aequitas
-    /// downgraded it).
-    pub on_initial_qos: bool,
-}
-
-impl Outcome {
-    /// Completion latency in µs (RNL for Aequitas).
-    pub fn latency_us(&self) -> f64 {
-        self.completed_at.since(self.issued_at).as_us_f64()
-    }
-}
-
 /// What one scheme did on a [`Comparison`].
 #[derive(Debug, Default)]
 pub struct SchemeRun {
     /// Every finished or terminated RPC.
-    pub outcomes: Vec<Outcome>,
+    pub completions: Vec<BaselineCompletion>,
     /// Payload bytes offered per priority class (PC, NC, BE).
     pub offered: [u64; 3],
     /// Frames the fault layer lost or corrupted.
@@ -213,17 +187,11 @@ fn baseline<A: BaselineHost>(
         ..SchemeRun::default()
     };
     for tx in eng.agents().iter().map(A::sender) {
-        run.outcomes.extend(tx.completions().iter().map(|c| Outcome {
-            qos: c.qos,
-            size_bytes: c.size_bytes,
-            issued_at: c.issued_at,
-            completed_at: c.completed_at,
-            terminated: c.terminated,
-            on_initial_qos: true,
-        }));
+        run.completions.extend_from_slice(tx.completions());
         for (sum, bytes) in run.offered.iter_mut().zip(tx.offered()) {
             *sum += bytes;
         }
     }
     run
 }
+

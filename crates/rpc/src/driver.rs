@@ -2,52 +2,24 @@
 
 use crate::stack::{RpcCompletion, RpcStack};
 use aequitas_netsim::{HostAgent, HostCtx, HostId, Packet};
-use aequitas_sim_core::{SimRng, SimTime};
-use aequitas_workloads::{ArrivalProcess, ArrivalState, Priority, SizeDist, TrafficPattern};
-use aequitas_sim_core::BitRate;
-
-/// One priority class within a workload: its share of offered *bytes* and
-/// the size distribution of its RPCs.
-#[derive(Debug, Clone)]
-pub struct PrioritySpec {
-    /// The priority class.
-    pub priority: Priority,
-    /// Share of offered bytes (relative weight).
-    pub byte_share: f64,
-    /// RPC size distribution for this class.
-    pub sizes: SizeDist,
-}
-
-/// A complete workload description for one sending host.
-#[derive(Debug, Clone)]
-pub struct WorkloadSpec {
-    /// When RPCs are issued.
-    pub arrival: ArrivalProcess,
-    /// Who they are sent to.
-    pub pattern: TrafficPattern,
-    /// The per-priority mix (byte shares need not sum to 1; they are
-    /// normalized).
-    pub classes: Vec<PrioritySpec>,
-    /// Stop issuing (but keep serving) after this time, if set.
-    pub stop: Option<SimTime>,
-}
+use aequitas_sim_core::{BitRate, SimTime};
+use aequitas_workloads::{RpcStream, WorkloadSpec};
 
 const ARRIVAL_TIMER: u64 = 1;
 
 /// A [`HostAgent`] that issues RPCs per a [`WorkloadSpec`] through an
 /// [`RpcStack`] and accumulates completions for the experiment harness.
+///
+/// It draws each RPC's arrival when it arms the arrival timer and the
+/// RPC's class, size and destination when the timer fires, so a
+/// [`WorkloadHost::set_byte_share`] in between applies to that RPC.
 pub struct WorkloadHost {
     stack: RpcStack,
-    spec: Option<WorkloadSpec>,
-    arrivals: Option<ArrivalState>,
-    /// Relative per-class RPC-count weights (byte share / mean size).
-    count_weights: Vec<f64>,
-    rng: SimRng,
-    n_hosts: usize,
+    stream: Option<RpcStream>,
     next_arrival: Option<SimTime>,
     completions: Vec<RpcCompletion>,
     issued: u64,
-    /// Payload bytes issued, per [`Priority`] in declaration order.
+    /// Payload bytes issued, per priority in declaration order.
     issued_bytes: [u64; 3],
 }
 
@@ -61,35 +33,27 @@ impl WorkloadHost {
         line_rate: BitRate,
         seed: u64,
     ) -> Self {
-        let mut count_weights = Vec::new();
-        let arrivals = spec.as_ref().map(|s| {
-            assert!(!s.classes.is_empty(), "workload needs at least one class");
-            count_weights = s
-                .classes
-                .iter()
-                .map(|c| {
-                    assert!(c.byte_share >= 0.0);
-                    c.byte_share / c.sizes.mean_bytes()
-                })
-                .collect();
-            let share_total: f64 = s.classes.iter().map(|c| c.byte_share).sum();
-            let weight_total: f64 = count_weights.iter().sum();
-            assert!(share_total > 0.0 && weight_total > 0.0);
-            let mean_bytes = share_total / weight_total;
-            ArrivalState::new(s.arrival.clone(), line_rate, mean_bytes)
-        });
+        let src = stack.host().0;
         WorkloadHost {
+            stream: spec.map(|spec| Self::stream(spec, src, n_hosts, line_rate, seed)),
             stack,
-            spec,
-            arrivals,
-            count_weights,
-            rng: SimRng::new(seed ^ 0x5EED_0001),
-            n_hosts,
             next_arrival: None,
             completions: Vec::new(),
             issued: 0,
             issued_bytes: [0; 3],
         }
+    }
+
+    /// The RPCs a host `src` built with `seed` offers under `spec`. Any
+    /// other agent built from the same arguments issues the same RPCs.
+    pub fn stream(
+        spec: WorkloadSpec,
+        src: usize,
+        n_hosts: usize,
+        line_rate: BitRate,
+        seed: u64,
+    ) -> RpcStream {
+        RpcStream::new(spec, src, n_hosts, line_rate, seed ^ 0x5EED_0001)
     }
 
     /// The underlying stack.
@@ -122,89 +86,43 @@ impl WorkloadHost {
         self.issued_bytes
     }
 
-    /// Adjust one workload class's byte share at runtime (the knob an
-    /// application turns when it reacts to downgrade notifications —
-    /// Algorithm 1 surfaces downgrades so apps can re-mark traffic).
-    /// Count weights and the arrival process's mean size stay consistent.
+    /// Adjust one workload class's byte share at runtime: see
+    /// [`RpcStream::set_byte_share`]. A receiver ignores it.
     pub fn set_byte_share(&mut self, class_idx: usize, byte_share: f64) {
-        let Some(spec) = self.spec.as_mut() else {
-            return;
-        };
-        assert!(class_idx < spec.classes.len());
-        assert!(byte_share >= 0.0);
-        spec.classes[class_idx].byte_share = byte_share;
-        self.count_weights = spec
-            .classes
-            .iter()
-            .map(|c| {
-                if c.byte_share <= 0.0 {
-                    0.0
-                } else {
-                    c.byte_share / c.sizes.mean_bytes()
-                }
-            })
-            .collect();
-        // Keep at least one sendable class.
-        assert!(
-            self.count_weights.iter().any(|&w| w > 0.0),
-            "at least one class must keep a positive share"
-        );
+        if let Some(stream) = self.stream.as_mut() {
+            stream.set_byte_share(class_idx, byte_share);
+        }
     }
 
-    /// Current byte share of a class.
+    /// Current byte share of a class (0 for a receiver).
     pub fn byte_share(&self, class_idx: usize) -> f64 {
-        self.spec
+        self.stream
             .as_ref()
-            .map(|s| s.classes[class_idx].byte_share)
-            .unwrap_or(0.0)
+            .map_or(0.0, |s| s.byte_share(class_idx))
     }
 
+    /// Draw the next arrival and arm its timer.
     fn schedule_next(&mut self, ctx: &mut HostCtx) {
-        let Some(arrivals) = self.arrivals.as_mut() else {
-            return;
-        };
-        let spec = self.spec.as_ref().expect("spec exists with arrivals");
-        if self.next_arrival.is_none() {
-            let mut t = arrivals.next_arrival(&mut self.rng);
-            // The very first sample can land at time 0 exactly; keep it.
-            if let Some(stop) = spec.stop {
-                if t >= stop {
-                    return;
-                }
-            }
-            if t < ctx.now() {
-                t = ctx.now();
-            }
+        if let Some(t) = self.stream.as_mut().and_then(RpcStream::next_arrival) {
+            let t = t.max(ctx.now());
             self.next_arrival = Some(t);
             ctx.set_timer(t, ARRIVAL_TIMER);
         }
     }
 
+    /// Issue the RPC due now, then schedule the next.
     fn fire_arrivals(&mut self, ctx: &mut HostCtx) {
-        let Some(t) = self.next_arrival else {
-            return;
-        };
-        if t > ctx.now() {
+        if self.next_arrival.take_if(|t| *t <= ctx.now()).is_none() {
             return;
         }
-        self.next_arrival = None;
-        // Issue the RPC due now.
-        let spec = self.spec.as_ref().expect("sender has a spec");
-        if spec.stop.is_none_or(|stop| ctx.now() < stop) {
-            let class_idx = self.rng.weighted_index(&self.count_weights);
-            let class = &spec.classes[class_idx];
-            let size = class.sizes.sample(&mut self.rng).max(1);
-            let priority = class.priority;
-            if let Some(dst) = spec
-                .pattern
-                .pick_dst(ctx.host().0, self.n_hosts, &mut self.rng)
-            {
-                self.stack.issue_rpc(ctx, HostId(dst), priority, size);
-                self.issued += 1;
-                self.issued_bytes[priority as usize] += size;
-            }
-        } else {
-            return; // past stop: no more arrivals
+        let Some(stream) = self.stream.as_mut() else {
+            return;
+        };
+        if let Some(rpc) = stream.draw_rpc(ctx.now()) {
+            self.stack
+                .issue_rpc(ctx, HostId(rpc.dst), rpc.priority, rpc.size_bytes);
+            self.issued += 1;
+            self.issued_bytes[rpc.qos as usize] += rpc.size_bytes;
         }
         self.schedule_next(ctx);
     }
@@ -216,13 +134,7 @@ impl WorkloadHost {
 
 impl HostAgent for WorkloadHost {
     fn on_start(&mut self, ctx: &mut HostCtx) {
-        if self
-            .spec
-            .as_ref()
-            .is_some_and(|s| s.pattern.is_sender(ctx.host().0))
-        {
-            self.schedule_next(ctx);
-        }
+        self.schedule_next(ctx);
     }
 
     fn on_packet(&mut self, ctx: &mut HostCtx, pkt: Packet) {
@@ -244,7 +156,9 @@ mod tests {
     use crate::stack::Policy;
     use aequitas_netsim::{Engine, EngineConfig, LinkSpec, Topology};
     use aequitas_transport::TransportConfig;
-    use aequitas_workloads::QosMapping;
+    use aequitas_workloads::{
+        ArrivalProcess, Priority, PrioritySpec, QosMapping, SizeDist, TrafficPattern,
+    };
 
     fn line_rate() -> BitRate {
         BitRate::from_gbps(100)
@@ -364,6 +278,50 @@ mod tests {
         // Everything issued completes.
         assert_eq!(eng.agents()[0].completions().len() as u64, issued);
         assert_eq!(eng.agents()[0].issued_bytes(), [issued * 32_768, 0, 0]);
+    }
+
+    /// The host issues exactly the RPCs its stream draws eagerly: the split
+    /// draw timing changes nothing while no byte share moves.
+    #[test]
+    fn issues_what_the_stream_draws() {
+        let spec = WorkloadSpec {
+            arrival: ArrivalProcess::BurstOnOff {
+                mu: 0.3,
+                rho: 0.9,
+                period: aequitas_sim_core::SimDuration::from_us(100),
+            },
+            pattern: TrafficPattern::AllToAll,
+            classes: Priority::ALL
+                .into_iter()
+                .zip([0.5, 0.3, 0.2])
+                .map(|(priority, byte_share)| PrioritySpec {
+                    priority,
+                    byte_share,
+                    sizes: SizeDist::production_like(priority),
+                })
+                .collect(),
+            stop: Some(SimTime::from_ms(2)),
+        };
+        let n = 4;
+        let topo = Topology::star(n, LinkSpec::default_100g());
+        let agents = (0..n).map(|h| mk_host(h, Some(spec.clone()), n, 40)).collect();
+        let mut eng = Engine::new(topo, agents, EngineConfig::default_3qos());
+        eng.run_until(SimTime::from_ms(10));
+        for (h, host) in eng.agents().iter().enumerate() {
+            let mut done = host.completions().to_vec();
+            done.sort_by_key(|c| c.rpc_id);
+            let issued: Vec<_> = done
+                .iter()
+                .map(|c| (c.issued_at, c.dst.0, c.priority, c.size_bytes))
+                .collect();
+            let mut stream = WorkloadHost::stream(spec.clone(), h, n, line_rate(), 40 + h as u64);
+            let drawn: Vec<_> = std::iter::from_fn(|| stream.next_rpc())
+                .map(|r| (r.at, r.dst, r.priority, r.size_bytes))
+                .collect();
+            assert_eq!(host.issued(), drawn.len() as u64);
+            assert!(drawn.len() > 50, "host {h}: {} RPCs", drawn.len());
+            assert_eq!(issued, drawn, "host {h}");
+        }
     }
 
     #[test]

@@ -19,9 +19,11 @@
 pub mod driver;
 pub mod stack;
 
-pub use driver::{PrioritySpec, WorkloadHost, WorkloadSpec};
+pub use driver::WorkloadHost;
 pub use stack::{
     Policy, RetryConfig, RpcCompletion, RpcFailure, RpcStack, RPC_RETRY_TIMER,
 };
 
-pub use aequitas_workloads::{ArrivalProcess, Priority, QosClass, QosMapping, TrafficPattern};
+pub use aequitas_workloads::{
+    ArrivalProcess, Priority, PrioritySpec, QosClass, QosMapping, TrafficPattern, WorkloadSpec,
+};

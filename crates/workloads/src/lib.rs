@@ -14,7 +14,9 @@
 //!   communicate — fixed pairs, all-to-all, or many-to-one incast.
 //!
 //! RPC priority classes ([`Priority`]) live here too, since workloads are
-//! specified as per-class mixes.
+//! specified as per-class mixes: a [`WorkloadSpec`] is one host's mix, and
+//! an [`RpcStream`] draws that host's RPCs from it — the one stream
+//! Aequitas's hosts and every baseline's hosts consume.
 //!
 //! # Example
 //!
@@ -39,11 +41,13 @@ pub mod arrivals;
 pub mod pattern;
 pub mod priority;
 pub mod sizes;
+pub mod stream;
 
 pub use arrivals::{ArrivalProcess, ArrivalState};
 pub use pattern::TrafficPattern;
 pub use priority::{Priority, QosClass, QosMapping};
 pub use sizes::SizeDist;
+pub use stream::{NextRpc, PrioritySpec, RpcStream, WorkloadSpec};
 
 /// Maximum transmission unit used throughout the reproduction, in bytes.
 ///
