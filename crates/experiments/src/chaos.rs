@@ -605,7 +605,7 @@ pub fn containment_comparison() -> Comparison {
         workloads: (0..CT_N)
             .map(|h| (h < CT_SENDERS).then(|| sender.clone()))
             .collect(),
-        seed: |_| CT_SEED,
+        seed: CT_SEED,
         faults: Some(containment_plan()),
         end: SimTime::from_ms(CT_RUN_MS),
         engine: aequitas_netsim::EngineConfig::default_2qos(),

@@ -152,14 +152,7 @@ pub fn comparison(scale: Scale) -> Comparison {
     Comparison {
         topo: Topology::star(N, LinkSpec::default_100g()),
         workloads: vec![Some(spec); N],
-        seed: |scheme| match scheme {
-            Scheme::Pfabric => 22_01,
-            Scheme::Qjump => 22_02,
-            Scheme::D3 => 22_03,
-            Scheme::Pdq => 22_04,
-            Scheme::Homa => 22_05,
-            Scheme::Aequitas => 22_06,
-        },
+        seed: 22_06,
         faults: None,
         end: drain_time(scale),
         engine: EngineConfig::default_3qos(),

@@ -2,12 +2,17 @@
 //!
 //! Fig. 22 and the chaos containment matrix both run Aequitas and the five
 //! baselines on one scenario. A [`Comparison`] states that scenario once —
-//! topology, per-host offered load, seeds, fault plan, end time and the
+//! topology, per-host offered load, seed, fault plan, end time and the
 //! Aequitas side's fabric and controller — and [`Scheme::run`] runs any of
 //! the six on it, returning [`BaselineCompletion`]s and the bytes each
-//! class offered. Another system under test is one more variant.
+//! class offered. Every scheme's host `h` draws the same [`RpcStream`],
+//! so all six see the identical (time, destination, class, size) sequence
+//! and their rows differ only by what the schemes do with it. Another
+//! system under test is one more variant.
+//!
+//! [`RpcStream`]: aequitas_workloads::RpcStream
 
-use crate::harness::{MacroSetup, PolicyChoice, RunCtx};
+use crate::harness::{host_seed, MacroSetup, PolicyChoice, RunCtx};
 use aequitas::AequitasConfig;
 use aequitas_baselines::{
     deadline, homa, pfabric, qjump, BaselineCompletion, BaselineHost, DeadlineHost,
@@ -15,7 +20,7 @@ use aequitas_baselines::{
 };
 use aequitas_netsim::faults::FaultPlan;
 use aequitas_netsim::{Engine, EngineConfig, HostId, Topology};
-use aequitas_rpc::WorkloadSpec;
+use aequitas_rpc::{WorkloadHost, WorkloadSpec};
 use aequitas_sim_core::{SimDuration, SimTime};
 use aequitas_workloads::QosMapping;
 use std::sync::Arc;
@@ -67,22 +72,10 @@ impl Scheme {
         let faults = ctx.adopt_faults(cmp.faults.clone());
         let n = cmp.topo.num_hosts();
         let rate = cmp.topo.host_ports[0].link.rate;
-        let seed = (cmp.seed)(self);
+        // The stream `MacroSetup` hands Aequitas's host `h`.
         let gen = |h: HostId| {
-            cmp.workloads[h.0].as_ref().map(|spec| {
-                WorkloadGen::new(
-                    spec.arrival.clone(),
-                    spec.pattern.clone(),
-                    spec.classes
-                        .iter()
-                        .map(|c| (c.priority, c.byte_share, c.sizes.clone()))
-                        .collect(),
-                    h.0,
-                    n,
-                    rate,
-                    spec.stop,
-                    seed ^ (h.0 as u64 * 0x9E37),
-                )
+            cmp.workloads[h.0].clone().map(|spec| {
+                WorkloadGen(WorkloadHost::stream(spec, h.0, n, rate, host_seed(cmp.seed, h.0)))
             })
         };
         match self {
@@ -98,7 +91,7 @@ impl Scheme {
                     workloads: cmp.workloads.clone(),
                     duration: cmp.end.since(SimTime::ZERO),
                     warmup: SimDuration::ZERO,
-                    seed,
+                    seed: cmp.seed,
                     ..MacroSetup::star_3qos(n)
                 };
                 // No warm-up: every completion is in `r.completions`.
@@ -146,8 +139,10 @@ pub struct Comparison {
     pub topo: Topology,
     /// Per-host offered load (`None` = receiver only).
     pub workloads: Vec<Option<WorkloadSpec>>,
-    /// Each scheme's seed.
-    pub seed: fn(Scheme) -> u64,
+    /// The one seed of every scheme's run: each host's RPC stream is drawn
+    /// from it exactly as [`MacroSetup`] draws Aequitas's, so all six
+    /// schemes are offered the same RPCs.
+    pub seed: u64,
     /// The scenario's fault plan; without one, [`RunCtx::faults`].
     pub faults: Option<Arc<FaultPlan>>,
     /// When every run ends.
@@ -195,3 +190,27 @@ fn baseline<A: BaselineHost>(
     run
 }
 
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Common random numbers: on fig22's and the containment matrix's
+    /// scenarios, cut to their first 500 µs, every scheme is offered the
+    /// same bytes per class.
+    #[test]
+    fn all_six_schemes_are_offered_the_same_load() {
+        let ctx = RunCtx::quick();
+        for cmp in [
+            crate::related::comparison(ctx.scale),
+            crate::chaos::containment_comparison(),
+        ] {
+            let cmp = Comparison {
+                end: SimTime::from_us(500),
+                ..cmp
+            };
+            let offered = Scheme::ALL.map(|s| s.run(&ctx, &cmp).offered);
+            assert!(offered[0][0] > 0, "{offered:?}");
+            assert!(offered.iter().all(|o| *o == offered[0]), "{offered:?}");
+        }
+    }
+}
