@@ -129,13 +129,15 @@ pub fn time_to_restore(windows: &[WindowPoint], onset_ps: u64, slo: f64) -> Opti
         1 => return (windows[0].p99 <= slo && windows[0].count > 0).then_some(0),
         _ => windows[1].start_ps - windows[0].start_ps,
     };
+    // A window near the top of u64 time ends at `u64::MAX`, not past it.
     let mut last_violation_end: Option<u64> = None;
     for w in windows {
-        if w.start_ps + width <= onset_ps {
+        let end = w.start_ps.saturating_add(width);
+        if end <= onset_ps {
             continue;
         }
         if w.p99 > slo || w.count == 0 {
-            last_violation_end = Some(w.start_ps + width);
+            last_violation_end = Some(end);
         }
     }
     match (last_violation_end, windows.last()) {

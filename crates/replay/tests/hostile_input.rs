@@ -329,3 +329,32 @@ fn a_completion_span_past_the_window_limit_is_reported_not_materialised() {
         "{out}"
     );
 }
+
+/// Completions in the last 500 us windows of u64 time: a window's end
+/// would pass `u64::MAX`, so the recovery timeline saturates it instead
+/// of wrapping (release) or panicking (overflow checks). Both windows miss
+/// the seed's QoS-0 SLO, so the report says the SLO was never restored.
+#[test]
+fn completions_at_the_end_of_time_do_not_overflow_the_recovery_timeline() {
+    let mut trace = seed_trace();
+    for t_ps in [18_446_744_073_000_000_000, 18_446_744_073_600_000_000] {
+        let seq = trace.len() as u64;
+        let line = TraceEvent::RpcComplete {
+            host: 0,
+            dst: 2,
+            qos_run: 0,
+            downgraded: false,
+            size_bytes: 4160,
+            rnl_ps: 2_000_000,
+            rnl_per_mtu_ps: 2_000_000,
+        };
+        trace.push(line.to_json(seq, t_ps));
+    }
+    let text = trace.join("\n") + "\n";
+    let mut recon = Reconstruction::from_reader(text.as_bytes()).unwrap();
+    assert_eq!(recon.qos_rnl_points[&0].len(), 2);
+    let report = audit(&mut recon, &AuditOptions::default());
+    let out = aequitas_replay::report::report_text(&mut recon, &report);
+    assert!(out.contains("qos0: SLO NOT restored within the trace"), "{out}");
+    exercise(text.as_bytes());
+}
