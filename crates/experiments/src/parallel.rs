@@ -18,7 +18,7 @@ use std::sync::Mutex;
 
 /// Run `f` over every point on `threads` workers; results come back in
 /// input order. A point that panics fails the sweep with
-/// "sweep point <i> panicked" (its own message has gone to stderr by then)
+/// "sweep point `<i>` panicked" (its own message has gone to stderr by then)
 /// and no further point is started.
 pub fn run_sweep_on<P, R, F>(threads: usize, points: Vec<P>, f: F) -> Vec<R>
 where

@@ -111,7 +111,7 @@ fn parse_value(raw: &str, line_no: usize) -> Result<Value, String> {
     Err(format!("line {line_no}: cannot parse value {raw:?}"))
 }
 
-/// Parse the restricted TOML dialect into a [`Document`].
+/// Parse the restricted TOML dialect into a `Document`.
 pub fn parse_document(text: &str) -> Result<Document, String> {
     let mut doc = Document::default();
     // Index into doc.tables of the section currently being filled.

@@ -12,9 +12,12 @@
 //!
 //! * [`RpcStack`] — the per-host stack combining mapping, policy, transport,
 //!   and RNL bookkeeping.
-//! * [`WorkloadHost`] — a ready-made [`HostAgent`] that drives an
-//!   [`ArrivalProcess`]/[`TrafficPattern`]/size-distribution workload
-//!   through an `RpcStack`; all macro experiments use it.
+//! * [`WorkloadHost`] — a ready-made [`HostAgent`] that drives a
+//!   [`WorkloadSpec`]'s [`RpcStream`] through an `RpcStack`; all macro
+//!   experiments use it.
+//!
+//! [`HostAgent`]: aequitas_netsim::HostAgent
+//! [`RpcStream`]: aequitas_workloads::RpcStream
 
 pub mod driver;
 pub mod stack;

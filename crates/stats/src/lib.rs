@@ -13,7 +13,7 @@
 //! * [`TimeSeries`] — `(time, value)` traces for convergence plots
 //!   (admit-probability and throughput versus time, Figs. 17/18/28/29).
 //! * [`ThroughputMeter`] — windowed byte counting converted to Gbps.
-//! * [`Counter`] utilities for shares and mixes.
+//! * [`shares`] — normalized shares of a set of counts (a QoS mix).
 
 pub mod histogram;
 pub mod percentiles;

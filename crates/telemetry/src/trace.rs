@@ -324,7 +324,7 @@ impl TraceEvent {
     /// streams. Byte-identical to what [`TraceEvent::to_json`] returns.
     ///
     /// Keys are literal fragments and everything but a float is formatted by
-    /// hand ([`Put`]): `core::fmt` costs more per integer than the digits
+    /// hand (`Put`): `core::fmt` costs more per integer than the digits
     /// themselves, and a packet line carries nine. Floats stay on `core::fmt`
     /// so the `{}`/`{:.4}`/`{:.6}` renderings cannot drift by a digit.
     pub fn write_json(&self, s: &mut String, seq: u64, t_ps: u64) {

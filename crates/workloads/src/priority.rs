@@ -51,7 +51,7 @@ impl QosClass {
         self.0 as usize
     }
 
-    /// Label like "QoSh"/"QoSm"/"QoSl" for 3-level setups, or "QoS<i>".
+    /// Label like "QoSh"/"QoSm"/"QoSl" for 3-level setups, or `QoS<i>`.
     pub fn label(self, levels: usize) -> String {
         if levels == 3 {
             match self.0 {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI gate: first-party lint + suppression-debt gate, clippy with warnings
-# denied (it carries most of the static rules: DESIGN §8.1), release build,
+# denied (it carries most of the static rules: DESIGN §8.1), rustdoc with
+# warnings denied, release build,
 # the sharded engine's tests under a time limit, tier-1 tests, the simsan
 # (simulation sanitizer) test job, an overflow-checks + simsan lane, a
 # simsan determinism diff, the benchmark's build + self-checks, and the
@@ -22,6 +23,11 @@ echo "== clippy =="
 # todo, replay unwrap/expect), and rustc's `unsafe_code` deny is checked
 # by every build.
 cargo clippy -q --offline --all-targets -- -D warnings
+
+echo "== docs =="
+# Intra-doc links must resolve: a type that moves or goes cannot leave a
+# dangling link behind, and no public doc may point at a private item.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps --workspace
 
 echo "== build (release) =="
 cargo build --release --offline
