@@ -109,15 +109,6 @@ impl QuotaServer {
         self.specs[i] = Some(spec);
     }
 
-    /// Remove a tenant.
-    pub fn deregister(&mut self, tenant: TenantId) {
-        let i = tenant.0 as usize;
-        if i < self.specs.len() {
-            self.specs[i] = None;
-            self.last_usage[i] = 0;
-        }
-    }
-
     /// Registered tenants, in ascending id order.
     pub fn tenants(&self) -> impl Iterator<Item = (TenantId, &QuotaSpec)> {
         self.specs

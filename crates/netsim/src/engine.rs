@@ -662,11 +662,6 @@ impl<A: HostAgent> Engine<A> {
         (drops, corrupts)
     }
 
-    /// The structured fault plan attached to this engine, if any.
-    pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
-        self.config.faults.as_ref()
-    }
-
     /// Dispatch one already-popped event.
     fn dispatch(&mut self, ev: Event) {
         self.events_processed += 1;

@@ -149,16 +149,6 @@ impl<T> WfqScheduler<T> {
         self.virtual_time
     }
 
-    /// How far `class`'s last-assigned finish tag leads the system virtual
-    /// time, in virtual-time units. Zero when the class is keeping pace
-    /// with its share; large values mean the class has queued far ahead of
-    /// its service rate.
-    pub fn class_lag(&self, class: usize) -> f64 {
-        self.last_finish
-            .get(class)
-            .map_or(0.0, |f| f - self.virtual_time)
-    }
-
     fn reset_clock(&mut self) {
         self.virtual_time = 0.0;
         self.last_finish.iter_mut().for_each(|f| *f = 0.0);

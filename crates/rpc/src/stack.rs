@@ -328,11 +328,6 @@ impl RpcStack {
         self.retry = retry;
     }
 
-    /// The retry policy in use.
-    pub fn retry_config(&self) -> &RetryConfig {
-        &self.retry
-    }
-
     /// Attach a telemetry handle to the stack and propagate it to the
     /// transport and the admission controller (if any): RPC issue/complete
     /// events, cwnd updates, retransmissions, and admit-probability steps

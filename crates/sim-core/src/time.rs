@@ -92,11 +92,6 @@ impl SimTime {
     pub fn align_down(self, period: SimDuration) -> SimTime {
         SimTime(self.0 / period.0 * period.0)
     }
-
-    /// Offset of `self` within its period (`self - self.align_down(period)`).
-    pub fn phase_in(self, period: SimDuration) -> SimDuration {
-        SimDuration(self.0 % period.0)
-    }
 }
 
 impl SimDuration {
@@ -145,10 +140,6 @@ impl SimDuration {
     /// This duration as fractional microseconds.
     pub fn as_us_f64(self) -> f64 {
         self.0 as f64 / PS_PER_US as f64
-    }
-    /// This duration as fractional milliseconds.
-    pub fn as_ms_f64(self) -> f64 {
-        self.0 as f64 / PS_PER_MS as f64
     }
     /// This duration as fractional seconds.
     pub fn as_secs_f64(self) -> f64 {

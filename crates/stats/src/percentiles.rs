@@ -122,12 +122,6 @@ impl Percentiles {
         Some(idx as f64 / self.samples.len() as f64)
     }
 
-    /// All samples, sorted ascending.
-    pub fn sorted_samples(&mut self) -> &[f64] {
-        self.ensure_sorted();
-        &self.samples
-    }
-
     /// Merge another collector's samples into this one.
     pub fn merge(&mut self, other: &Percentiles) {
         self.samples.extend_from_slice(&other.samples);
