@@ -1,13 +1,13 @@
 //! Shared sender machinery for the baseline hosts.
 //!
-//! Every baseline host draws its RPCs from an [`RpcStream`] — the stream
-//! an Aequitas host of the same spec and seed draws — whole, one arrival
-//! ahead; numbers its messages and packets; and logs what finished.
-//! [`Sender`] is that skeleton. The sender-driven baselines (pFabric, QJump, D3, PDQ) also
-//! track outgoing messages the same way — segmentation, per-packet ACKs,
-//! timeout retransmission — and differ only in *when* and *at what
-//! priority* the next segment may leave. [`OutMsg`] is that common
-//! bookkeeping.
+//! Every baseline host draws its RPCs whole, one arrival ahead, from an
+//! [`RpcStream`] (the stream an Aequitas host of the same spec and seed
+//! draws); numbers its messages and packets; and logs what finished.
+//! [`Sender`] is that skeleton. The sender-driven baselines (pFabric,
+//! QJump, D3, PDQ) also track outgoing messages the same way —
+//! segmentation, per-packet ACKs, timeout retransmission — and differ only
+//! in *when* and *at what priority* the next segment may leave. [`OutMsg`]
+//! is that common bookkeeping.
 //!
 //! Per-flow state is ordered and dense: every host keeps its messages (and
 //! a receiver its incoming flows) in a `FlowTable`, a sorted vector, so a

@@ -11,7 +11,6 @@ use aequitas_workloads::{
 /// under its own seed salt; `WorkloadGen(stream)` wraps a stream built
 /// elsewhere, such as the one an Aequitas host of the same spec and seed
 /// would draw.
-#[derive(Debug, Clone)]
 pub struct WorkloadGen(pub RpcStream);
 
 impl WorkloadGen {

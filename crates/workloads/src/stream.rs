@@ -1,13 +1,10 @@
-//! One sending host's offered RPCs: the workspace's one draw loop.
+//! One sending host's offered RPCs, drawn from a [`WorkloadSpec`].
 //!
-//! A [`WorkloadSpec`] says what a host offers; an [`RpcStream`] turns it
-//! into a sequence of (time, destination, class, size) draws from one
-//! [`SimRng`]. Each RPC draws its arrival, then its class, then its size,
-//! then its destination. [`RpcStream::next_rpc`] makes all four draws at
-//! once; a host that decides the RPC only when its arrival fires calls
-//! [`RpcStream::next_arrival`] and, at that time, [`RpcStream::draw_rpc`].
-//! Both orders consume the generator identically, so every consumer built
-//! on one spec and seed sees the same RPCs.
+//! [`RpcStream`] draws each RPC's arrival, class, size and destination
+//! from one [`SimRng`], in that order: all at once in
+//! [`RpcStream::next_rpc`], or split into [`RpcStream::next_arrival`] and
+//! [`RpcStream::draw_rpc`] by a host that picks the RPC only when its
+//! arrival fires. Both consume the generator identically.
 
 use crate::{ArrivalProcess, ArrivalState, Priority, SizeDist, TrafficPattern};
 use aequitas_sim_core::{BitRate, SimRng, SimTime};
@@ -54,7 +51,6 @@ pub struct NextRpc {
 }
 
 /// The RPCs host `src` of `n_hosts` offers under a [`WorkloadSpec`].
-#[derive(Debug, Clone)]
 pub struct RpcStream {
     spec: WorkloadSpec,
     arrivals: ArrivalState,
@@ -70,13 +66,18 @@ impl RpcStream {
     /// The stream of `spec` from host `src` of `n_hosts`, drawn from
     /// `SimRng::new(seed)`. `line_rate` must match the host's NIC rate
     /// (loads are expressed relative to it).
-    pub fn new(spec: WorkloadSpec, src: usize, n_hosts: usize, line_rate: BitRate, seed: u64) -> Self {
+    pub fn new(
+        spec: WorkloadSpec,
+        src: usize,
+        n_hosts: usize,
+        line_rate: BitRate,
+        seed: u64,
+    ) -> Self {
         assert!(!spec.classes.is_empty(), "workload needs at least one class");
-        assert!(spec.classes.iter().all(|c| c.byte_share >= 0.0));
         let count_weights = count_weights(&spec.classes);
         let share_total: f64 = spec.classes.iter().map(|c| c.byte_share).sum();
         let weight_total: f64 = count_weights.iter().sum();
-        assert!(share_total > 0.0 && weight_total > 0.0);
+        assert!(spec.classes.iter().all(|c| c.byte_share >= 0.0) && weight_total > 0.0);
         let mean_bytes = share_total / weight_total;
         RpcStream {
             arrivals: ArrivalState::new(spec.arrival.clone(), line_rate, mean_bytes),
@@ -87,11 +88,6 @@ impl RpcStream {
             src,
             n_hosts,
         }
-    }
-
-    /// Whether this host sends at all.
-    pub fn is_sender(&self) -> bool {
-        self.sender
     }
 
     /// Draw the next arrival instant, or `None` once it reaches the spec's
@@ -255,7 +251,7 @@ mod tests {
             2,
         );
         assert!(g.next_rpc().is_none());
-        assert!(!g.is_sender());
+        assert!(g.next_arrival().is_none());
     }
 
     #[test]
