@@ -29,18 +29,9 @@ impl WorkloadGen {
     ) -> Self {
         let classes = classes
             .into_iter()
-            .map(|(priority, byte_share, sizes)| PrioritySpec {
-                priority,
-                byte_share,
-                sizes,
-            })
+            .map(|(priority, byte_share, sizes)| PrioritySpec { priority, byte_share, sizes })
             .collect();
-        let spec = WorkloadSpec {
-            arrival,
-            pattern,
-            classes,
-            stop,
-        };
+        let spec = WorkloadSpec { arrival, pattern, classes, stop };
         WorkloadGen(RpcStream::new(spec, src, n_hosts, line_rate, seed ^ 0xB05E_11AE))
     }
 

@@ -588,7 +588,7 @@ fn ct_row(name: &'static str, run: SchemeRun) -> ContainmentRow {
 
 /// The containment scenario: four senders offer 32 KB PC RPCs to one
 /// receiver of a 2-leaf, 2-spine fabric under [`containment_plan`].
-pub fn containment_comparison() -> Comparison {
+pub(crate) fn containment_comparison() -> Comparison {
     let sender = WorkloadSpec {
         arrival: ArrivalProcess::Uniform { load: CT_LOAD },
         pattern: TrafficPattern::ManyToOne { dst: CT_DST },

@@ -101,7 +101,8 @@ impl RpcStream {
     }
 
     /// Draw the class, size and destination of the RPC arriving `at`;
-    /// `None` if the pattern gives this host no destination.
+    /// `None` if the pattern gives this host no destination (it is not a
+    /// sender, so [`RpcStream::next_arrival`] never gave it an arrival).
     pub fn draw_rpc(&mut self, at: SimTime) -> Option<NextRpc> {
         let class = &self.spec.classes[self.rng.weighted_index(&self.count_weights)];
         let size_bytes = class.sizes.sample(&mut self.rng).max(1);
@@ -117,12 +118,8 @@ impl RpcStream {
 
     /// Draw the next RPC whole, or `None` once past the stop time.
     pub fn next_rpc(&mut self) -> Option<NextRpc> {
-        loop {
-            let at = self.next_arrival()?;
-            if let Some(rpc) = self.draw_rpc(at) {
-                return Some(rpc);
-            }
-        }
+        let at = self.next_arrival()?;
+        self.draw_rpc(at)
     }
 
     /// Set class `class_idx`'s byte share from the next class draw on (the
