@@ -42,6 +42,7 @@
 use aequitas_experiments::harness::{RunCtx, Scale};
 use aequitas_experiments::*;
 use aequitas_netsim::faults::FaultPlan;
+use aequitas_sim_core::time::PS_PER_US;
 use aequitas_sim_core::SimDuration;
 use aequitas_telemetry::{Telemetry, TelemetryConfig};
 use std::sync::Arc;
@@ -269,15 +270,35 @@ fn load_fault_plan(path: &str) -> Arc<FaultPlan> {
     }
 }
 
+/// The `--sample-us` period: a positive number of microseconds that the
+/// picosecond clock can hold.
+fn sample_period(v: &str) -> SimDuration {
+    let us = positive("--sample-us", v);
+    match us.checked_mul(PS_PER_US) {
+        Some(ps) => SimDuration::from_ps(ps),
+        None => {
+            eprintln!(
+                "--sample-us {us} overflows the picosecond clock (at most {} us)",
+                u64::MAX / PS_PER_US
+            );
+            usage();
+        }
+    }
+}
+
 /// Build the telemetry handle `--trace` / `--metrics` / `--sample-us` ask
 /// for; disabled when neither output is wanted.
-fn open_telemetry(trace: Option<&str>, metrics: Option<&str>, sample_us: Option<u64>) -> Telemetry {
+fn open_telemetry(
+    trace: Option<&str>,
+    metrics: Option<&str>,
+    sample_every: Option<SimDuration>,
+) -> Telemetry {
     if trace.is_none() && metrics.is_none() {
         return Telemetry::disabled();
     }
     let mut config = TelemetryConfig::default();
-    if let Some(us) = sample_us {
-        config.sample_every = SimDuration::from_us(us);
+    if let Some(every) = sample_every {
+        config.sample_every = every;
     }
     match trace {
         Some(path) => Telemetry::to_file(path, config).unwrap_or_else(|e| {
@@ -319,7 +340,7 @@ fn main() {
     let mut ctx = RunCtx::quick();
     let mut trace: Option<String> = None;
     let mut metrics: Option<String> = None;
-    let mut sample_us = None;
+    let mut sample_every = None;
     let mut args: Vec<&str> = Vec::new();
     let mut it = raw.iter();
     while let Some(a) = it.next() {
@@ -338,7 +359,7 @@ fn main() {
             "--threads" => ctx.threads = positive("--threads", value_of("--threads")) as usize,
             "--trace" => trace = Some(value_of("--trace").to_string()),
             "--metrics" => metrics = Some(value_of("--metrics").to_string()),
-            "--sample-us" => sample_us = Some(positive("--sample-us", value_of("--sample-us"))),
+            "--sample-us" => sample_every = Some(sample_period(value_of("--sample-us"))),
             "--faults" => {
                 if ctx.faults.is_some() {
                     eprintln!("--faults given more than once");
@@ -353,7 +374,7 @@ fn main() {
         eprintln!("--audit needs a --trace file to replay");
         usage();
     }
-    ctx.telemetry = open_telemetry(trace.as_deref(), metrics.as_deref(), sample_us);
+    ctx.telemetry = open_telemetry(trace.as_deref(), metrics.as_deref(), sample_every);
     let table = entries();
     match args.as_slice() {
         ["list"] => {

@@ -1,13 +1,19 @@
 //! `aequitas-replay` — replay, audit, and compare Aequitas telemetry.
 //!
 //! ```text
-//! aequitas-replay replay  --trace t.jsonl [--metrics m.csv] [--json out.json]
-//! aequitas-replay audit   --trace t.jsonl [--json out.json]
-//!                         [--phi X --mu X --rho X --period-us N]
-//!                         [--bound-tol X] [--slo-tol X] [--region-tol X]
-//! aequitas-replay analyze --input results/ --out analysis/ [--baseline NAME]
+//! aequitas-replay replay  --trace t.jsonl [--metrics m.csv] [--json out.json] [audit options]
+//! aequitas-replay audit   --trace t.jsonl [--metrics m.csv] [--json out.json] [audit options]
+//! aequitas-replay analyze --input results/ --out analysis/ [--baseline NAME] [audit options]
 //! aequitas-replay schema
+//!
+//! audit options: [--phi X --mu X --rho X --period-us N]
+//!                [--bound-tol X] [--slo-tol X] [--region-tol X]
 //! ```
+//!
+//! Every flag takes a value. A flag the subcommand does not take, a flag
+//! without a value, a stray positional argument and a `--period-us` the
+//! picosecond clock cannot hold are usage errors, reported before any file
+//! is read.
 //!
 //! Exit codes: 0 = success (audit verdict PASS), 1 = audit verdict FAIL,
 //! 2 = usage, I/O, or schema error.
@@ -22,55 +28,70 @@ use aequitas_replay::report::{report_json, report_text};
 use std::path::PathBuf;
 
 const USAGE: &str = "usage:
-  aequitas-replay replay  --trace T.jsonl [--metrics M.csv] [--json OUT.json]
-  aequitas-replay audit   --trace T.jsonl [--metrics M.csv] [--json OUT.json]
-                          [--phi X] [--mu X] [--rho X] [--period-us N]
-                          [--bound-tol X] [--slo-tol X] [--region-tol X]
-  aequitas-replay analyze --input DIR --out DIR [--baseline NAME]
+  aequitas-replay replay  --trace T.jsonl [--metrics M.csv] [--json OUT.json] [AUDIT OPTIONS]
+  aequitas-replay audit   --trace T.jsonl [--metrics M.csv] [--json OUT.json] [AUDIT OPTIONS]
+  aequitas-replay analyze --input DIR --out DIR [--baseline NAME] [AUDIT OPTIONS]
   aequitas-replay schema
+
+AUDIT OPTIONS: [--phi X] [--mu X] [--rho X] [--period-us N]
+               [--bound-tol X] [--slo-tol X] [--region-tol X]
 
 replay   reconstruct a trace (queues, RNL, p_admit, faults) and summarize it
 audit    reconstruct + check against the paper's bounds; exits 1 on FAIL
 analyze  audit every trace under --input and diff them against a baseline
 schema   print the trace schema version this build understands";
 
+/// The audit options every reporting subcommand takes.
+const AUDIT_FLAGS: [&str; 7] = [
+    "phi",
+    "mu",
+    "rho",
+    "period-us",
+    "bound-tol",
+    "slo-tol",
+    "region-tol",
+];
+
 fn fail(msg: &str) -> ! {
     eprintln!("aequitas-replay: {msg}");
     std::process::exit(2);
 }
 
+/// A subcommand's `--flag value` pairs. Every flag takes a value.
 struct Args {
-    positional: Vec<String>,
-    flags: Vec<(String, Option<String>)>,
+    flags: Vec<(String, String)>,
 }
 
 impl Args {
-    fn parse(argv: &[String]) -> Args {
-        let mut positional = Vec::new();
+    /// Parse `argv` for a subcommand that takes the flags in `known` (and
+    /// [`AUDIT_FLAGS`] when `audited`). A flag it does not take, a flag
+    /// without a value and any positional argument are usage errors, found
+    /// before anything is read.
+    fn parse(argv: &[String], known: &[&str], audited: bool) -> Args {
+        let takes = |name: &str| known.contains(&name) || (audited && AUDIT_FLAGS.contains(&name));
         let mut flags = Vec::new();
         let mut it = argv.iter().peekable();
         while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                let value = it
-                    .peek()
-                    .filter(|v| !v.starts_with("--"))
-                    .map(|v| v.to_string());
-                if value.is_some() {
-                    it.next();
-                }
-                flags.push((name.to_string(), value));
-            } else {
-                positional.push(a.clone());
+            let Some(name) = a.strip_prefix("--") else {
+                // A positional is almost always a typo'd flag value.
+                fail(&format!("unexpected argument '{a}'\n\n{USAGE}"));
+            };
+            if !takes(name) {
+                fail(&format!("unknown flag '--{name}'\n\n{USAGE}"));
+            }
+            match it.next_if(|v| !v.starts_with("--")) {
+                Some(value) => flags.push((name.to_string(), value.clone())),
+                None => fail(&format!("--{name} needs a value\n\n{USAGE}")),
             }
         }
-        Args { positional, flags }
+        Args { flags }
     }
 
     fn value_of(&self, name: &str) -> Option<&str> {
         self.flags
             .iter()
             .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.as_deref())
+            .map(|(_, v)| v.as_str())
     }
 
     fn parsed<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
@@ -89,11 +110,19 @@ impl Args {
 }
 
 fn audit_options(args: &Args) -> AuditOptions {
+    let period_ps = args.parsed::<u64>("period-us").map(|us| {
+        us.checked_mul(1_000_000).unwrap_or_else(|| {
+            fail(&format!(
+                "--period-us {us} overflows the picosecond clock (at most {} us)",
+                u64::MAX / 1_000_000
+            ))
+        })
+    });
     let mut opts = AuditOptions {
         phi: args.parsed("phi"),
         mu: args.parsed("mu"),
         rho: args.parsed("rho"),
-        period_ps: args.parsed::<u64>("period-us").map(|us| us * 1_000_000),
+        period_ps,
         ..AuditOptions::default()
     };
     if let Some(t) = args.parsed("bound-tol") {
@@ -194,61 +223,53 @@ fn port_key_from_labels(
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = argv.first().cloned() else {
+    let Some((cmd, rest)) = argv.split_first() else {
         fail(USAGE);
     };
-    let args = Args::parse(&argv[1..]);
     match cmd.as_str() {
         "schema" => {
+            Args::parse(rest, &[], false);
             println!(
                 "trace schema version: {}",
                 aequitas_telemetry::TRACE_SCHEMA_VERSION
             );
         }
-        "replay" => {
+        "replay" | "audit" => {
+            let args = Args::parse(rest, &["trace", "metrics", "json"], true);
+            let opts = audit_options(&args);
             let mut recon = load(&args);
-            let report = audit(&mut recon, &audit_options(&args));
+            let report = audit(&mut recon, &opts);
             if let Some(out) = args.value_of("json") {
                 let doc = report_json(&mut recon, &report);
                 std::fs::write(out, doc)
                     .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
             }
             print!("{}", report_text(&mut recon, &report));
-            // replay mode reports the audit but only fails on broken
-            // streams, not on bound violations.
-            let integrity_ok = report
+            let intact = report
                 .checks
                 .iter()
                 .any(|c| c.name == "trace_integrity" && c.status == CheckStatus::Pass);
-            if !integrity_ok {
-                std::process::exit(2);
-            }
-        }
-        "audit" => {
-            let mut recon = load(&args);
-            let report = audit(&mut recon, &audit_options(&args));
-            if let Some(out) = args.value_of("json") {
-                let doc = report_json(&mut recon, &report);
-                std::fs::write(out, doc)
-                    .unwrap_or_else(|e| fail(&format!("cannot write {out}: {e}")));
-            }
-            print!("{}", report_text(&mut recon, &report));
-            if report.verdict != CheckStatus::Pass {
-                std::process::exit(1);
+            let status = match cmd.as_str() {
+                // replay reports the audit but fails only on a broken
+                // stream, not on bound violations.
+                "replay" if !intact => 2,
+                "audit" if report.verdict != CheckStatus::Pass => 1,
+                _ => 0,
+            };
+            if status != 0 {
+                std::process::exit(status);
             }
         }
         "analyze" => {
+            let args = Args::parse(rest, &["input", "out", "baseline"], true);
+            let opts = audit_options(&args);
             let input = args.require("input");
             let out = args.require("out");
-            match analyze(&input, &out, args.value_of("baseline"), &audit_options(&args)) {
+            match analyze(&input, &out, args.value_of("baseline"), &opts) {
                 Ok(text) => print!("{text}"),
                 Err(e) => fail(&e),
             }
         }
         other => fail(&format!("unknown command '{other}'\n\n{USAGE}")),
-    }
-    if !args.positional.is_empty() {
-        // Unconsumed positionals are almost always a typo'd flag value.
-        fail(&format!("unexpected argument '{}'", args.positional[0]));
     }
 }

@@ -18,10 +18,12 @@
 //!
 //! The stream is read as bytes, one line at a time into one reused buffer,
 //! so a line that is not UTF-8 is one more counted parse error; nothing
-//! per line is allocated (see [`crate::trace::RawEvent`]).
+//! per line is allocated (see [`crate::trace::RawEvent`]). Fields are read
+//! by [`Field`], an array index, and a packet event finds its port by
+//! integers (`Ports`), so no line costs a string compare after its scan.
 
 use crate::json::Value;
-use crate::trace::{check_header, parse_line, Kind, RawEvent};
+use crate::trace::{check_header, parse_line, Field, Kind, RawEvent};
 use aequitas_stats::Percentiles;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::BufRead;
@@ -58,18 +60,18 @@ pub struct RunInfo {
 impl RunInfo {
     fn from_event(ev: &RawEvent) -> RunInfo {
         RunInfo {
-            experiment: ev.str("experiment").map_or_else(|| "?".into(), String::from),
-            hosts: ev.u64("hosts").unwrap_or(0),
-            classes: ev.u64("classes").unwrap_or(0),
-            weights: ev.arr("weights", Value::as_f64).unwrap_or_default(),
-            slos_per_mtu_ps: ev.arr("slos_per_mtu_ps", Value::as_u64).unwrap_or_default(),
-            slo_percentile: ev.num("slo_percentile").unwrap_or(0.0),
-            warmup_ps: ev.u64("warmup_ps").unwrap_or(0),
-            duration_ps: ev.u64("duration_ps").unwrap_or(0),
-            senders: ev.u64("senders").unwrap_or(0),
-            mu: ev.num("mu").unwrap_or(0.0),
-            rho: ev.num("rho").unwrap_or(0.0),
-            period_ps: ev.u64("period_ps").unwrap_or(0),
+            experiment: ev.str(Field::Experiment).map_or_else(|| "?".into(), String::from),
+            hosts: ev.u64(Field::Hosts).unwrap_or(0),
+            classes: ev.u64(Field::Classes).unwrap_or(0),
+            weights: ev.arr(Field::Weights, Value::as_f64).unwrap_or_default(),
+            slos_per_mtu_ps: ev.arr(Field::SlosPerMtuPs, Value::as_u64).unwrap_or_default(),
+            slo_percentile: ev.num(Field::SloPercentile).unwrap_or(0.0),
+            warmup_ps: ev.u64(Field::WarmupPs).unwrap_or(0),
+            duration_ps: ev.u64(Field::DurationPs).unwrap_or(0),
+            senders: ev.u64(Field::Senders).unwrap_or(0),
+            mu: ev.num(Field::Mu).unwrap_or(0.0),
+            rho: ev.num(Field::Rho).unwrap_or(0.0),
+            period_ps: ev.u64(Field::PeriodPs).unwrap_or(0),
         }
     }
 }
@@ -252,32 +254,91 @@ pub struct Reconstruction {
     pub last_t_ps: u64,
 }
 
+/// `N` in plain decimal: digits, no sign, no leading zero, fitting `u64` —
+/// so that one number has one spelling and `host03` stays a label apart
+/// from `host3`.
+fn plain_decimal(text: &str) -> Option<u64> {
+    match text.as_bytes() {
+        [b'0'] => Some(0),
+        [b'1'..=b'9', ..] => text.parse().ok(),
+        _ => None,
+    }
+}
+
+/// Node numbers and port indices below these are indexed directly, so the
+/// table stays under 4 MiB whatever a trace names.
+const DENSE_NODES: u64 = 1 << 12;
+const DENSE_PORTS: u64 = 1 << 8;
+
+/// Where [`Ports::dense`] keeps `label`'s port `port`: the table (0 for
+/// `host<N>`, 1 for `switch<N>`), `N` and the port, when all are small.
+fn dense_index(label: &str, port: u64) -> Option<(usize, usize, usize)> {
+    let (table, number) = match label.strip_prefix("host") {
+        Some(number) => (0, number),
+        None => (1, label.strip_prefix("switch")?),
+    };
+    let n = plain_decimal(number).filter(|&n| n < DENSE_NODES)?;
+    (port < DENSE_PORTS).then_some((table, n as usize, port as usize))
+}
+
 /// The ports of a reconstruction under way, in first-seen order. A packet
-/// event resolves the `(node, port)` it names to a position in `slots`
-/// through the ordered `index`, looked up with the scratch `key` rebuilt in
-/// place per event — nothing is allocated unless the port is new.
+/// event finds the `(node, port)` it names by integers: `host<N>` and
+/// `switch<N>` index `dense` by `N` and port; any other port is looked up in
+/// `sparse` with the scratch `key` rebuilt in place. Nothing is allocated
+/// unless the port is new.
 #[derive(Default)]
 struct Ports {
     slots: Vec<(PortKey, PortTimeline)>,
-    index: BTreeMap<PortKey, usize>,
+    /// Per table, node and port: 1 + the port's position in `slots`, or 0.
+    dense: [Vec<Vec<u32>>; 2],
+    sparse: BTreeMap<PortKey, usize>,
     key: PortKey,
 }
 
 impl Ports {
     /// The timeline of the port `ev` names, created on first sight.
     fn of(&mut self, ev: &RawEvent) -> Option<&mut PortTimeline> {
-        let node = ev.str("node")?;
-        self.key.node.clear();
-        self.key.node.push_str(&node);
-        self.key.port = ev.u64("port")?;
-        let at = match self.index.get(&self.key) {
-            Some(&at) => at,
+        let label = ev.str(Field::Node)?;
+        let port = ev.u64(Field::Port)?;
+        let next = self.slots.len();
+        let (at, new) = match dense_index(&label, port) {
+            Some((table, n, p)) => {
+                let nodes = &mut self.dense[table];
+                if nodes.len() <= n {
+                    nodes.resize_with(n + 1, Vec::new);
+                }
+                let ports = &mut nodes[n];
+                if ports.len() <= p {
+                    ports.resize(p + 1, 0);
+                }
+                match ports[p] {
+                    0 => {
+                        ports[p] = next as u32 + 1; // a u32 counts every port a trace can name
+                        (next, true)
+                    }
+                    at => (at as usize - 1, false),
+                }
+            }
             None => {
-                self.index.insert(self.key.clone(), self.slots.len());
-                self.slots.push((self.key.clone(), PortTimeline::default()));
-                self.slots.len() - 1
+                self.key.node.clear();
+                self.key.node.push_str(&label);
+                self.key.port = port;
+                match self.sparse.get(&self.key) {
+                    Some(&at) => (at, false),
+                    None => {
+                        self.sparse.insert(self.key.clone(), next);
+                        (next, true)
+                    }
+                }
             }
         };
+        if new {
+            let key = PortKey {
+                node: label.into_owned(),
+                port,
+            };
+            self.slots.push((key, PortTimeline::default()));
+        }
         self.slots.get_mut(at).map(|(_, timeline)| timeline)
     }
 }
@@ -288,7 +349,11 @@ fn queue_event<'p>(
     ev: &RawEvent,
     ports: &'p mut Ports,
 ) -> Option<(u64, u64, u64, &'p mut PortTimeline)> {
-    let (class, bytes, backlog) = (ev.u64("class")?, ev.u64("bytes")?, ev.u64("backlog_bytes")?);
+    let (class, bytes, backlog) = (
+        ev.u64(Field::Class)?,
+        ev.u64(Field::Bytes)?,
+        ev.u64(Field::BacklogBytes)?,
+    );
     Some((class, bytes, backlog, ports.of(ev)?))
 }
 
@@ -398,8 +463,8 @@ impl Reconstruction {
 
     fn port_key(ev: &RawEvent) -> Option<PortKey> {
         Some(PortKey {
-            node: ev.str("node")?.into_owned(),
-            port: ev.u64("port")?,
+            node: ev.str(Field::Node)?.into_owned(),
+            port: ev.u64(Field::Port)?,
         })
     }
 
@@ -420,7 +485,7 @@ impl Reconstruction {
                 let ct = port.classes.entry(class).or_default();
                 ct.enq_bytes = ct.enq_bytes.saturating_add(bytes);
                 ct.pending.push_back((ev.t_ps, bytes));
-                if let Some(depth) = ev.u64("depth_pkts") {
+                if let Some(depth) = ev.u64(Field::DepthPkts) {
                     ct.max_depth_pkts = ct.max_depth_pkts.max(depth);
                 }
                 port.backlog_now = port.backlog_now.saturating_add(bytes);
@@ -461,7 +526,7 @@ impl Reconstruction {
                 // Tail drop: rejected at enqueue, never entered the queue,
                 // so the running backlog is unchanged.
                 port.drop_pkts += 1;
-                if let Some(backlog) = ev.u64("backlog_bytes") {
+                if let Some(backlog) = ev.u64(Field::BacklogBytes) {
                     if port.backlog_now != backlog {
                         port.backlog_mismatches += 1;
                         port.backlog_now = backlog;
@@ -475,21 +540,21 @@ impl Reconstruction {
                     port.fault_drop_pkts += 1;
                 }
                 self.faults.pkt_drops += 1;
-                if ev.bool("corrupt") == Some(true) {
+                if ev.bool(Field::Corrupt) == Some(true) {
                     self.faults.corrupt_drops += 1;
                 }
             }
             Kind::RpcIssue => {
                 let (Some(host), Some(dst), Some(qos), Some(bytes)) = (
-                    ev.u64("host"),
-                    ev.u64("dst"),
-                    ev.u64("qos_run"),
-                    ev.u64("size_bytes"),
+                    ev.u64(Field::Host),
+                    ev.u64(Field::Dst),
+                    ev.u64(Field::QosRun),
+                    ev.u64(Field::SizeBytes),
                 ) else {
                     self.integrity.parse_errors += 1;
                     return;
                 };
-                let downgraded = ev.bool("downgraded") == Some(true);
+                let downgraded = ev.bool(Field::Downgraded) == Some(true);
                 for stats in [
                     self.channels.entry((host, dst, qos)).or_default(),
                     self.qos.entry(qos).or_default(),
@@ -503,11 +568,11 @@ impl Reconstruction {
             }
             Kind::RpcComplete => {
                 let (Some(host), Some(dst), Some(qos), Some(rnl), Some(rnl_per_mtu)) = (
-                    ev.u64("host"),
-                    ev.u64("dst"),
-                    ev.u64("qos_run"),
-                    ev.u64("rnl_ps"),
-                    ev.u64("rnl_per_mtu_ps"),
+                    ev.u64(Field::Host),
+                    ev.u64(Field::Dst),
+                    ev.u64(Field::QosRun),
+                    ev.u64(Field::RnlPs),
+                    ev.u64(Field::RnlPerMtuPs),
                 ) else {
                     self.integrity.parse_errors += 1;
                     return;
@@ -538,10 +603,10 @@ impl Reconstruction {
             }
             Kind::AdmitProb => {
                 let (Some(host), Some(dst), Some(qos), Some(p)) = (
-                    ev.u64("host"),
-                    ev.u64("dst"),
-                    ev.u64("qos"),
-                    ev.num("p"),
+                    ev.u64(Field::Host),
+                    ev.u64(Field::Dst),
+                    ev.u64(Field::Qos),
+                    ev.num(Field::P),
                 ) else {
                     self.integrity.parse_errors += 1;
                     return;
@@ -575,7 +640,7 @@ impl Reconstruction {
                 }
             }
             Kind::FaultQuotaOutage => {
-                let (Some(host), Some(down)) = (ev.u64("host"), ev.bool("down")) else {
+                let (Some(host), Some(down)) = (ev.u64(Field::Host), ev.bool(Field::Down)) else {
                     return;
                 };
                 let windows = self.faults.quota_windows.entry(host).or_default();
@@ -593,8 +658,8 @@ impl Reconstruction {
                 if self.warn_samples.len() < 5 {
                     self.warn_samples.push(format!(
                         "[{}] {}",
-                        ev.str("component").as_deref().unwrap_or("?"),
-                        ev.str("message").as_deref().unwrap_or("?")
+                        ev.str(Field::Component).as_deref().unwrap_or("?"),
+                        ev.str(Field::Message).as_deref().unwrap_or("?")
                     ));
                 }
             }
@@ -786,6 +851,47 @@ mod tests {
         assert_eq!(r.kind_counts.len(), 3, "{:?}", r.kind_counts);
         assert_eq!(r.integrity.parse_errors, 1);
         assert!(r.ports.is_empty());
+    }
+
+    /// `host<N>`/`switch<N>` ports are found by number, everything else by
+    /// label: an escaped spelling of a label is the same port, `host03` is
+    /// not `host3`, and large numbers and ports work like small ones.
+    #[test]
+    fn ports_are_told_apart_by_label_and_number() {
+        let mut t = header();
+        let named = [
+            ("host3", 0),
+            ("host\\u0033", 0),
+            ("host03", 0),
+            ("host3", 1),
+            ("switch5000", 1),
+            ("switch1", 300),
+            ("nic", 0),
+            ("nic", 0),
+            ("switch1", 300),
+        ];
+        for (seq, (node, port)) in named.iter().enumerate() {
+            t += &format!(
+                "{{\"seq\":{},\"t_ps\":9,\"type\":\"pkt_drop\",\"node\":\"{node}\",\"port\":{port},\
+                 \"class\":0,\"bytes\":1,\"backlog_bytes\":0}}\n",
+                seq + 1
+            );
+        }
+        let r = Reconstruction::from_reader(Cursor::new(t)).unwrap();
+        let drops: Vec<(String, u64)> = r
+            .ports
+            .iter()
+            .map(|(k, p)| (k.to_string(), p.drop_pkts))
+            .collect();
+        let want = [
+            ("host03/port0", 1),
+            ("host3/port0", 2),
+            ("host3/port1", 1),
+            ("nic/port0", 2),
+            ("switch1/port300", 2),
+            ("switch5000/port1", 1),
+        ];
+        assert_eq!(drops, want.map(|(k, n)| (k.to_string(), n)));
     }
 
     #[test]

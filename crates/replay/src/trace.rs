@@ -2,14 +2,15 @@
 //! and enforce the stream's schema contract (a `trace_header` first line
 //! carrying a supported `schema_version`).
 
-use crate::json::{scan_object, Value};
+use crate::json::{Fields, Value};
 use aequitas_telemetry::TRACE_SCHEMA_VERSION;
 use std::borrow::Cow;
 
-/// Declares [`Kind`] and its tag table from one list, so that a kind's
-/// position in [`Kind::KNOWN`] is its discriminant by construction.
+/// Declares [`Kind`], its tag table and each kind's fields from one list,
+/// so that a kind's position in [`Kind::KNOWN`] is its discriminant by
+/// construction.
 macro_rules! kinds {
-    ($($variant:ident $tag:literal,)+) => {
+    ($($variant:ident $tag:literal [$($field:ident),*],)+) => {
         /// The event types of schema v2, resolved once per line from the
         /// `type` tag so that dispatch and per-kind counting are a dense
         /// index, not a string compare. The list is this crate's own — the
@@ -26,32 +27,144 @@ macro_rules! kinds {
             /// The known kinds with their tags: `KNOWN[kind as usize]`
             /// names `kind`.
             pub const KNOWN: &'static [(Kind, &'static str)] = &[$((Kind::$variant, $tag)),+];
+
+            fn from_tag(tag: &str) -> Kind {
+                match tag {
+                    $($tag => Kind::$variant,)+
+                    _ => Kind::Unknown,
+                }
+            }
+
+            /// The fields schema v2 writes for this kind after the lead, in
+            /// the order it writes them.
+            pub fn fields(self) -> &'static [Field] {
+                match self {
+                    $(Kind::$variant => &[$(Field::$field),*],)+
+                    Kind::Unknown => &[],
+                }
+            }
         }
     };
 }
 
 kinds! {
-    TraceHeader "trace_header",
-    RunInfo "run_info",
-    PktEnqueue "pkt_enqueue",
-    PktDequeue "pkt_dequeue",
-    PktDrop "pkt_drop",
-    RpcIssue "rpc_issue",
-    RpcComplete "rpc_complete",
-    CwndUpdate "cwnd_update",
-    Retransmit "retransmit",
-    AdmitProb "admit_prob",
-    FaultLinkDown "fault_link_down",
-    FaultLinkUp "fault_link_up",
-    FaultPktDrop "fault_pkt_drop",
-    FaultQuotaOutage "fault_quota_outage",
-    Warn "warn",
+    TraceHeader "trace_header" [Format, SchemaVersion],
+    RunInfo "run_info" [
+        Experiment, Hosts, Classes, Weights, SlosPerMtuPs, SloPercentile, WarmupPs, DurationPs,
+        Senders, Mu, Rho, PeriodPs
+    ],
+    PktEnqueue "pkt_enqueue" [Node, Port, Class, Bytes, DepthPkts, BacklogBytes],
+    PktDequeue "pkt_dequeue" [Node, Port, Class, Bytes, BacklogBytes],
+    PktDrop "pkt_drop" [Node, Port, Class, Bytes, BacklogBytes],
+    RpcIssue "rpc_issue" [Host, Dst, QosReq, QosRun, Downgraded, SizeBytes, PAdmit],
+    RpcComplete "rpc_complete" [Host, Dst, QosRun, Downgraded, SizeBytes, RnlPs, RnlPerMtuPs],
+    CwndUpdate "cwnd_update" [Host, Dst, Class, Cwnd, RttPs, TargetPs, OverTarget],
+    Retransmit "retransmit" [Host, Dst, Class, MsgId, Seq],
+    AdmitProb "admit_prob" [Host, Dst, Qos, P, Delta],
+    FaultLinkDown "fault_link_down" [Node, Port, UntilPs],
+    FaultLinkUp "fault_link_up" [Node, Port],
+    FaultPktDrop "fault_pkt_drop" [Node, Port, Class, Bytes, Corrupt],
+    FaultQuotaOutage "fault_quota_outage" [Host, Down],
+    Warn "warn" [Component, Message],
 }
 
-impl Kind {
-    fn from_tag(tag: &str) -> Kind {
-        let known = Kind::KNOWN.iter().find(|(_, t)| *t == tag);
-        known.map_or(Kind::Unknown, |(k, _)| *k)
+/// Declares [`Field`] from one list of variants and keys.
+macro_rules! fields {
+    ($($variant:ident $key:literal,)+) => {
+        /// The keys schema v2 writes after the leading `seq`/`t_ps`/`type`
+        /// triple. A line's keys are resolved to these once, as it is
+        /// scanned, so that reading a field is an array index rather than a
+        /// search by string compare. A key outside this list is kept under
+        /// its text (see [`Key`]).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Field {
+            $(#[doc = concat!("`", $key, "`")] $variant,)+
+        }
+
+        impl Field {
+            /// How many fields there are: `field as usize` is below it.
+            pub const COUNT: usize = [$($key),+].len();
+
+            /// Each field's key as it opens a field on the line, `"key":`.
+            const PREFIX: [&'static str; Field::COUNT] = [$(concat!("\"", $key, "\":")),+];
+
+            /// The field `key` names, if it is one of schema v2's.
+            pub fn from_key(key: &str) -> Option<Field> {
+                match key {
+                    $($key => Some(Field::$variant),)+
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+fields! {
+    Format "format",
+    SchemaVersion "schema_version",
+    Experiment "experiment",
+    Hosts "hosts",
+    Classes "classes",
+    Weights "weights",
+    SlosPerMtuPs "slos_per_mtu_ps",
+    SloPercentile "slo_percentile",
+    WarmupPs "warmup_ps",
+    DurationPs "duration_ps",
+    Senders "senders",
+    Mu "mu",
+    Rho "rho",
+    PeriodPs "period_ps",
+    Node "node",
+    Port "port",
+    Class "class",
+    Bytes "bytes",
+    DepthPkts "depth_pkts",
+    BacklogBytes "backlog_bytes",
+    Host "host",
+    Dst "dst",
+    QosReq "qos_req",
+    QosRun "qos_run",
+    Downgraded "downgraded",
+    SizeBytes "size_bytes",
+    PAdmit "p_admit",
+    RnlPs "rnl_ps",
+    RnlPerMtuPs "rnl_per_mtu_ps",
+    Cwnd "cwnd",
+    RttPs "rtt_ps",
+    TargetPs "target_ps",
+    OverTarget "over_target",
+    MsgId "msg_id",
+    Seq "seq",
+    Qos "qos",
+    P "p",
+    Delta "delta",
+    UntilPs "until_ps",
+    Corrupt "corrupt",
+    Down "down",
+    Component "component",
+    Message "message",
+}
+
+/// What a [`RawEvent`] accessor looks a field up by. A [`Field`] is an
+/// array index. A key's text converts to its `Field` when it names one, and
+/// otherwise is searched for among the line's unknown keys.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Key<'k> {
+    /// One of schema v2's keys.
+    Known(Field),
+    /// Any other key, by its text.
+    Unknown(&'k str),
+}
+
+impl From<Field> for Key<'_> {
+    fn from(field: Field) -> Self {
+        Key::Known(field)
+    }
+}
+
+impl<'k> From<&'k str> for Key<'k> {
+    fn from(key: &'k str) -> Self {
+        Field::from_key(key).map_or(Key::Unknown(key), Key::Known)
     }
 }
 
@@ -59,10 +172,11 @@ impl Kind {
 /// event, `run_info`, has 12; a line with more is malformed.
 pub const MAX_FIELDS: usize = 16;
 
-/// One scanned trace line, borrowing from it. Field lookup is by key; the
-/// leading `seq`/`t_ps`/`type` triple every record carries is hoisted out.
-/// Values are converted when asked for, so a field nobody reads (all of
-/// `cwnd_update`, say) is never parsed beyond its syntax check.
+/// One scanned trace line, borrowing from it. The leading
+/// `seq`/`t_ps`/`type` triple every record carries is hoisted out; the
+/// remaining fields are found by [`Key`]. Values are converted when asked
+/// for, so a field nobody reads (all of `cwnd_update`, say) is never parsed
+/// beyond its syntax check.
 #[derive(Debug, Clone)]
 pub struct RawEvent<'a> {
     /// Monotone per-stream sequence number.
@@ -73,87 +187,138 @@ pub struct RawEvent<'a> {
     pub kind: Kind,
     /// The event's `type` tag as written (e.g. `pkt_enqueue`).
     pub tag: Cow<'a, str>,
-    /// The remaining fields, in serialized order; `len` are in use.
-    fields: [(&'a str, Value<'a>); MAX_FIELDS],
-    len: usize,
+    /// The whole line, which a lookup by an unknown key scans again.
+    line: &'a str,
+    /// Per [`Field`]: 1 + its value's position in `values`, or 0 when the
+    /// line lacks it. A repeated key keeps its first value.
+    slot: [u8; Field::COUNT],
+    /// The known fields' values, in serialized order; `known` are in use.
+    values: [Value<'a>; MAX_FIELDS],
+    known: u8,
 }
 
 impl<'a> RawEvent<'a> {
-    fn get(&self, key: &str) -> Option<&Value<'a>> {
-        self.fields[..self.len]
-            .iter()
-            .find(|(k, _)| *k == key)
-            .map(|(_, v)| v)
+    fn get<'k>(&self, key: impl Into<Key<'k>>) -> Option<Value<'a>> {
+        match key.into() {
+            Key::Known(field) => {
+                let at = usize::from(self.slot[field as usize]).checked_sub(1)?;
+                self.values.get(at).copied()
+            }
+            // Rare (no v2 key is unknown), so not worth storing: the line
+            // parsed once already, and its fields after the lead are
+            // walked again.
+            Key::Unknown(key) => {
+                let mut fields = Fields::new(self.line);
+                std::iter::from_fn(|| fields.next_field().ok().flatten())
+                    .skip(3)
+                    .find(|(k, _)| *k == key)
+                    .map(|(_, v)| v)
+            }
+        }
     }
     /// Numeric field as f64.
-    pub fn num(&self, key: &str) -> Option<f64> {
+    pub fn num<'k>(&self, key: impl Into<Key<'k>>) -> Option<f64> {
         self.get(key)?.as_f64()
     }
     /// Numeric field as an exact unsigned integer.
-    pub fn u64(&self, key: &str) -> Option<u64> {
+    pub fn u64<'k>(&self, key: impl Into<Key<'k>>) -> Option<u64> {
         self.get(key)?.as_u64()
     }
     /// String field: a slice of the line unless it holds escapes.
-    pub fn str(&self, key: &str) -> Option<Cow<'a, str>> {
+    pub fn str<'k>(&self, key: impl Into<Key<'k>>) -> Option<Cow<'a, str>> {
         self.get(key)?.as_str()
     }
     /// Boolean field.
-    pub fn bool(&self, key: &str) -> Option<bool> {
+    pub fn bool<'k>(&self, key: impl Into<Key<'k>>) -> Option<bool> {
         self.get(key)?.as_bool()
     }
     /// Array field with every element converted by `conv` (`None` if one
     /// does not convert).
-    pub fn arr<T>(&self, key: &str, conv: impl Fn(&Value<'a>) -> Option<T>) -> Option<Vec<T>> {
+    pub fn arr<'k, T>(
+        &self,
+        key: impl Into<Key<'k>>,
+        conv: impl Fn(&Value<'a>) -> Option<T>,
+    ) -> Option<Vec<T>> {
         self.get(key)?.items()?.map(|v| conv(&v)).collect()
     }
+}
+
+/// The value of the line's next field, which must be the lead key written
+/// as `literal` (`"key":`). The literal is tried first, for the common case.
+fn lead<'a>(fields: &mut Fields<'a>, literal: &str) -> Result<Value<'a>, String> {
+    if let Some(value) = fields.value_if_key(literal)? {
+        return Ok(value);
+    }
+    let key = &literal[1..literal.len() - 2];
+    match fields.next_field()? {
+        Some((k, value)) if k == key => Ok(value),
+        _ => Err(missing_lead(key)),
+    }
+}
+
+#[cold]
+fn missing_lead(key: &str) -> String {
+    format!("line does not start with seq,t_ps,type: missing '{key}'")
+}
+
+/// A lead integer: exact, or an error.
+fn lead_u64(fields: &mut Fields<'_>, literal: &str) -> Result<u64, String> {
+    lead(fields, literal)?.as_u64().ok_or_else(|| {
+        let key = &literal[1..literal.len() - 2];
+        format!("field '{key}' is not an unsigned 64-bit integer")
+    })
+}
+
+/// The line's next field, with its key resolved (`None` for a key outside
+/// [`Field`]). The field the writer puts at this position of the line is
+/// `expected`, and is tried first, by its literal.
+fn resolved<'a>(
+    fields: &mut Fields<'a>,
+    expected: Option<&Field>,
+) -> Result<Option<(Option<Field>, Value<'a>)>, String> {
+    if let Some(&field) = expected {
+        if let Some(value) = fields.value_if_key(Field::PREFIX[field as usize])? {
+            return Ok(Some((Some(field), value)));
+        }
+    }
+    Ok(fields.next_field()?.map(|(key, value)| (Field::from_key(key), value)))
 }
 
 /// Parse one trace line. Errors describe what is wrong with the line, not
 /// where in the file it sits — callers add line numbers.
 pub fn parse_line(line: &str) -> Result<RawEvent<'_>, String> {
-    const LEAD: [&str; 3] = ["seq", "t_ps", "type"];
+    let mut fields = Fields::new(line);
+    let seq = lead_u64(&mut fields, "\"seq\":")?;
+    let t_ps = lead_u64(&mut fields, "\"t_ps\":")?;
+    let tag = lead(&mut fields, "\"type\":")?
+        .as_str()
+        .ok_or_else(|| missing_lead("type"))?;
+    let kind = Kind::from_tag(&tag);
     let mut ev = RawEvent {
-        seq: 0,
-        t_ps: 0,
-        kind: Kind::Unknown,
-        tag: Cow::Borrowed(""),
-        fields: [("", Value::NULL); MAX_FIELDS],
-        len: 0,
+        seq,
+        t_ps,
+        kind,
+        tag,
+        line,
+        slot: [0; Field::COUNT],
+        values: [Value::NULL; MAX_FIELDS],
+        known: 0,
     };
-    let mut seen = 0;
-    let missing =
-        |at: usize| format!("line does not start with seq,t_ps,type: missing '{}'", LEAD[at]);
-    scan_object(line, |key, value| {
-        if seen < LEAD.len() {
-            if key != LEAD[seen] {
-                return Err(missing(seen));
-            }
-            if seen == 2 {
-                ev.tag = value.as_str().ok_or_else(|| missing(seen))?;
-                ev.kind = Kind::from_tag(&ev.tag);
-            } else {
-                let v = value
-                    .as_u64()
-                    .ok_or_else(|| format!("field '{key}' is not an unsigned 64-bit integer"))?;
-                if seen == 0 {
-                    ev.seq = v;
-                } else {
-                    ev.t_ps = v;
-                }
-            }
-        } else {
-            let slot = ev
-                .fields
-                .get_mut(ev.len)
-                .ok_or_else(|| format!("more than {MAX_FIELDS} fields after seq,t_ps,type"))?;
-            *slot = (key, value);
-            ev.len += 1;
+    let expected = kind.fields();
+    let mut n = 0;
+    while let Some((field, value)) = resolved(&mut fields, expected.get(n))? {
+        n += 1;
+        if n > MAX_FIELDS {
+            return Err(format!("more than {MAX_FIELDS} fields after seq,t_ps,type"));
         }
-        seen += 1;
-        Ok(())
-    })?;
-    if seen < LEAD.len() {
-        return Err(missing(seen));
+        if let Some(field) = field {
+            let slot = &mut ev.slot[field as usize];
+            if let (0, Some(stored)) = (*slot, ev.values.get_mut(usize::from(ev.known))) {
+                *stored = value;
+                ev.known += 1;
+                *slot = ev.known;
+            }
+        }
     }
     Ok(ev)
 }
@@ -172,7 +337,7 @@ pub fn check_header(first: &RawEvent) -> Result<u32, String> {
         ));
     }
     let version = first
-        .u64("schema_version")
+        .u64(Field::SchemaVersion)
         .ok_or("trace_header is missing a numeric schema_version field")?;
     if version != u64::from(TRACE_SCHEMA_VERSION) {
         return Err(format!(
@@ -236,6 +401,54 @@ mod tests {
         assert_eq!(ev.num("mu"), Some(0.8));
         assert_eq!(ev.bool("down"), Some(false));
         assert_eq!(ev.u64("missing"), None);
+    }
+
+    /// `Field` and `Kind::fields` are the reader's own copy of the schema,
+    /// checked here against the writer's golden stream: every key after the
+    /// lead is a `Field`, and each kind lists its keys in the order they are
+    /// written (the order the scan tries first).
+    #[test]
+    fn each_kind_lists_the_keys_the_writer_writes_in_order() {
+        let golden = include_str!("../../telemetry/tests/fixtures/trace_v2_golden.jsonl");
+        for line in golden.lines() {
+            let mut fields = Fields::new(line);
+            let keys: Vec<&str> = std::iter::from_fn(|| fields.next_field().unwrap())
+                .skip(3)
+                .map(|(key, _)| key)
+                .collect();
+            let listed: Vec<&str> = parse_line(line)
+                .unwrap()
+                .kind
+                .fields()
+                .iter()
+                .map(|&f| {
+                    let prefix = Field::PREFIX[f as usize];
+                    assert_eq!(Field::from_key(&prefix[1..prefix.len() - 2]), Some(f));
+                    &prefix[1..prefix.len() - 2]
+                })
+                .collect();
+            assert_eq!(keys, listed, "{line}");
+        }
+    }
+
+    /// Keys out of the writer's order, unknown keys among known ones, and a
+    /// repeated key: every field is still found, the first value winning.
+    #[test]
+    fn fields_out_of_order_or_unknown_are_still_found() {
+        let ev = parse_line(
+            "{\"seq\":1,\"t_ps\":2,\"type\":\"pkt_enqueue\",\"bytes\":7,\"x\":\"y\",\"node\":\"host1\",\
+             \"port\":3,\"bytes\":8,\"seq\":9}",
+        )
+        .unwrap();
+        assert_eq!(ev.kind, Kind::PktEnqueue);
+        assert_eq!(ev.u64(Field::Bytes), Some(7));
+        assert_eq!(ev.u64("bytes"), Some(7));
+        assert_eq!(ev.str(Field::Node).as_deref(), Some("host1"));
+        assert_eq!(ev.u64(Field::Port), Some(3));
+        assert_eq!(ev.str("x").as_deref(), Some("y"));
+        // The lead is not a field; a later `seq` is.
+        assert_eq!((ev.seq, ev.u64(Field::Seq), ev.u64("t_ps")), (1, Some(9), None));
+        assert_eq!(ev.u64(Field::Class), None);
     }
 
     #[test]

@@ -188,7 +188,9 @@ impl Telemetry {
     pub fn sample(&self, now: SimTime) {
         if let Some(inner) = &self.inner {
             inner.metrics.lock().unwrap().sample(now);
-            *inner.next_sample.lock().unwrap() = (now + inner.sample_every).as_ps();
+            // A cadence past the end of time means no further sample.
+            *inner.next_sample.lock().unwrap() =
+                now.as_ps().saturating_add(inner.sample_every.as_ps());
             let mut st = inner.trace.lock().unwrap();
             st.last_t_ps = st.last_t_ps.max(now.as_ps());
         }

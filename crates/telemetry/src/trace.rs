@@ -272,7 +272,8 @@ pub enum TraceEvent {
     },
 }
 
-/// A value [`TraceEvent::write_json`] formats by hand: anything but a float.
+/// A value [`TraceEvent::write_json`] formats by hand: anything but a `{}`
+/// float.
 trait Put {
     /// Append the value's JSON rendering to `s`.
     fn put(self, s: &mut String);
@@ -323,10 +324,13 @@ impl TraceEvent {
     /// `seq` and `t_ps` lead every record so downstream tools can sort/merge
     /// streams. Byte-identical to what [`TraceEvent::to_json`] returns.
     ///
-    /// Keys are literal fragments and everything but a float is formatted by
-    /// hand (`Put`): `core::fmt` costs more per integer than the digits
-    /// themselves, and a packet line carries nine. Floats stay on `core::fmt`
-    /// so the `{}`/`{:.4}`/`{:.6}` renderings cannot drift by a digit.
+    /// Keys are literal fragments and values are formatted by hand (`Put`):
+    /// `core::fmt` costs more per integer than the digits themselves, and a
+    /// packet line carries nine. Integers go two digits per table step. The
+    /// `{:.4}`/`{:.6}` floats (`cwnd`, `p_admit`, `p`, `delta`) take an
+    /// exact fixed-point path that prints what `core::fmt` prints, and fall
+    /// back to it outside that path's domain (`Fixed::parts`). The `{}`
+    /// floats of `run_info` stay on `core::fmt`.
     pub fn write_json(&self, s: &mut String, seq: u64, t_ps: u64) {
         s.push_str("{\"seq\":");
         seq.put(s);
@@ -409,9 +413,9 @@ impl TraceEvent {
             } => {
                 put!(
                     s, "host": *host, "dst": *dst, "qos_req": *qos_req, "qos_run": *qos_run,
-                    "downgraded": *downgraded, "size_bytes": *size_bytes
+                    "downgraded": *downgraded, "size_bytes": *size_bytes,
+                    "p_admit": Fixed(*p_admit, 3)
                 );
-                let _ = write!(s, ",\"p_admit\":{p_admit:.6}");
             }
             TraceEvent::RpcComplete {
                 host,
@@ -434,9 +438,10 @@ impl TraceEvent {
                 target_ps,
                 over_target,
             } => {
-                put!(s, "host": *host, "dst": *dst, "class": *class);
-                let _ = write!(s, ",\"cwnd\":{cwnd:.4}");
-                put!(s, "rtt_ps": *rtt_ps, "target_ps": *target_ps, "over_target": *over_target);
+                put!(
+                    s, "host": *host, "dst": *dst, "class": *class, "cwnd": Fixed(*cwnd, 2),
+                    "rtt_ps": *rtt_ps, "target_ps": *target_ps, "over_target": *over_target
+                );
             }
             TraceEvent::Retransmit {
                 host,
@@ -452,8 +457,10 @@ impl TraceEvent {
                 p,
                 delta,
             } => {
-                put!(s, "host": *host, "dst": *dst, "qos": *qos);
-                let _ = write!(s, ",\"p\":{p:.6},\"delta\":{delta:.6}");
+                put!(
+                    s, "host": *host, "dst": *dst, "qos": *qos, "p": Fixed(*p, 3),
+                    "delta": Fixed(*delta, 3)
+                );
             }
             TraceEvent::FaultLinkDown {
                 node,
@@ -484,20 +491,125 @@ impl TraceEvent {
     }
 }
 
+/// `"00"` to `"99"` back to back: an integer is written two digits per
+/// table step.
+const DIGIT_PAIRS: &str = "\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Append the two digits of `pair` (below 100). A slice of the table is
+/// already a `&str`, so nothing is validated as UTF-8 on the way in.
+fn put_pair(pair: u64, s: &mut String) {
+    let at = pair as usize * 2;
+    s.push_str(&DIGIT_PAIRS[at..at + 2]);
+}
+
+/// Append `v` (below `100^pairs`, `pairs <= 3`) as exactly `2 * pairs`
+/// digits, with leading zeros.
+fn put_padded(mut v: u64, pairs: usize, s: &mut String) {
+    let mut low = [0u64; 3];
+    for pair in &mut low[..pairs] {
+        *pair = v % 100;
+        v /= 100;
+    }
+    for &pair in low[..pairs].iter().rev() {
+        put_pair(pair, s);
+    }
+}
+
 impl Put for u64 {
     fn put(mut self, s: &mut String) {
-        // u64::MAX has 20 digits; fill from the back.
-        let mut buf = [0u8; 20];
-        let mut at = buf.len();
-        loop {
-            at -= 1;
-            buf[at] = b'0' + (self % 10) as u8;
-            self /= 10;
-            if self == 0 {
-                break;
+        // Pairs come off the low end; they wait on the stack and are
+        // appended high end first. u64::MAX has 20 digits: 10 pairs, the
+        // first of them (a lone digit or a pair) written directly.
+        let mut low = [0u64; 9];
+        let mut n = 0;
+        while self >= 100 {
+            low[n] = self % 100;
+            self /= 100;
+            n += 1;
+        }
+        if self >= 10 {
+            put_pair(self, s);
+        } else {
+            s.push(char::from(b'0' + self as u8));
+        }
+        for &pair in low[..n].iter().rev() {
+            put_pair(pair, s);
+        }
+    }
+}
+
+/// A float printed as `{:.4}` (`Fixed(x, 2)`) or `{:.6}` (`Fixed(x, 3)`):
+/// `x` and the number of decimal digit *pairs*, 1 to 3.
+#[derive(Debug, Clone, Copy)]
+struct Fixed(f64, usize);
+
+impl Fixed {
+    /// `x` rounded to `2 * pairs` decimals, as its integer part and its
+    /// decimals (below `100^pairs`) — exactly what `core::fmt` prints for
+    /// `{:.N}`, or `None` outside this path's domain.
+    ///
+    /// The domain is finite `x` with the sign bit clear and an integer part
+    /// below 2^63. There `x = m·2^e` with `m < 2^53`, and the fraction
+    /// `f = m mod 2^-e` scaled by `10^N ≤ 10^6` stays below `2^(-e+20)`,
+    /// so `f·10^N / 2^-e` is exact in `u128` for any `-e < 128`. The
+    /// quotient is rounded half to even on the exact remainder, as
+    /// `core::fmt` does (`0.125` → `0.12`, `2.5` → `2`). A smaller `e`
+    /// means `x < 2^-75`, which rounds to zero at six decimals.
+    fn parts(self) -> Option<(u64, u64)> {
+        let Fixed(x, pairs) = self;
+        const INT_LIMIT: f64 = 9_223_372_036_854_775_808.0; // 2^63
+        if !(x.is_sign_positive() && x < INT_LIMIT) {
+            return None; // negative, -0.0, NaN, +inf, or too large
+        }
+        let bits = x.to_bits();
+        let biased = (bits >> 52) as i32; // the sign bit is clear
+        let fraction = bits & ((1 << 52) - 1);
+        let (m, e) = match biased {
+            0 => (fraction, -1074), // subnormal
+            _ => (fraction | 1 << 52, biased - 1075),
+        };
+        if e >= 0 {
+            return Some((m << e, 0)); // an integer below 2^63
+        }
+        let shift = e.unsigned_abs();
+        if shift >= 128 {
+            return Some((0, 0));
+        }
+        let m = u128::from(m);
+        let mut int = (m >> shift) as u64; // x's integer part: below 2^63
+        let scale = [100, 10_000, 1_000_000][pairs - 1];
+        let scaled = (m & ((1 << shift) - 1)) * u128::from(scale);
+        let mut frac = (scaled >> shift) as u64;
+        let rest = scaled & ((1 << shift) - 1);
+        let half = 1u128 << (shift - 1);
+        // `10^N` is even, so the rounded number's parity is `frac`'s.
+        if rest > half || (rest == half && frac & 1 == 1) {
+            frac += 1;
+            if frac == scale {
+                (int, frac) = (int + 1, 0);
             }
         }
-        s.push_str(std::str::from_utf8(&buf[at..]).expect("decimal digits are ASCII"));
+        Some((int, frac))
+    }
+}
+
+impl Put for Fixed {
+    fn put(self, s: &mut String) {
+        match self.parts() {
+            Some((int, frac)) => {
+                int.put(s);
+                s.push('.');
+                put_padded(frac, self.1, s);
+            }
+            None => {
+                let _ = write!(s, "{:.*}", 2 * self.1, self.0);
+            }
+        }
     }
 }
 
@@ -734,6 +846,7 @@ impl TraceSink for FlightRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn events_serialize_with_stable_prefix() {
@@ -817,6 +930,80 @@ mod tests {
         };
         let j = ev.to_json(0, 0);
         assert!(j.contains("line\\n\\\"quoted\\\"\\\\"), "{j}");
+    }
+
+    /// What the fixed-point path prints for `x` at `2 * pairs` decimals.
+    fn fixed(x: f64, pairs: usize) -> String {
+        let mut s = String::new();
+        Fixed(x, pairs).put(&mut s);
+        s
+    }
+
+    /// `fixed` against `core::fmt`, at four and six decimals.
+    fn matches_fmt(x: f64) -> Result<(), TestCaseError> {
+        prop_assert_eq!(fixed(x, 2), format!("{x:.4}"), "{:?} = {:#x}", x, x.to_bits());
+        prop_assert_eq!(fixed(x, 3), format!("{x:.6}"), "{:?} = {:#x}", x, x.to_bits());
+        Ok(())
+    }
+
+    #[test]
+    fn fixed_point_rounds_half_to_even_and_falls_back_outside_its_domain() {
+        assert_eq!(fixed(0.125, 1), "0.12");
+        assert_eq!(fixed(0.375, 1), "0.38");
+        assert_eq!(fixed(0.99995, 2), format!("{:.4}", 0.99995));
+        assert_eq!(fixed(9.999_999_9, 3), "10.000000");
+        assert_eq!(fixed(0.0, 2), "0.0000");
+        assert_eq!(Fixed(0.0, 2).parts(), Some((0, 0)));
+        let edge = [
+            -0.0,
+            -1.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            9_223_372_036_854_775_808.0, // 2^63
+            1e300,
+        ];
+        for x in edge {
+            assert_eq!(Fixed(x, 2).parts(), None, "{x}");
+            assert_eq!(fixed(x, 2), format!("{x:.4}"));
+        }
+        let below = 9_223_372_036_854_774_784.0; // the largest f64 below 2^63
+        assert_eq!(Fixed(below, 3).parts(), Some(((1 << 63) - 1024, 0)));
+        for x in [below, f64::MIN_POSITIVE, 5e-324, 4.999_999e-7, 5e-7, 5.000_001e-7] {
+            matches_fmt(x).unwrap();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20_000))]
+
+        /// Any bit pattern: negatives, NaNs, infinities and huge values
+        /// take the fallback, the rest the fixed-point path.
+        #[test]
+        fn fixed_point_matches_fmt_on_any_bits(bits in 0u64..u64::MAX) {
+            matches_fmt(f64::from_bits(bits))?;
+        }
+
+        /// Subnormals and the smallest normals.
+        #[test]
+        fn fixed_point_matches_fmt_on_subnormals(bits in 0u64..(1u64 << 53)) {
+            matches_fmt(f64::from_bits(bits))?;
+        }
+
+        /// `k / 2^j`: exact dyadics, among them every tie at four decimals
+        /// (odd / 32) and at six (odd / 128).
+        #[test]
+        fn fixed_point_matches_fmt_on_dyadics(k in 0u64..(1u64 << 53), j in 0u32..80) {
+            matches_fmt(k as f64 / 2f64.powi(j as i32))?;
+            matches_fmt((2 * (k % 100_000) + 1) as f64 / 32.0)?;
+            matches_fmt((2 * (k % 100_000_000) + 1) as f64 / 128.0)?;
+        }
+
+        /// The range congestion windows and probabilities live in.
+        #[test]
+        fn fixed_point_matches_fmt_on_small_values(x in 0.0f64..300.0) {
+            matches_fmt(x)?;
+        }
     }
 
     #[test]

@@ -2,7 +2,9 @@
 # Replay smoke: end-to-end exercise of the aequitas-replay toolchain —
 #   1. two traced runs audited and diffed with `analyze` (compare mode),
 #   2. the in-harness self-audit path (`aequitas-sim run ... --audit`),
-#   3. schema-version enforcement: a tampered header must be rejected.
+#   3. schema-version enforcement: a tampered header must be rejected,
+#   4. usage errors: an unknown flag, a flag without a value and an
+#      overflowing --period-us each exit 2 with a message saying so.
 #
 # Usage: scripts/replay_smoke.sh
 set -euo pipefail
@@ -47,5 +49,23 @@ if target/release/aequitas-replay replay --trace "$OUT/future.jsonl" \
 fi
 grep -qi 'schema' "$OUT/future.txt" \
     || { echo "FAIL: rejection does not mention the schema" >&2; exit 1; }
+
+echo "== usage errors =="
+# Run aequitas-replay with the remaining arguments; it must exit 2 and its
+# stderr must match the first.
+expect_usage_error() {
+    local want="$1"
+    shift
+    local code=0
+    target/release/aequitas-replay "$@" > "$OUT/usage.out" 2> "$OUT/usage.err" || code=$?
+    [ "$code" = 2 ] \
+        || { echo "FAIL: aequitas-replay $* exited $code, not 2" >&2; exit 1; }
+    grep -q -- "$want" "$OUT/usage.err" \
+        || { echo "FAIL: aequitas-replay $* did not say '$want'" >&2; exit 1; }
+}
+expect_usage_error "unknown flag '--bound_tol'" audit --trace "$RUNS/demo-a.jsonl" --bound_tol 0.5
+expect_usage_error "--json needs a value" audit --trace "$RUNS/demo-a.jsonl" --json
+expect_usage_error "--period-us 18446744073710 overflows" \
+    audit --trace "$RUNS/demo-a.jsonl" --period-us 18446744073710
 
 echo "replay smoke passed"

@@ -35,3 +35,25 @@ fn a_closed_stdout_ends_the_run_quietly() {
     );
     assert_eq!(status.code(), Some(141), "stderr:\n{stderr}");
 }
+
+/// `--sample-us` past what the picosecond clock holds (u64::MAX ps is
+/// 18 446 744 073 709 us and a little more) is a usage error naming the
+/// flag, not a period that silently wraps to under a microsecond.
+#[test]
+fn an_overflowing_sample_period_is_a_usage_error() {
+    let run = |us: &str| {
+        let metrics = std::env::temp_dir().join(format!("aequitas-sim-cli-sample-{us}.csv"));
+        Command::new(env!("CARGO_BIN_EXE_aequitas-sim"))
+            .args(["run", "trace-demo", "--metrics"])
+            .arg(&metrics)
+            .args(["--sample-us", us])
+            .output()
+            .expect("spawn aequitas-sim")
+    };
+    let out = run("18446744073710");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
+    assert!(stderr.contains("--sample-us") && stderr.contains("overflows"), "{stderr}");
+    let out = run("18446744073709");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+}
