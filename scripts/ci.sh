@@ -4,8 +4,9 @@
 # warnings denied, release build,
 # the sharded engine's tests under a time limit, tier-1 tests, the simsan
 # (simulation sanitizer) test job, an overflow-checks + simsan lane, a
-# simsan determinism diff, the benchmark's build + self-checks, and the
-# telemetry + replay + chaos smokes. Performance is not gated here: the merge gate runs
+# simsan determinism diff, the benchmark's build + self-checks, the
+# telemetry + replay + chaos smokes, and the quick-scale results golden.
+# Performance is not gated here: the merge gate runs
 # BENCHMARK.json on the parent commit and on the change. The full-length fig11 invariance test is #[ignore]'d in-tree
 # (the quick probe covers thread/backend determinism); run
 # `cargo test -- --ignored` for the long variants.
@@ -107,5 +108,10 @@ scripts/replay_smoke.sh
 
 echo "== chaos smoke =="
 scripts/chaos_smoke.sh
+
+echo "== results golden =="
+# Every experiment's quick-scale stdout and CSVs must equal the committed
+# golden in results/ byte for byte (about 11 minutes on 2 cores).
+scripts/results_diff.sh
 
 echo "ci passed"
