@@ -7,12 +7,12 @@
 //! fire — but only a few milliseconds of it (`scripts/trace_smoke.sh`
 //! relies on that; `aequitas-sim run trace-demo --trace out.jsonl`).
 
-use crate::harness::{MacroSetup, PolicyChoice, RunCtx};
+use crate::harness::{MacroSetup, RunCtx};
 use crate::report::print_table;
-use aequitas::{AequitasConfig, SloTarget};
-use aequitas_rpc::{ArrivalProcess, Priority, PrioritySpec, TrafficPattern, WorkloadSpec};
+use aequitas::SloTarget;
+use aequitas_rpc::{ArrivalProcess, Priority, TrafficPattern, WorkloadSpec};
 use aequitas_sim_core::SimDuration;
-use aequitas_workloads::QosMapping;
+use aequitas_workloads::SizeDist;
 
 /// Headline numbers from the demo run.
 pub struct DemoResult {
@@ -31,33 +31,20 @@ pub struct DemoResult {
 pub fn trace_demo(ctx: &RunCtx) -> DemoResult {
     let scale = ctx.scale;
     let slo = SloTarget::absolute(SimDuration::from_us(15), 8, 99.9);
-    let mut setup = MacroSetup::star_3qos(3);
-    setup.engine = aequitas_netsim::EngineConfig::default_2qos();
-    setup.mapping = QosMapping::two_level();
-    setup.policy = PolicyChoice::Aequitas(AequitasConfig::two_qos(slo));
+    let mut setup = MacroSetup::star_2qos(3, slo);
     setup.name = "trace-demo";
     setup.duration = scale.pick(SimDuration::from_ms(3), SimDuration::from_ms(12));
     setup.warmup = scale.pick(SimDuration::from_ms(1), SimDuration::from_ms(4));
     setup.seed = 42;
-    for h in 0..2 {
-        setup.workloads[h] = Some(WorkloadSpec {
-            arrival: ArrivalProcess::Uniform { load: 0.8 },
-            pattern: TrafficPattern::ManyToOne { dst: 2 },
-            classes: vec![
-                PrioritySpec {
-                    priority: Priority::PerformanceCritical,
-                    byte_share: 0.7,
-                    sizes: aequitas_workloads::SizeDist::Fixed(32_768),
-                },
-                PrioritySpec {
-                    priority: Priority::BestEffort,
-                    byte_share: 0.3,
-                    sizes: aequitas_workloads::SizeDist::Fixed(32_768),
-                },
-            ],
-            stop: None,
-        });
-    }
+    setup.offer(
+        2,
+        &WorkloadSpec::mix(
+            ArrivalProcess::Uniform { load: 0.8 },
+            TrafficPattern::ManyToOne { dst: 2 },
+            [(Priority::PerformanceCritical, 0.7), (Priority::BestEffort, 0.3)],
+            |_| SizeDist::Fixed(32_768),
+        ),
+    );
     let r = ctx.run_macro(setup);
     DemoResult {
         issued: r.issued,

@@ -4,10 +4,10 @@ use crate::harness::{MacroSetup, PolicyChoice, RunCtx};
 use crate::report::{f2, print_table};
 use aequitas::{AequitasConfig, SloTarget};
 use aequitas_netsim::HostId;
-use aequitas_rpc::{ArrivalProcess, Priority, PrioritySpec, TrafficPattern, WorkloadSpec};
+use aequitas_rpc::{ArrivalProcess, Priority, TrafficPattern, WorkloadSpec};
 use aequitas_sim_core::{SimDuration, SimTime};
 use aequitas_stats::{Percentiles, TimeSeries};
-use aequitas_workloads::{QosClass, QosMapping, SizeDist};
+use aequitas_workloads::{QosClass, SizeDist};
 
 /// Per-channel outcome of a fairness run.
 #[derive(Debug, Clone)]
@@ -38,17 +38,12 @@ pub struct FairnessResult {
 /// rest on QoSl. QoSh SLO = 15 µs. Returns per-channel traces.
 pub fn run_fairness(ctx: &RunCtx, offered: [f64; 2], beta: f64, seed: u64) -> FairnessResult {
     let scale = ctx.scale;
-    let mut config = AequitasConfig::two_qos(SloTarget::absolute(
-        SimDuration::from_us(15),
-        8,
-        99.9,
-    ));
-    config.beta_per_mtu = beta;
-
-    let mut setup = MacroSetup::star_3qos(3);
-    setup.engine = aequitas_netsim::EngineConfig::default_2qos();
-    setup.mapping = QosMapping::two_level();
-    setup.policy = PolicyChoice::Aequitas(config);
+    let slo = SloTarget::absolute(SimDuration::from_us(15), 8, 99.9);
+    let mut setup = MacroSetup::star_2qos(3, slo);
+    setup.policy = PolicyChoice::Aequitas(AequitasConfig {
+        beta_per_mtu: beta,
+        ..AequitasConfig::two_qos(slo)
+    });
     // Equalization emerges from a slow differential drift (misses shave the
     // heavier channel faster than additive increase rebuilds it), so the
     // run must cover many increment windows.
@@ -56,23 +51,12 @@ pub fn run_fairness(ctx: &RunCtx, offered: [f64; 2], beta: f64, seed: u64) -> Fa
     setup.warmup = scale.pick(SimDuration::from_ms(160), SimDuration::from_ms(900));
     setup.seed = seed;
     for (ch, &share) in offered.iter().enumerate() {
-        setup.workloads[ch] = Some(WorkloadSpec {
-            arrival: ArrivalProcess::Uniform { load: 1.0 },
-            pattern: TrafficPattern::ManyToOne { dst: 2 },
-            classes: vec![
-                PrioritySpec {
-                    priority: Priority::PerformanceCritical,
-                    byte_share: share,
-                    sizes: SizeDist::Fixed(32_768),
-                },
-                PrioritySpec {
-                    priority: Priority::BestEffort,
-                    byte_share: 1.0 - share,
-                    sizes: SizeDist::Fixed(32_768),
-                },
-            ],
-            stop: None,
-        });
+        setup.workloads[ch] = Some(WorkloadSpec::mix(
+            ArrivalProcess::Uniform { load: 1.0 },
+            TrafficPattern::ManyToOne { dst: 2 },
+            [(Priority::PerformanceCritical, share), (Priority::BestEffort, 1.0 - share)],
+            |_| SizeDist::Fixed(32_768),
+        ));
     }
 
     let warmup = setup.warmup;

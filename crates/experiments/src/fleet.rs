@@ -15,11 +15,11 @@
 
 use crate::harness::{MacroSetup, PolicyChoice, RunCtx, Scale};
 use crate::report::print_table;
-use crate::slo::{admitted_mix, p999_rnl_us};
+use crate::slo::{admitted_mix, p999_rnl_per_qos};
 use aequitas_netsim::{LinkSpec, ShardSpec, Topology};
-use aequitas_rpc::{ArrivalProcess, Priority, PrioritySpec, TrafficPattern, WorkloadSpec};
+use aequitas_rpc::{ArrivalProcess, Priority, TrafficPattern, WorkloadSpec};
 use aequitas_sim_core::{BitRate, SimDuration};
-use aequitas_workloads::{QosClass, SizeDist};
+use aequitas_workloads::SizeDist;
 
 /// Result of the fleet-scale run.
 pub struct FleetResult {
@@ -44,28 +44,12 @@ pub struct FleetResult {
 }
 
 fn fleet_workload(load: f64) -> WorkloadSpec {
-    WorkloadSpec {
-        arrival: ArrivalProcess::Poisson { load },
-        pattern: TrafficPattern::AllToAll,
-        classes: vec![
-            PrioritySpec {
-                priority: Priority::PerformanceCritical,
-                byte_share: 0.6,
-                sizes: SizeDist::Fixed(8_192),
-            },
-            PrioritySpec {
-                priority: Priority::NonCritical,
-                byte_share: 0.3,
-                sizes: SizeDist::Fixed(8_192),
-            },
-            PrioritySpec {
-                priority: Priority::BestEffort,
-                byte_share: 0.1,
-                sizes: SizeDist::Fixed(8_192),
-            },
-        ],
-        stop: None,
-    }
+    WorkloadSpec::mix(
+        ArrivalProcess::Poisson { load },
+        TrafficPattern::AllToAll,
+        Priority::ALL.into_iter().zip([0.6, 0.3, 0.1]),
+        |_| SizeDist::Fixed(8_192),
+    )
 }
 
 /// Fleet-scale shape. Quick: 2 pods × (2 spines, 2 leaves × 8 hosts),
@@ -106,20 +90,20 @@ pub fn fleet(ctx: &RunCtx) -> FleetResult {
     let spec = ShardSpec::clos_pods(&topo, pods, spines, leaves);
     let n = topo.num_hosts();
 
-    let mut setup = MacroSetup::star_3qos(n);
-    setup.topo = topo;
-    setup.policy = PolicyChoice::Aequitas(crate::large::production_slo_config());
     // Full scale: 2048 hosts × 10 Gbps offered (load 0.1) / 8 KB RPCs
     // ≈ 312 M RPC/s fleet-wide; 40 ms of simulated time issues ~12.5 M.
     // Cross-pod demand at load 0.1 stays inside the 4-spine pod uplink
     // capacity, so the run is busy but not collapsed.
     let load = scale.pick(0.2, 0.1);
-    setup.duration = scale.pick(SimDuration::from_ms(2), SimDuration::from_ms(40));
-    setup.warmup = scale.pick(SimDuration::from_us(500), SimDuration::from_ms(10));
-    setup.seed = 6001;
-    for h in 0..n {
-        setup.workloads[h] = Some(fleet_workload(load));
-    }
+    let times = scale.pick(
+        [SimDuration::from_ms(2), SimDuration::from_us(500)],
+        [SimDuration::from_ms(40), SimDuration::from_ms(10)],
+    );
+    let policy = PolicyChoice::Aequitas(crate::large::production_slo_config());
+    let setup = MacroSetup {
+        topo,
+        ..MacroSetup::all_senders(n, policy, 6001, times, |_| fleet_workload(load))
+    };
 
     let domains = spec.num_domains;
     let r = ctx.run_macro_sharded(setup, spec);
@@ -132,22 +116,18 @@ pub fn fleet(ctx: &RunCtx) -> FleetResult {
         issued: r.issued,
         completed: r.completions.len(),
         events: r.events,
-        p999_us: [
-            p999_rnl_us(&r.completions, QosClass(0)),
-            p999_rnl_us(&r.completions, QosClass(1)),
-            p999_rnl_us(&r.completions, QosClass(2)),
-        ],
+        p999_us: p999_rnl_per_qos(&r.completions),
         admitted: adm.try_into().unwrap_or([0.0; 3]),
     }
 }
 
 /// Print the fleet-scale result.
 pub fn print_fleet(r: &FleetResult) {
-    let rows = vec![
-        vec!["QoSh".into(), crate::report::opt(r.p999_us[0], 1)],
-        vec!["QoSm".into(), crate::report::opt(r.p999_us[1], 1)],
-        vec!["QoSl".into(), crate::report::opt(r.p999_us[2], 1)],
-    ];
+    let rows: Vec<Vec<String>> = ["QoSh", "QoSm", "QoSl"]
+        .into_iter()
+        .zip(r.p999_us)
+        .map(|(qos, p)| vec![qos.to_string(), crate::report::opt(p, 1)])
+        .collect();
     print_table(
         "Fleet-scale: 3-tier Clos on the sharded engine (99.9p RNL us)",
         &["QoS", "99.9p RNL (us)"],

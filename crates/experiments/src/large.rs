@@ -1,11 +1,11 @@
 //! Figs. 21 and 23: large-scale and testbed-analogue runs.
 
 use crate::harness::{MacroSetup, PolicyChoice, RunCtx};
-use crate::report::print_table;
-use crate::slo::{admitted_mix, p999_rnl_us};
+use crate::report::{print_table, versus_rows};
+use crate::slo::{admitted_mix, node33_workload, p999_rnl_us};
 use aequitas::{AequitasConfig, SloTarget};
 use aequitas_netsim::{LinkSpec, Topology};
-use aequitas_rpc::{ArrivalProcess, Priority, PrioritySpec, TrafficPattern, WorkloadSpec};
+use aequitas_rpc::{ArrivalProcess, Priority, TrafficPattern, WorkloadSpec};
 use aequitas_sim_core::{SimDuration};
 use aequitas_stats::Percentiles;
 use aequitas_workloads::{QosClass, SizeDist};
@@ -29,32 +29,16 @@ pub struct Fig21Result {
 }
 
 fn production_workload(mix: [f64; 3], mu: f64, rho: f64) -> WorkloadSpec {
-    WorkloadSpec {
-        arrival: ArrivalProcess::BurstOnOff {
+    WorkloadSpec::mix(
+        ArrivalProcess::BurstOnOff {
             mu,
             rho,
             period: SimDuration::from_us(400),
         },
-        pattern: TrafficPattern::AllToAll,
-        classes: vec![
-            PrioritySpec {
-                priority: Priority::PerformanceCritical,
-                byte_share: mix[0],
-                sizes: SizeDist::production_like(Priority::PerformanceCritical),
-            },
-            PrioritySpec {
-                priority: Priority::NonCritical,
-                byte_share: mix[1],
-                sizes: SizeDist::production_like(Priority::NonCritical),
-            },
-            PrioritySpec {
-                priority: Priority::BestEffort,
-                byte_share: mix[2],
-                sizes: SizeDist::production_like(Priority::BestEffort),
-            },
-        ],
-        stop: None,
-    }
+        TrafficPattern::AllToAll,
+        Priority::ALL.into_iter().zip(mix),
+        SizeDist::production_like,
+    )
 }
 
 /// The normalized SLO configuration for production-size runs: generous
@@ -81,26 +65,18 @@ fn run_144(ctx: &RunCtx, policy: PolicyChoice, seed: u64) -> crate::harness::Mac
     // RNL feedback the controller needs arrives milliseconds late, and the
     // paper itself reports ~20 ms convergence for this experiment.
     let racks = scale.pick(2, 9);
-    let n = racks * 16;
-    let topo = Topology::leaf_spine(
-        racks,
-        16,
-        4,
-        LinkSpec::default_100g(),
-        LinkSpec::default_100g(),
-    );
-    let mut setup = MacroSetup::star_3qos(n);
-    setup.topo = topo;
-    setup.policy = policy;
-    setup.duration = scale.pick(SimDuration::from_ms(50), SimDuration::from_ms(120));
-    setup.warmup = scale.pick(SimDuration::from_ms(30), SimDuration::from_ms(60));
-    setup.seed = seed;
-    for h in 0..n {
-        // Extreme overload: arrival-layer demand spikes to 25x link rate
-        // during bursts (mu = 0.8 average, rho = 25 burst demand).
-        setup.workloads[h] = Some(production_workload([0.6, 0.3, 0.1], 0.8, 25.0));
-    }
-    ctx.run_macro(setup)
+    let link = LinkSpec::default_100g();
+    let ms = SimDuration::from_ms;
+    let times = scale.pick([ms(50), ms(30)], [ms(120), ms(60)]);
+    // Extreme overload: arrival-layer demand spikes to 25x link rate
+    // during bursts (mu = 0.8 average, rho = 25 burst demand).
+    let setup = MacroSetup::all_senders(racks * 16, policy, seed, times, |_| {
+        production_workload([0.6, 0.3, 0.1], 0.8, 25.0)
+    });
+    ctx.run_macro(MacroSetup {
+        topo: Topology::leaf_spine(racks, 16, 4, link, link),
+        ..setup
+    })
 }
 
 /// Fig. 21: production sizes, 25× burst demand, leaf-spine fabric.
@@ -117,16 +93,8 @@ pub fn fig21(ctx: &RunCtx) -> Fig21Result {
     let without = runs.pop().expect("two runs");
     let adm = admitted_mix(&with.completions, 3);
     Fig21Result {
-        without: [
-            per_mtu_p999(&without.completions, QosClass(0)),
-            per_mtu_p999(&without.completions, QosClass(1)),
-            per_mtu_p999(&without.completions, QosClass(2)),
-        ],
-        with: [
-            per_mtu_p999(&with.completions, QosClass(0)),
-            per_mtu_p999(&with.completions, QosClass(1)),
-            per_mtu_p999(&with.completions, QosClass(2)),
-        ],
+        without: [0, 1, 2].map(|q| per_mtu_p999(&without.completions, QosClass(q))),
+        with: [0, 1, 2].map(|q| per_mtu_p999(&with.completions, QosClass(q))),
         slo_per_mtu: [30.0, 45.0],
         input_mix: [60.0, 30.0, 10.0],
         admitted_mix: [adm[0] * 100.0, adm[1] * 100.0, adm[2] * 100.0],
@@ -135,39 +103,21 @@ pub fn fig21(ctx: &RunCtx) -> Fig21Result {
 
 /// Print Fig. 21.
 pub fn print_fig21(r: &Fig21Result) {
-    let rows = vec![
-        vec![
-            "QoSh".into(),
-            format!("{:.0}", r.slo_per_mtu[0]),
-            crate::report::opt(r.without[0], 1),
-            crate::report::opt(r.with[0], 1),
-        ],
-        vec![
-            "QoSm".into(),
-            format!("{:.0}", r.slo_per_mtu[1]),
-            crate::report::opt(r.without[1], 1),
-            crate::report::opt(r.with[1], 1),
-        ],
-        vec![
-            "QoSl".into(),
-            "-".into(),
-            crate::report::opt(r.without[2], 1),
-            crate::report::opt(r.with[2], 1),
-        ],
-    ];
+    let slo = r.slo_per_mtu.map(|s| format!("{s:.0}"));
+    let rows = versus_rows(Some(slo), r.without, r.with, 1);
     print_table(
         "Fig 21: 144-node leaf-spine, production sizes, 25x burst (99.9p RNL us/MTU)",
         &["QoS", "SLO/MTU", "w/o Aequitas", "w/ Aequitas"],
         &rows,
     );
+    print_mix_shift(r.input_mix, r.admitted_mix);
+}
+
+/// Print how admission moved the QoS mix (percentages).
+fn print_mix_shift(input: [f64; 3], admitted: [f64; 3]) {
     println!(
         "input mix {:.0}/{:.0}/{:.0} -> admitted {:.1}/{:.1}/{:.1}",
-        r.input_mix[0],
-        r.input_mix[1],
-        r.input_mix[2],
-        r.admitted_mix[0],
-        r.admitted_mix[1],
-        r.admitted_mix[2]
+        input[0], input[1], input[2], admitted[0], admitted[1], admitted[2]
     );
 }
 
@@ -188,47 +138,12 @@ pub struct Fig23Result {
     pub admitted: [f64; 3],
 }
 
-fn testbed_workload(mix: [f64; 3]) -> WorkloadSpec {
-    WorkloadSpec {
-        arrival: ArrivalProcess::BurstOnOff {
-            mu: 0.8,
-            rho: 1.4,
-            period: SimDuration::from_us(100),
-        },
-        pattern: TrafficPattern::AllToAll,
-        classes: vec![
-            PrioritySpec {
-                priority: Priority::PerformanceCritical,
-                byte_share: mix[0],
-                sizes: SizeDist::Fixed(32_768),
-            },
-            PrioritySpec {
-                priority: Priority::NonCritical,
-                byte_share: mix[1],
-                sizes: SizeDist::Fixed(32_768),
-            },
-            PrioritySpec {
-                priority: Priority::BestEffort,
-                byte_share: mix[2],
-                sizes: SizeDist::Fixed(32_768),
-            },
-        ],
-        stop: None,
-    }
-}
-
 fn run_testbed(ctx: &RunCtx, mix: [f64; 3], policy: PolicyChoice, seed: u64) -> crate::harness::MacroResult {
-    let scale = ctx.scale;
-    let n = 20;
-    let mut setup = MacroSetup::star_3qos(n);
-    setup.policy = policy;
-    setup.duration = scale.pick(SimDuration::from_ms(20), SimDuration::from_ms(100));
-    setup.warmup = scale.pick(SimDuration::from_ms(6), SimDuration::from_ms(30));
-    setup.seed = seed;
-    for h in 0..n {
-        setup.workloads[h] = Some(testbed_workload(mix));
-    }
-    ctx.run_macro(setup)
+    let ms = SimDuration::from_ms;
+    let times = ctx.scale.pick([ms(20), ms(6)], [ms(100), ms(30)]);
+    ctx.run_macro(MacroSetup::all_senders(20, policy, seed, times, |_| {
+        node33_workload(mix, None)
+    }))
 }
 
 /// Fig. 23: 20 machines, all-to-all 32 KB WRITEs, input mix (0.5, 0.35,
@@ -256,8 +171,8 @@ pub fn fig23(ctx: &RunCtx) -> Fig23Result {
     };
     let adm = admitted_mix(&with.completions, 3);
     Fig23Result {
-        without_norm: [norm(&without, 0), norm(&without, 1), norm(&without, 2)],
-        with_norm: [norm(&with, 0), norm(&with, 1), norm(&with, 2)],
+        without_norm: [0, 1, 2].map(|q| norm(&without, q)),
+        with_norm: [0, 1, 2].map(|q| norm(&with, q)),
         input_mix: input.map(|v| v * 100.0),
         admitted: [adm[0] * 100.0, adm[1] * 100.0, adm[2] * 100.0],
     }
@@ -265,32 +180,12 @@ pub fn fig23(ctx: &RunCtx) -> Fig23Result {
 
 /// Print Fig. 23.
 pub fn print_fig23(r: &Fig23Result) {
-    let rows = vec![
-        vec![
-            "QoSh".into(),
-            crate::report::opt(r.without_norm[0], 2),
-            crate::report::opt(r.with_norm[0], 2),
-        ],
-        vec![
-            "QoSm".into(),
-            crate::report::opt(r.without_norm[1], 2),
-            crate::report::opt(r.with_norm[1], 2),
-        ],
-        vec![
-            "QoSl".into(),
-            crate::report::opt(r.without_norm[2], 2),
-            crate::report::opt(r.with_norm[2], 2),
-        ],
-    ];
     print_table(
         "Fig 23: 20-node testbed analogue, normalized 99.9p RNL",
         &["QoS", "w/o Aequitas", "w/ Aequitas"],
-        &rows,
+        &versus_rows(None, r.without_norm, r.with_norm, 2),
     );
-    println!(
-        "input mix {:.0}/{:.0}/{:.0} -> admitted {:.1}/{:.1}/{:.1}",
-        r.input_mix[0], r.input_mix[1], r.input_mix[2], r.admitted[0], r.admitted[1], r.admitted[2]
-    );
+    print_mix_shift(r.input_mix, r.admitted);
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@
 //! | [`large`] | Figs. 21, 23 (144-node production sizes, testbed analogue) |
 //! | [`fleet`] | Fleet-scale 3-tier Clos on the sharded parallel engine |
 //! | [`related`] | Fig. 22 (pFabric/QJump/D3/PDQ/Homa comparison) |
-//! | [`scheme`] | The six systems under test, run on one [`scheme::Comparison`] |
+//! | [`scheme`] | The six systems under test, run on one [`MacroSetup`] |
 //! | [`production`] | Figs. 3, 4, 5, 24 (overload episode, fleet alignment) |
 //! | [`chaos`] | Fault injection: link flaps, loss, quota-server outages |
 

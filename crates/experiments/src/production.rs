@@ -17,7 +17,7 @@ use crate::harness::{MacroSetup, RunCtx};
 use crate::report::{f1, print_table};
 use aequitas::{Fleet, FleetConfig};
 use aequitas_analysis::{fluid_delays, FluidSpec};
-use aequitas_rpc::{ArrivalProcess, Priority, PrioritySpec, TrafficPattern, WorkloadSpec};
+use aequitas_rpc::{ArrivalProcess, Priority, TrafficPattern, WorkloadSpec};
 use aequitas_sim_core::{SimDuration};
 use aequitas_stats::Percentiles;
 use aequitas_workloads::SizeDist;
@@ -55,18 +55,15 @@ pub fn fig03(ctx: &RunCtx) -> Fig3Result {
         setup.duration = phase;
         setup.warmup = phase.mul_f64(0.3);
         setup.seed = 300 + k as u64;
-        for h in 0..2 {
-            setup.workloads[h] = Some(WorkloadSpec {
-                arrival: ArrivalProcess::Poisson { load: load_x * 0.25 },
-                pattern: TrafficPattern::ManyToOne { dst: 2 },
-                classes: vec![PrioritySpec {
-                    priority: Priority::PerformanceCritical,
-                    byte_share: 1.0,
-                    sizes: SizeDist::Fixed(32_768),
-                }],
-                stop: None,
-            });
-        }
+        setup.offer(
+            2,
+            &WorkloadSpec::mix(
+                ArrivalProcess::Poisson { load: load_x * 0.25 },
+                TrafficPattern::ManyToOne { dst: 2 },
+                [(Priority::PerformanceCritical, 1.0)],
+                |_| SizeDist::Fixed(32_768),
+            ),
+        );
         let r = ctx.run_macro(setup);
         let mut p = Percentiles::new();
         for c in &r.completions {
@@ -199,17 +196,11 @@ pub fn fig24(ctx: &RunCtx, clusters: usize) -> Fig24Result {
     // Weekly misalignment trajectory on one big fleet.
     let mut fleet = Fleet::synthetic(FleetConfig::default());
     let mut weeks = Vec::new();
-    for week in 0..6 {
-        let by_prio = fleet.misalignment_by_priority();
+    for _ in 0..6 {
+        let [pc, nc, be] = fleet.misalignment_by_priority();
         weeks.push(RolloutWeek {
-            misalignment_pct: [
-                by_prio[0] * 100.0,
-                by_prio[1] * 100.0,
-                by_prio[2] * 100.0,
-                fleet.total_misalignment() * 100.0,
-            ],
+            misalignment_pct: [pc, nc, be, fleet.total_misalignment()].map(|m| m * 100.0),
         });
-        let _ = week;
         fleet.align_cohort(0.55);
     }
 

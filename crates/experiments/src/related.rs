@@ -11,15 +11,14 @@
 //!   never-finishing RPCs waste their bytes);
 //! * **per-QoS 99.9ᵗʰ-p completion latency**.
 
-use crate::harness::{RunCtx, Scale};
+use crate::harness::{MacroSetup, PolicyChoice, RunCtx, Scale};
 use crate::report::{f1, print_table};
-use crate::scheme::{Comparison, Scheme, SchemeRun};
+use crate::scheme::{Scheme, SchemeRun};
 use aequitas::{AequitasConfig, SloTarget};
-use aequitas_netsim::{EngineConfig, LinkSpec, Topology};
-use aequitas_rpc::{ArrivalProcess, Priority, PrioritySpec, TrafficPattern, WorkloadSpec};
+use aequitas_rpc::{ArrivalProcess, Priority, TrafficPattern, WorkloadSpec};
 use aequitas_sim_core::{SimDuration, SimTime};
 use aequitas_stats::Percentiles;
-use aequitas_workloads::{QosMapping, SizeDist};
+use aequitas_workloads::SizeDist;
 
 const N: usize = 33;
 const MIX: [f64; 3] = [0.5, 0.3, 0.2];
@@ -129,39 +128,27 @@ fn drain_time(scale: Scale) -> SimTime {
 /// all-to-all production-size load for 20 ms (80 ms at full scale), and
 /// runs drain for another 30 (80) ms. Aequitas gets the per-MTU targets of
 /// [`normalized_targets`].
-pub fn comparison(scale: Scale) -> Comparison {
+pub fn comparison(scale: Scale) -> MacroSetup {
     let spec = WorkloadSpec {
-        arrival: ArrivalProcess::BurstOnOff {
-            mu: 0.9,
-            rho: 2.0,
-            period: SimDuration::from_us(100),
-        },
-        pattern: TrafficPattern::AllToAll,
-        classes: Priority::ALL
-            .into_iter()
-            .zip(MIX)
-            .map(|(priority, byte_share)| PrioritySpec {
-                priority,
-                byte_share,
-                sizes: SizeDist::production_like(priority),
-            })
-            .collect(),
         stop: Some(stop_time(scale)),
+        ..WorkloadSpec::mix(
+            ArrivalProcess::BurstOnOff {
+                mu: 0.9,
+                rho: 2.0,
+                period: SimDuration::from_us(100),
+            },
+            TrafficPattern::AllToAll,
+            Priority::ALL.into_iter().zip(MIX),
+            SizeDist::production_like,
+        )
     };
     let targets = normalized_targets();
-    Comparison {
-        topo: Topology::star(N, LinkSpec::default_100g()),
-        workloads: vec![Some(spec); N],
-        seed: 22_06,
-        faults: None,
-        end: drain_time(scale),
-        engine: EngineConfig::default_3qos(),
-        mapping: QosMapping::three_level(),
-        aequitas: AequitasConfig::three_qos(
-            SloTarget::per_mtu(targets[0], 99.9),
-            SloTarget::per_mtu(targets[1], 99.9),
-        ),
-    }
+    let policy = PolicyChoice::Aequitas(AequitasConfig::three_qos(
+        SloTarget::per_mtu(targets[0], 99.9),
+        SloTarget::per_mtu(targets[1], 99.9),
+    ));
+    let times = [drain_time(scale).since(SimTime::ZERO), SimDuration::ZERO];
+    MacroSetup::all_senders(N, policy, 22_06, times, |_| spec.clone())
 }
 
 /// Fig. 22 result: one score per scheme.
@@ -173,8 +160,9 @@ pub struct Fig22Result {
 /// Run the full comparison. The six schemes are independent simulations on
 /// the same offered workload, so they fan out across the sweep harness.
 pub fn fig22(ctx: &RunCtx) -> Fig22Result {
-    let cmp = comparison(ctx.scale);
-    let scores = ctx.sweep(Scheme::ALL.to_vec(), |s| score(s.name(), &s.run(ctx, &cmp)));
+    let scores = ctx.sweep(Scheme::ALL.to_vec(), |s| {
+        score(s.name(), &s.run(ctx, comparison(ctx.scale)))
+    });
     Fig22Result { scores }
 }
 
@@ -226,8 +214,7 @@ mod tests {
 
     /// Fig. 22's scores of `schemes` under `ctx`.
     fn scores<const K: usize>(ctx: &RunCtx, schemes: [Scheme; K]) -> [SchemeScore; K] {
-        let cmp = comparison(ctx.scale);
-        schemes.map(|s| score(s.name(), &s.run(ctx, &cmp)))
+        schemes.map(|s| score(s.name(), &s.run(ctx, comparison(ctx.scale))))
     }
 
     #[test]
@@ -290,12 +277,12 @@ mod tests {
             faults: Some(std::sync::Arc::new(plan)),
             ..RunCtx::quick()
         };
-        let cmp = Comparison {
-            end: SimTime::from_us(200),
-            ..comparison(ctx.scale)
-        };
         for s in Scheme::ALL {
-            let drops = s.run(&ctx, &cmp).fault_drops;
+            let setup = MacroSetup {
+                duration: SimDuration::from_us(200),
+                ..comparison(ctx.scale)
+            };
+            let drops = s.run(&ctx, setup).fault_drops;
             assert!(drops > 0, "{} ran on a healthy fabric", s.name());
         }
     }

@@ -118,6 +118,27 @@ pub fn pct(v: f64) -> String {
     format!("{:.1}%", v * 100.0)
 }
 
+/// Rows QoSh, QoSm and QoSl of a without/with-Aequitas table: the class,
+/// its SLO cell when `slo` is given (`-` for QoSl, which has none), and
+/// both runs' values to `digits` decimals.
+pub fn versus_rows(
+    slo: Option<[String; 2]>,
+    without: [Option<f64>; 3],
+    with: [Option<f64>; 3],
+    digits: usize,
+) -> Vec<Vec<String>> {
+    let mut rows = Vec::new();
+    for (q, name) in ["QoSh", "QoSm", "QoSl"].into_iter().enumerate() {
+        let mut row = vec![name.to_string()];
+        if let Some(slo) = &slo {
+            row.push(slo.get(q).cloned().unwrap_or_else(|| "-".to_string()));
+        }
+        row.extend([opt(without[q], digits), opt(with[q], digits)]);
+        rows.push(row);
+    }
+    rows
+}
+
 /// Format an optional value, "-" when absent.
 pub fn opt(v: Option<f64>, digits: usize) -> String {
     match v {

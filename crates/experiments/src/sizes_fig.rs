@@ -1,9 +1,9 @@
 //! Figs. 1 and 20: RPC size distributions and mixed-size SLO compliance.
 
-use crate::harness::{MacroSetup, PolicyChoice, RunCtx};
+use crate::harness::{PolicyChoice, RunCtx};
 use crate::report::print_table;
-use crate::slo::slo_config_33;
-use aequitas_rpc::{ArrivalProcess, Priority, PrioritySpec, TrafficPattern, WorkloadSpec};
+use crate::slo::{setup_33, slo_config_33};
+use aequitas_rpc::{ArrivalProcess, Priority, TrafficPattern, WorkloadSpec};
 use aequitas_sim_core::{SimDuration, SimRng};
 use aequitas_stats::Percentiles;
 use aequitas_workloads::{QosClass, SizeDist};
@@ -89,48 +89,21 @@ pub struct Fig20Result {
     pub slo_per_mtu: [f64; 2],
 }
 
-fn mixed_size_workload(size: u64) -> WorkloadSpec {
-    WorkloadSpec {
-        arrival: ArrivalProcess::BurstOnOff {
-            mu: 0.8,
-            rho: 1.4,
-            period: SimDuration::from_us(100),
-        },
-        pattern: TrafficPattern::AllToAll,
-        classes: vec![
-            PrioritySpec {
-                priority: Priority::PerformanceCritical,
-                byte_share: 0.6,
-                sizes: SizeDist::Fixed(size),
-            },
-            PrioritySpec {
-                priority: Priority::NonCritical,
-                byte_share: 0.3,
-                sizes: SizeDist::Fixed(size),
-            },
-            PrioritySpec {
-                priority: Priority::BestEffort,
-                byte_share: 0.1,
-                sizes: SizeDist::Fixed(size),
-            },
-        ],
-        stop: None,
-    }
-}
-
 fn run_mixed(ctx: &RunCtx, policy: PolicyChoice, seed: u64) -> [[Option<f64>; 3]; 2] {
-    let scale = ctx.scale;
-    let n = 33;
-    let mut setup = MacroSetup::star_3qos(n);
-    setup.policy = policy;
-    setup.duration = scale.pick(SimDuration::from_ms(44), SimDuration::from_ms(150));
-    setup.warmup = scale.pick(SimDuration::from_ms(26), SimDuration::from_ms(80));
-    setup.seed = seed;
-    for h in 0..n {
+    let setup = setup_33(ctx.scale, policy, seed, |h| {
         // Half the hosts send 32 KB RPCs, the other half 64 KB.
         let size = if h % 2 == 0 { 32_768 } else { 65_536 };
-        setup.workloads[h] = Some(mixed_size_workload(size));
-    }
+        WorkloadSpec::mix(
+            ArrivalProcess::BurstOnOff {
+                mu: 0.8,
+                rho: 1.4,
+                period: SimDuration::from_us(100),
+            },
+            TrafficPattern::AllToAll,
+            Priority::ALL.into_iter().zip([0.6, 0.3, 0.1]),
+            |_| SizeDist::Fixed(size),
+        )
+    });
     let r = ctx.run_macro(setup);
     let mut out = [[None; 3]; 2];
     for (si, size) in [32_768u64, 65_536].iter().enumerate() {

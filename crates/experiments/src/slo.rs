@@ -1,13 +1,13 @@
 //! Figs. 11, 12, 13: SLO compliance.
 
-use crate::harness::{MacroResult, MacroSetup, PolicyChoice, RunCtx};
-use crate::report::{f1, print_table};
+use crate::harness::{MacroResult, MacroSetup, PolicyChoice, RunCtx, Scale};
+use crate::report::{f1, print_table, versus_rows};
 use aequitas::{AequitasConfig, SloTarget};
-use aequitas_rpc::{ArrivalProcess, Priority, PrioritySpec, RpcCompletion, TrafficPattern, WorkloadSpec};
+use aequitas_rpc::{ArrivalProcess, Priority, RpcCompletion, TrafficPattern, WorkloadSpec};
 use aequitas_sim_core::{SimDuration, SimTime};
 use aequitas_stats::Percentiles;
 use aequitas_netsim::QueueKind;
-use aequitas_workloads::{QosClass, QosMapping, SizeDist};
+use aequitas_workloads::{QosClass, SizeDist};
 
 /// 99.9th-percentile RNL (µs) of RPCs that *ran* on `qos`.
 pub fn p999_rnl_us(completions: &[RpcCompletion], qos: QosClass) -> Option<f64> {
@@ -16,6 +16,11 @@ pub fn p999_rnl_us(completions: &[RpcCompletion], qos: QosClass) -> Option<f64> 
         p.record(c.rnl().as_us_f64());
     }
     p.p999()
+}
+
+/// [`p999_rnl_us`] of each of the three QoS classes.
+pub fn p999_rnl_per_qos(completions: &[RpcCompletion]) -> [Option<f64>; 3] {
+    [0, 1, 2].map(|q| p999_rnl_us(completions, QosClass(q)))
 }
 
 /// Share of completed bytes that ran on each QoS class (the admitted
@@ -54,23 +59,12 @@ pub struct Fig11Result {
 }
 
 fn fig11_workload() -> WorkloadSpec {
-    WorkloadSpec {
-        arrival: ArrivalProcess::Uniform { load: 1.0 },
-        pattern: TrafficPattern::ManyToOne { dst: 2 },
-        classes: vec![
-            PrioritySpec {
-                priority: Priority::PerformanceCritical,
-                byte_share: 0.7,
-                sizes: SizeDist::Fixed(32_768),
-            },
-            PrioritySpec {
-                priority: Priority::BestEffort,
-                byte_share: 0.3,
-                sizes: SizeDist::Fixed(32_768),
-            },
-        ],
-        stop: None,
-    }
+    WorkloadSpec::mix(
+        ArrivalProcess::Uniform { load: 1.0 },
+        TrafficPattern::ManyToOne { dst: 2 },
+        [(Priority::PerformanceCritical, 0.7), (Priority::BestEffort, 0.3)],
+        |_| SizeDist::Fixed(32_768),
+    )
 }
 
 /// Fig. 11: two line-rate channels of 32 KB WRITEs (70% QoSh / 30% QoSl)
@@ -107,15 +101,11 @@ pub fn fig11_invariance_probe(ctx: &RunCtx, queue: QueueKind) -> Fig11Result {
 fn fig11_point(ctx: &RunCtx, slo_us: f64, queue: QueueKind, duration_factor: f64) -> Fig11Point {
     let scale = ctx.scale;
     {
-        let mut setup = MacroSetup::star_3qos(3);
-        setup.engine = aequitas_netsim::EngineConfig::default_2qos();
+        let mut setup = MacroSetup::star_2qos(
+            3,
+            SloTarget::absolute(SimDuration::from_us_f64(slo_us), 8, 99.9),
+        );
         setup.engine.event_queue = queue;
-        setup.mapping = QosMapping::two_level();
-        setup.policy = PolicyChoice::Aequitas(AequitasConfig::two_qos(SloTarget::absolute(
-            SimDuration::from_us_f64(slo_us),
-            8,
-            99.9,
-        )));
         // The additive-increase clock ticks once per increment window
         // (SLO-dependent: 1000x the per-MTU target at 99.9p). The initial
         // transient overshoots the admit probability toward the floor
@@ -132,8 +122,7 @@ fn fig11_point(ctx: &RunCtx, slo_us: f64, queue: QueueKind, duration_factor: f64
             .mul_f64(duration_factor);
         setup.warmup = setup.duration.mul_f64(0.5);
         setup.seed = 42 + slo_us as u64;
-        setup.workloads[0] = Some(fig11_workload());
-        setup.workloads[1] = Some(fig11_workload());
+        setup.offer(2, &fig11_workload());
         // The admitted share must be measured at *issue* time: under
         // sustained line-rate overload the scavenger class's sender queues
         // grow without bound, so downgraded RPCs rarely complete inside the
@@ -212,31 +201,30 @@ pub struct Fig12Result {
 /// 32 KB RPCs, burst arrivals μ=0.8 / ρ=1.4.
 pub fn node33_workload(mix: [f64; 3], stop: Option<SimTime>) -> WorkloadSpec {
     WorkloadSpec {
-        arrival: ArrivalProcess::BurstOnOff {
-            mu: 0.8,
-            rho: 1.4,
-            period: SimDuration::from_us(100),
-        },
-        pattern: TrafficPattern::AllToAll,
-        classes: vec![
-            PrioritySpec {
-                priority: Priority::PerformanceCritical,
-                byte_share: mix[0],
-                sizes: SizeDist::Fixed(32_768),
-            },
-            PrioritySpec {
-                priority: Priority::NonCritical,
-                byte_share: mix[1],
-                sizes: SizeDist::Fixed(32_768),
-            },
-            PrioritySpec {
-                priority: Priority::BestEffort,
-                byte_share: mix[2],
-                sizes: SizeDist::Fixed(32_768),
-            },
-        ],
         stop,
+        ..WorkloadSpec::mix(
+            ArrivalProcess::BurstOnOff {
+                mu: 0.8,
+                rho: 1.4,
+                period: SimDuration::from_us(100),
+            },
+            TrafficPattern::AllToAll,
+            Priority::ALL.into_iter().zip(mix),
+            |_| SizeDist::Fixed(32_768),
+        )
     }
+}
+
+/// The 33-node star of Figs. 12 and 14–16 and 20: host `h` offers `spec(h)`
+/// for 44 ms, the first 26 ms of it warm-up (150 and 80 ms at full scale).
+pub(crate) fn setup_33(
+    scale: Scale,
+    policy: PolicyChoice,
+    seed: u64,
+    spec: impl Fn(usize) -> WorkloadSpec,
+) -> MacroSetup {
+    let ms = SimDuration::from_ms;
+    MacroSetup::all_senders(33, policy, seed, scale.pick([ms(44), ms(26)], [ms(150), ms(80)]), spec)
 }
 
 /// The paper's SLO settings for the 33-node runs: 15 µs / 25 µs at 99.9p
@@ -249,16 +237,8 @@ pub fn slo_config_33() -> AequitasConfig {
 }
 
 fn run_33node(ctx: &RunCtx, policy: PolicyChoice, seed: u64) -> (MacroResult, Percentiles, Percentiles) {
-    let scale = ctx.scale;
     let n = 33;
-    let mut setup = MacroSetup::star_3qos(n);
-    setup.policy = policy;
-    setup.duration = scale.pick(SimDuration::from_ms(44), SimDuration::from_ms(150));
-    setup.warmup = scale.pick(SimDuration::from_ms(26), SimDuration::from_ms(80));
-    setup.seed = seed;
-    for h in 0..n {
-        setup.workloads[h] = Some(node33_workload([0.6, 0.3, 0.1], None));
-    }
+    let setup = setup_33(ctx.scale, policy, seed, |_| node33_workload([0.6, 0.3, 0.1], None));
     let warm = SimTime::ZERO + setup.warmup;
     let mut out_hm = Percentiles::new();
     let mut out_l = Percentiles::new();
@@ -284,11 +264,10 @@ fn run_33node(ctx: &RunCtx, policy: PolicyChoice, seed: u64) -> (MacroResult, Pe
 pub fn fig12(ctx: &RunCtx) -> Fig12Result {
     let (without, w_hm, w_l) = run_33node(ctx, PolicyChoice::Static, 1001);
     let (with, a_hm, a_l) = run_33node(ctx, PolicyChoice::Aequitas(slo_config_33()), 1002);
-    let q = |r: &MacroResult, c: u8| p999_rnl_us(&r.completions, QosClass(c));
     Fig12Result {
         slo_us: [15.0, 25.0],
-        without: [q(&without, 0), q(&without, 1), q(&without, 2)],
-        with: [q(&with, 0), q(&with, 1), q(&with, 2)],
+        without: p999_rnl_per_qos(&without.completions),
+        with: p999_rnl_per_qos(&with.completions),
         outstanding_without: (w_hm, w_l),
         outstanding_with: (a_hm, a_l),
     }
@@ -296,26 +275,7 @@ pub fn fig12(ctx: &RunCtx) -> Fig12Result {
 
 /// Print Fig. 12.
 pub fn print_fig12(r: &Fig12Result) {
-    let rows = vec![
-        vec![
-            "QoSh".to_string(),
-            f1(r.slo_us[0]),
-            crate::report::opt(r.without[0], 1),
-            crate::report::opt(r.with[0], 1),
-        ],
-        vec![
-            "QoSm".to_string(),
-            f1(r.slo_us[1]),
-            crate::report::opt(r.without[1], 1),
-            crate::report::opt(r.with[1], 1),
-        ],
-        vec![
-            "QoSl".to_string(),
-            "-".to_string(),
-            crate::report::opt(r.without[2], 1),
-            crate::report::opt(r.with[2], 1),
-        ],
-    ];
+    let rows = versus_rows(Some(r.slo_us.map(f1)), r.without, r.with, 1);
     print_table(
         "Fig 12: 33-node 99.9p RNL (us) vs SLO, w/o and w/ Aequitas",
         &["QoS", "SLO", "w/o Aequitas", "w/ Aequitas"],
@@ -325,21 +285,17 @@ pub fn print_fig12(r: &Fig12Result) {
 
 /// Print Fig. 13 (outstanding-RPC CDB tail summary).
 pub fn print_fig13(r: &mut Fig12Result) {
+    let (without, with) = (&mut r.outstanding_without, &mut r.outstanding_with);
+    let row = |classes: &str, a: &mut Percentiles, b: &mut Percentiles| {
+        let mut row = vec![classes.to_string()];
+        for p in [a, b] {
+            row.extend([crate::report::opt(p.p50(), 2), crate::report::opt(p.p99(), 2)]);
+        }
+        row
+    };
     let rows = vec![
-        vec![
-            "QoSh+QoSm".to_string(),
-            crate::report::opt(r.outstanding_without.0.p50(), 2),
-            crate::report::opt(r.outstanding_without.0.p99(), 2),
-            crate::report::opt(r.outstanding_with.0.p50(), 2),
-            crate::report::opt(r.outstanding_with.0.p99(), 2),
-        ],
-        vec![
-            "QoSl".to_string(),
-            crate::report::opt(r.outstanding_without.1.p50(), 2),
-            crate::report::opt(r.outstanding_without.1.p99(), 2),
-            crate::report::opt(r.outstanding_with.1.p50(), 2),
-            crate::report::opt(r.outstanding_with.1.p99(), 2),
-        ],
+        row("QoSh+QoSm", &mut without.0, &mut with.0),
+        row("QoSl", &mut without.1, &mut with.1),
     ];
     print_table(
         "Fig 13: outstanding RPCs per switch port (w/o -> w/ Aequitas)",

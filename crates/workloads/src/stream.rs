@@ -35,6 +35,32 @@ pub struct WorkloadSpec {
     pub stop: Option<SimTime>,
 }
 
+impl WorkloadSpec {
+    /// A workload that never stops: `arrival` to `pattern`, one class per
+    /// `(priority, byte share)` of `shares`, in that order, each sized by
+    /// `sizes(priority)`.
+    pub fn mix(
+        arrival: ArrivalProcess,
+        pattern: TrafficPattern,
+        shares: impl IntoIterator<Item = (Priority, f64)>,
+        sizes: impl Fn(Priority) -> SizeDist,
+    ) -> WorkloadSpec {
+        WorkloadSpec {
+            arrival,
+            pattern,
+            classes: shares
+                .into_iter()
+                .map(|(priority, byte_share)| PrioritySpec {
+                    priority,
+                    byte_share,
+                    sizes: sizes(priority),
+                })
+                .collect(),
+            stop: None,
+        }
+    }
+}
+
 /// One drawn RPC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NextRpc {
@@ -187,6 +213,31 @@ mod tests {
                 .collect(),
             stop,
         }
+    }
+
+    /// `WorkloadSpec::mix` keeps the classes in the order given, each with
+    /// its share as written and its priority's size law, and never stops.
+    #[test]
+    fn mix_states_one_class_per_share() {
+        let w = WorkloadSpec::mix(
+            ArrivalProcess::Uniform { load: 1.0 },
+            TrafficPattern::AllToAll,
+            [(Priority::BestEffort, 1.0 - 0.7), (Priority::PerformanceCritical, 0.7)],
+            |p| SizeDist::Fixed(if p == Priority::BestEffort { 64 } else { 32 }),
+        );
+        let classes: Vec<_> = w
+            .classes
+            .iter()
+            .map(|c| (c.priority, c.byte_share, c.sizes.mean_bytes()))
+            .collect();
+        assert_eq!(
+            classes,
+            [
+                (Priority::BestEffort, 1.0 - 0.7, 64.0),
+                (Priority::PerformanceCritical, 0.7, 32.0)
+            ]
+        );
+        assert!(w.stop.is_none());
     }
 
     #[test]
