@@ -57,3 +57,27 @@ fn an_overflowing_sample_period_is_a_usage_error() {
     let out = run("18446744073709");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 }
+
+/// The sharded engine writes no trace: `fleet-scale` with `--trace`,
+/// `--metrics` or `--audit` fails with a message naming the limitation
+/// instead of exiting 0 with an empty trace and no audit.
+#[test]
+fn telemetry_on_the_sharded_engine_is_refused() {
+    let dir = std::env::temp_dir();
+    let trace = dir.join("aequitas-sim-cli-sharded.jsonl");
+    let metrics = dir.join("aequitas-sim-cli-sharded.csv");
+    for flags in [
+        vec!["--trace".as_ref(), trace.as_os_str()],
+        vec!["--metrics".as_ref(), metrics.as_os_str()],
+        vec!["--trace".as_ref(), trace.as_os_str(), "--audit".as_ref()],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_aequitas-sim"))
+            .args(["run", "fleet-scale", "--threads", "1"])
+            .args(&flags)
+            .output()
+            .expect("spawn aequitas-sim");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: stderr:\n{stderr}");
+        assert!(stderr.contains("sharded engine"), "{flags:?}: {stderr}");
+    }
+}
