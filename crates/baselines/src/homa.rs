@@ -18,7 +18,7 @@ use crate::reliable::{BaselineHost, FlowTable, Sender, ARRIVAL_TIMER};
 use crate::workgen::WorkloadGen;
 use crate::BaselineCompletion;
 use aequitas_netsim::{
-    EngineConfig, FlowKey, HostAgent, HostCtx, HostId, Packet, PacketKind, QueueKind, SchedulerKind,
+    EngineConfig, FlowKey, HostAgent, HostCtx, HostId, Packet, PacketKind, SchedulerKind,
 };
 use aequitas_sim_core::{SimDuration, SimTime};
 
@@ -47,7 +47,6 @@ pub fn engine_config() -> EngineConfig {
         switch_buffer_bytes: Some(2 << 20),
         host_buffer_bytes: Some(2 << 20),
         classes: HOMA_PRIORITIES,
-        event_queue: QueueKind::Calendar,
         faults: None,
     }
 }

@@ -12,7 +12,7 @@ use crate::reliable::{ack_packet, BaselineHost, FlowTable, OutMsg, Sender, ARRIV
 use crate::workgen::WorkloadGen;
 use crate::BaselineCompletion;
 use aequitas_netsim::{
-    EngineConfig, HostAgent, HostCtx, HostId, Packet, PacketKind, QueueKind, SchedulerKind,
+    EngineConfig, HostAgent, HostCtx, HostId, Packet, PacketKind, SchedulerKind,
 };
 use aequitas_sim_core::{BitRate, SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -28,7 +28,6 @@ pub fn engine_config() -> EngineConfig {
         switch_buffer_bytes: Some(2 << 20),
         host_buffer_bytes: Some(2 << 20),
         classes: 3,
-        event_queue: QueueKind::Calendar,
         faults: None,
     }
 }

@@ -62,12 +62,13 @@ struct FibRow {
 /// destination-based with optional ECMP: a switch may list several candidate
 /// egress ports for a destination and the engine picks one by flow hash.
 ///
-/// Construction (every constructor funnels through the same table builder)
-/// precomputes two dense hot-path tables from the `routes` triple-`Vec`:
+/// Every constructor builds a nested `routes[switch][dst_host]` table of
+/// candidate ports and funnels it through the same table builder, which
+/// precomputes two dense hot-path tables:
 ///
 /// * a flat FIB — per `(switch, dst_host)` row of candidate egress ports in
-///   one contiguous array, so the per-packet [`Topology::next_hop`] is an
-///   array load (plus one modulo only on true ECMP fan-outs);
+///   one contiguous array, so [`Topology::next_hop`], the one forwarding
+///   lookup, is an array load (plus one modulo only on true ECMP fan-outs);
 /// * exact picoseconds-per-bit per egress port, so serialization delays are
 ///   a single multiply instead of a 128-bit division per transmission.
 #[derive(Debug, Clone)]
@@ -76,10 +77,12 @@ pub struct Topology {
     pub host_ports: Vec<PortSpec>,
     /// Per-switch list of egress ports.
     pub switch_ports: Vec<Vec<PortSpec>>,
-    /// `routes[switch][dst_host]` = candidate egress port indices. The
-    /// reference routing table; [`Topology::route`] consults it directly and
-    /// the FIB is flattened from it at construction.
-    pub routes: Vec<Vec<Vec<usize>>>,
+    /// `routes[switch][dst_host]` = candidate egress port indices, as the
+    /// constructors build them. The FIB is flattened from it at
+    /// construction; test builds keep it as the oracle the FIB is checked
+    /// against.
+    #[cfg(test)]
+    routes: Vec<Vec<Vec<usize>>>,
     /// `fib_rows[switch * num_hosts + dst]` → window into `fib_ports`.
     fib_rows: Vec<FibRow>,
     /// Flat candidate egress-port array backing `fib_rows`.
@@ -125,6 +128,7 @@ impl Topology {
         Topology {
             host_ports,
             switch_ports,
+            #[cfg(test)]
             routes,
             fib_rows,
             fib_ports,
@@ -142,37 +146,11 @@ impl Topology {
         self.switch_ports.len()
     }
 
-    /// Select the egress port at `sw` toward `dst` for a flow with the given
-    /// hash (ECMP pick among candidates).
-    pub fn route(&self, sw: SwitchId, dst: HostId, flow_hash: u64) -> usize {
-        let candidates = &self.routes[sw.0][dst.0];
-        assert!(
-            !candidates.is_empty(),
-            "no route from switch {} to host {}",
-            sw.0,
-            dst.0
-        );
-        candidates[(flow_hash % candidates.len() as u64) as usize]
-    }
-
-    /// FIB variant of [`Topology::route`]: same `(switch, dst, hash)` →
-    /// egress-port function, answered from the flat precomputed table. The
-    /// two must agree for every input (see `fib_matches_route_*` tests).
-    #[inline]
-    pub fn fib_lookup(&self, sw: SwitchId, dst: HostId, flow_hash: u64) -> usize {
-        let row = self.fib_rows[sw.0 * self.host_ports.len() + dst.0];
-        let pick = if row.len == 1 {
-            0
-        } else {
-            (flow_hash % row.len as u64) as u32
-        };
-        self.fib_ports[(row.offset + pick) as usize] as usize
-    }
-
-    /// Per-packet forwarding: like [`Topology::fib_lookup`] but the ECMP
-    /// hash is computed lazily — single-candidate rows (the common case on
-    /// every hop except true fan-outs) never hash at all. `hash % 1 == 0`
-    /// for any hash, so laziness cannot change the pick.
+    /// Per-packet forwarding: the egress port at `sw` toward `dst` for
+    /// `flow`, an ECMP pick by flow hash among the candidates. The hash is
+    /// computed lazily — single-candidate rows (the common case on every hop
+    /// except true fan-outs) never hash at all. `hash % 1 == 0` for any
+    /// hash, so laziness cannot change the pick.
     #[inline]
     pub fn next_hop(&self, sw: SwitchId, dst: HostId, flow: &crate::packet::FlowKey) -> usize {
         let row = self.fib_rows[sw.0 * self.host_ports.len() + dst.0];
@@ -182,6 +160,16 @@ impl Topology {
             (flow.ecmp_hash() % row.len as u64) as u32
         };
         self.fib_ports[(row.offset + pick) as usize] as usize
+    }
+
+    /// Egress `port` of `node` (a host's only port is its uplink, port 0)
+    /// and its exact ps/bit, or 0 (see [`Topology::host_tx_ppb`]).
+    #[inline]
+    pub(crate) fn egress(&self, node: NodeRef, port: usize) -> (&PortSpec, u64) {
+        match node {
+            NodeRef::Host(h) => (&self.host_ports[h.0], self.host_ppb[h.0]),
+            NodeRef::Switch(s) => (&self.switch_ports[s.0][port], self.switch_ppb[s.0][port]),
+        }
     }
 
     /// Exact ps/bit of a host's uplink, or 0 when the rate needs the
@@ -447,6 +435,16 @@ mod tests {
         LinkSpec::default_100g()
     }
 
+    impl Topology {
+        /// The reference lookup: the egress port at `sw` toward `dst` for a
+        /// flow with the given hash, read straight from the nested
+        /// `routes` table the constructors built.
+        fn route(&self, sw: SwitchId, dst: HostId, flow_hash: u64) -> usize {
+            let candidates = &self.routes[sw.0][dst.0];
+            candidates[(flow_hash % candidates.len() as u64) as usize]
+        }
+    }
+
     #[test]
     fn star_shape() {
         let t = Topology::star(3, link());
@@ -573,20 +571,13 @@ mod tests {
         }
     }
 
-    /// The flat FIB must agree with the reference `route()` for every
-    /// `(switch, dst, hash)` — and `next_hop` with them, via real flow keys
-    /// (whose hashes exercise lazy hashing on single-candidate rows).
+    /// The flat FIB's `next_hop` must agree with the reference `route()`
+    /// for every `(switch, dst, flow)`, via real flow keys (whose hashes
+    /// exercise lazy hashing on single-candidate rows).
     fn assert_fib_matches_route(t: &Topology) {
         use crate::packet::FlowKey;
         for sw in 0..t.num_switches() {
             for dst in 0..t.num_hosts() {
-                for hash in [0u64, 1, 2, 7, 13, 64, 1 << 33, u64::MAX] {
-                    assert_eq!(
-                        t.fib_lookup(SwitchId(sw), HostId(dst), hash),
-                        t.route(SwitchId(sw), HostId(dst), hash),
-                        "fib != route at sw={sw} dst={dst} hash={hash}"
-                    );
-                }
                 for src in 0..t.num_hosts() {
                     for class in 0..3u8 {
                         let flow = FlowKey {

@@ -23,6 +23,6 @@ pub mod rng;
 pub mod time;
 
 pub use arena::{Slab, SlotId};
-pub use event::{EventQueue, QueueKind, QueueStats, ScheduledEvent};
+pub use event::{EventQueue, QueueStats, ScheduledEvent};
 pub use rng::SimRng;
 pub use time::{BitRate, SimDuration, SimTime};

@@ -1,16 +1,16 @@
 //! Determinism under the performance knobs.
 //!
-//! The parallel sweep harness and the calendar event queue are pure
-//! optimizations: neither the sweep worker count (`--threads`) nor the
-//! event-queue backend may change a single figure value. This runs the
+//! The parallel sweep harness is a pure optimization: the sweep worker
+//! count (`--threads`) may not change a single figure value. This runs the
 //! Fig. 11 sweep — a real multi-point experiment through the full stack —
-//! under each knob and requires bit-identical results, and requires the
-//! same of a traced sweep's trace stream.
+//! at 1 and 4 workers and requires bit-identical results, and requires the
+//! same of a traced sweep's trace stream. (That the calendar event queue
+//! pops in a binary heap's exact order is `aequitas-sim-core`'s
+//! differential property tests.)
 
 use aequitas_experiments::harness::{run_macro, MacroSetup, PolicyChoice};
-use aequitas_experiments::slo::{fig11_configured, fig11_invariance_probe, Fig11Result};
+use aequitas_experiments::slo::{fig11, fig11_invariance_probe, Fig11Result};
 use aequitas_experiments::RunCtx;
-use aequitas_netsim::QueueKind;
 use aequitas_sim_core::SimDuration;
 use aequitas_telemetry::{FlightRecorder, Telemetry, TelemetryConfig, TraceSink};
 use std::sync::{Arc, Mutex};
@@ -40,36 +40,26 @@ fn fingerprint(r: &Fig11Result) -> Vec<(u64, u64, u64)> {
 /// not care — any knob-dependence shows up here just as it would at full
 /// length.
 #[test]
-fn fig11_smoke_is_invariant_under_threads_and_queue_backend() {
-    let baseline = fingerprint(&fig11_invariance_probe(&on_threads(1), QueueKind::Calendar));
-    let threaded = fingerprint(&fig11_invariance_probe(&on_threads(4), QueueKind::Calendar));
+fn fig11_smoke_is_invariant_under_threads() {
+    let baseline = fingerprint(&fig11_invariance_probe(&on_threads(1)));
+    let threaded = fingerprint(&fig11_invariance_probe(&on_threads(4)));
     assert_eq!(
         baseline, threaded,
         "sweep results must not depend on the worker count"
-    );
-    let heap = fingerprint(&fig11_invariance_probe(&on_threads(4), QueueKind::Heap));
-    assert_eq!(
-        baseline, heap,
-        "calendar and heap event queues must order events identically"
     );
 }
 
 /// The full-length sweep (minutes of wall clock): superseded in CI by
-/// [`fig11_smoke_is_invariant_under_threads_and_queue_backend`]; run
+/// [`fig11_smoke_is_invariant_under_threads`]; run
 /// explicitly with `cargo test -- --ignored` before releases.
 #[test]
 #[ignore = "full-length fig11 sweep; the smoke variant covers CI"]
-fn fig11_is_invariant_under_threads_and_queue_backend() {
-    let baseline = fingerprint(&fig11_configured(&on_threads(1), QueueKind::Calendar));
-    let threaded = fingerprint(&fig11_configured(&on_threads(4), QueueKind::Calendar));
+fn fig11_is_invariant_under_threads() {
+    let baseline = fingerprint(&fig11(&on_threads(1)));
+    let threaded = fingerprint(&fig11(&on_threads(4)));
     assert_eq!(
         baseline, threaded,
         "sweep results must not depend on the worker count"
-    );
-    let heap = fingerprint(&fig11_configured(&on_threads(4), QueueKind::Heap));
-    assert_eq!(
-        baseline, heap,
-        "calendar and heap event queues must order events identically"
     );
 }
 

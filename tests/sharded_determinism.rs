@@ -19,7 +19,7 @@ use aequitas_netsim::faults::{
     FaultPlan, GrayDegrade, LinkFlap, LinkSel, LossRule, PodLayout, PodOutage, SwitchOutage,
     Window,
 };
-use aequitas_netsim::{HostId, LinkSpec, QueueKind, ShardSpec, ShardStats, Topology};
+use aequitas_netsim::{HostId, LinkSpec, ShardSpec, ShardStats, Topology};
 use aequitas_sim_core::{BitRate, SimDuration, SimTime};
 use std::sync::Arc;
 
@@ -74,13 +74,7 @@ fn log_of(completions: &[aequitas_rpc::RpcCompletion]) -> CompletionLog {
 }
 
 fn run(threads: usize, faults: Option<Arc<FaultPlan>>) -> Fingerprint {
-    run_on(QueueKind::Calendar, threads, faults)
-}
-
-/// `queue` selects the future-event list of every domain engine.
-fn run_on(queue: QueueKind, threads: usize, faults: Option<Arc<FaultPlan>>) -> Fingerprint {
-    let (mut setup, spec) = clos_setup(faults);
-    setup.engine.event_queue = queue;
+    let (setup, spec) = clos_setup(faults);
     fingerprint(&run_macro_sharded(setup, spec, threads))
 }
 
@@ -214,31 +208,6 @@ fn thread_count_is_invisible_under_correlated_and_gray_faults() {
         serial, clean,
         "the correlated fault plan should have perturbed the simulation"
     );
-}
-
-/// `EngineConfig::event_queue` also selects the per-domain queues, and the
-/// window protocol is the only caller that peeks a queue and then injects
-/// arrivals earlier than the peeked event. The calendar must match the heap
-/// oracle there too — under the chaos plan, at 1 and N threads.
-#[test]
-fn queue_backend_is_invisible_on_the_sharded_engine() {
-    let oracle = run_on(QueueKind::Heap, 1, Some(chaos_plan()));
-    assert!(
-        oracle.2.len() > 100,
-        "run too small: {} completions",
-        oracle.2.len()
-    );
-    for (queue, threads) in [
-        (QueueKind::Calendar, 1),
-        (QueueKind::Calendar, 4),
-        (QueueKind::Heap, 4),
-    ] {
-        assert_eq!(
-            run_on(queue, threads, Some(chaos_plan())),
-            oracle,
-            "{queue:?} at {threads} threads diverged from the heap at 1 thread"
-        );
-    }
 }
 
 /// What `run_engine` observed: the event count, every host's issue count
