@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
-# CI gate: first-party lint + suppression-debt gate, clippy with warnings
-# denied (it carries most of the static rules: DESIGN §8.1), rustdoc with
-# warnings denied, release build,
-# the sharded engine's tests under a time limit, tier-1 tests, the simsan
-# (simulation sanitizer) test job, an overflow-checks + simsan lane, a
-# simsan determinism diff, the benchmark's build + self-checks, the
-# telemetry + replay + chaos smokes, and the quick-scale results golden.
-# Performance is not gated here: the merge gate runs
-# BENCHMARK.json on the parent commit and on the change. The full-length fig11 invariance test is #[ignore]'d in-tree
-# (the quick probe covers thread/backend determinism); run
-# `cargo test -- --ignored` for the long variants.
+# CI gate: first-party lint + suppression-debt gate, the non-test line
+# count (which fails on a file whose test code is not at its end), clippy
+# with warnings denied (it carries most of the static rules: DESIGN §8.1),
+# rustdoc with warnings denied, release build, the sharded engine's tests
+# under a time limit, tier-1 tests, the simsan (simulation sanitizer) test
+# job, an overflow-checks + simsan lane, a simsan determinism diff, the
+# benchmark's build + self-checks, the telemetry + replay + chaos smokes,
+# and the quick-scale results golden. Performance is not gated here: the
+# merge gate runs BENCHMARK.json on the parent commit and on the change.
+# The full-length fig11 invariance test is #[ignore]'d in-tree (the quick
+# probe covers thread determinism); run `cargo test -- --ignored` for the
+# long variants.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -17,6 +18,9 @@ cd "$(dirname "$0")/.."
 
 echo "== lint (aequitas-lint) =="
 scripts/lint.sh
+
+echo "== non-test line count =="
+scripts/loc.sh
 
 echo "== clippy =="
 # Before the long test steps: clippy carries seven of the static rules
