@@ -58,7 +58,9 @@ fn per_mtu_p999(completions: &[aequitas_rpc::RpcCompletion], qos: QosClass) -> O
     p.p999()
 }
 
-fn run_144(ctx: &RunCtx, policy: PolicyChoice, seed: u64) -> crate::harness::MacroResult {
+/// One arm of the figure, on the seed both arms share: the gap between them
+/// is the policy's alone.
+fn run_144(ctx: &RunCtx, policy: PolicyChoice) -> crate::harness::MacroResult {
     let scale = ctx.scale;
     // 9 racks x 16 hosts with 4 spines; intra-fabric links 100G. Quick
     // scale shrinks the fabric but keeps the run long: with 25x bursts the
@@ -70,7 +72,7 @@ fn run_144(ctx: &RunCtx, policy: PolicyChoice, seed: u64) -> crate::harness::Mac
     let times = scale.pick([ms(50), ms(30)], [ms(120), ms(60)]);
     // Extreme overload: arrival-layer demand spikes to 25x link rate
     // during bursts (mu = 0.8 average, rho = 25 burst demand).
-    let setup = MacroSetup::all_senders(racks * 16, policy, seed, times, |_| {
+    let setup = MacroSetup::all_senders(racks * 16, policy, 2101, times, |_| {
         production_workload([0.6, 0.3, 0.1], 0.8, 25.0)
     });
     ctx.run_macro(MacroSetup {
@@ -84,9 +86,9 @@ pub fn fig21(ctx: &RunCtx) -> Fig21Result {
     // The two policies are independent runs; fan them out.
     let mut runs = ctx.sweep(vec![false, true], |aequitas| {
         if aequitas {
-            run_144(ctx, PolicyChoice::Aequitas(production_slo_config()), 2102)
+            run_144(ctx, PolicyChoice::Aequitas(production_slo_config()))
         } else {
-            run_144(ctx, PolicyChoice::Static, 2101)
+            run_144(ctx, PolicyChoice::Static)
         }
     });
     let with = runs.pop().expect("two runs");

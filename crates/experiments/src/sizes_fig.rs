@@ -89,8 +89,10 @@ pub struct Fig20Result {
     pub slo_per_mtu: [f64; 2],
 }
 
-fn run_mixed(ctx: &RunCtx, policy: PolicyChoice, seed: u64) -> [[Option<f64>; 3]; 2] {
-    let setup = setup_33(ctx.scale, policy, seed, |h| {
+/// One arm of the figure, on the seed both arms share: the gap between them
+/// is the policy's alone.
+fn run_mixed(ctx: &RunCtx, policy: PolicyChoice) -> [[Option<f64>; 3]; 2] {
+    let setup = setup_33(ctx.scale, policy, 2001, |h| {
         // Half the hosts send 32 KB RPCs, the other half 64 KB.
         let size = if h % 2 == 0 { 32_768 } else { 65_536 };
         WorkloadSpec::mix(
@@ -126,8 +128,8 @@ fn run_mixed(ctx: &RunCtx, policy: PolicyChoice, seed: u64) -> [[Option<f64>; 3]
 /// per-MTU normalized SLO keeps both size classes compliant.
 pub fn fig20(ctx: &RunCtx) -> Fig20Result {
     Fig20Result {
-        without: run_mixed(ctx, PolicyChoice::Static, 2001),
-        with: run_mixed(ctx, PolicyChoice::Aequitas(slo_config_33()), 2002),
+        without: run_mixed(ctx, PolicyChoice::Static),
+        with: run_mixed(ctx, PolicyChoice::Aequitas(slo_config_33())),
         slo_per_mtu: [15.0 / 8.0, 25.0 / 8.0],
     }
 }
