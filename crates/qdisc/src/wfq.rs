@@ -35,8 +35,12 @@ struct WfqSan {
     norm: Vec<f64>,
     /// Largest packet seen per class (the `L_max` of the SCFQ bound).
     max_bytes: Vec<u32>,
-    /// Per class: (backlog-start seq, service vector at that moment).
-    snap: Vec<Option<(u64, Vec<f64>)>>,
+    /// Per class: the seq of its latest backlog start, if it ever started.
+    snap_seq: Vec<Option<u64>>,
+    /// Per class: the service vector at that backlog start, copied in
+    /// place so that the checks allocate nothing per packet
+    /// (`tests/trace_alloc.rs` runs under simsan too).
+    snap: Vec<Vec<f64>>,
 }
 
 /// A weighted fair queuing scheduler (SCFQ virtual-time variant).
@@ -82,7 +86,8 @@ impl<T> WfqScheduler<T> {
                 seq: 0,
                 norm: vec![0.0; weights.len()],
                 max_bytes: vec![0; weights.len()],
-                snap: vec![None; weights.len()],
+                snap_seq: vec![None; weights.len()],
+                snap: vec![vec![0.0; weights.len()]; weights.len()],
             },
         }
     }
@@ -103,18 +108,15 @@ impl<T> WfqScheduler<T> {
     #[cfg(feature = "simsan")]
     fn san_check_fairness(&mut self, served_class: usize, served_bytes: u32) {
         self.san.norm[served_class] += served_bytes as f64 / self.weights[served_class];
-        let backlogged: Vec<usize> = (0..self.queues.len())
-            .filter(|&c| !self.queues[c].is_empty())
-            .collect();
-        for (i, &a) in backlogged.iter().enumerate() {
-            for &b in &backlogged[i + 1..] {
-                let (Some((qa, va)), Some((qb, vb))) = (&self.san.snap[a], &self.san.snap[b])
-                else {
+        let n = self.queues.len();
+        for a in (0..n).filter(|&c| !self.queues[c].is_empty()) {
+            for b in (a + 1..n).filter(|&c| !self.queues[c].is_empty()) {
+                let (Some(qa), Some(qb)) = (self.san.snap_seq[a], self.san.snap_seq[b]) else {
                     continue;
                 };
                 // Measure from the later backlog start: both classes have
                 // been continuously backlogged since then.
-                let base = if qa >= qb { va } else { vb };
+                let base = &self.san.snap[if qa >= qb { a } else { b }];
                 let ga = self.san.norm[a] - base[a];
                 let gb = self.san.norm[b] - base[b];
                 let bound = self.san.max_bytes[a] as f64 / self.weights[a]
@@ -181,7 +183,8 @@ impl<T> Scheduler<T> for WfqScheduler<T> {
             if self.queues[class].len() == 1 {
                 // Class transitioned empty -> backlogged: start a fairness
                 // measurement interval.
-                self.san.snap[class] = Some((self.san.seq, self.san.norm.clone()));
+                self.san.snap_seq[class] = Some(self.san.seq);
+                self.san.snap[class].copy_from_slice(&self.san.norm);
                 self.san.seq += 1;
             }
             self.san.max_bytes[class] = self.san.max_bytes[class].max(bytes);
