@@ -4,12 +4,10 @@
 //! [`Telemetry`](crate::Telemetry) handle; the handle serializes them to
 //! JSONL (one object per line, stable field order, `t_ps` simulated
 //! timestamp plus a monotone `seq`) and forwards the line to a
-//! [`TraceSink`]. Two sinks ship with the crate: [`JsonlWriter`] streams to
-//! a file for offline analysis, and [`FlightRecorder`] keeps the last N
-//! lines in a ring buffer so a failing test or aborted run can dump the
-//! events leading up to the problem.
+//! [`TraceSink`]. Three sinks ship with the crate: [`JsonlWriter`] streams
+//! to a file for offline analysis, [`MemorySink`] keeps the same bytes in
+//! memory for tests, and [`NullSink`] discards them.
 
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -311,9 +309,9 @@ impl TraceEvent {
         }
     }
 
-    /// Serialize as one JSON object (no trailing newline). Convenience
-    /// wrapper over [`TraceEvent::write_json`] that allocates a fresh
-    /// string; hot paths reuse a scratch buffer instead.
+    /// Serialize as one JSON object (no trailing newline) into a fresh
+    /// string. [`Telemetry::emit`](crate::Telemetry::emit) reuses a scratch
+    /// buffer through [`TraceEvent::write_json`] instead.
     pub fn to_json(&self, seq: u64, t_ps: u64) -> String {
         let mut s = String::with_capacity(160);
         self.write_json(&mut s, seq, t_ps);
@@ -676,16 +674,6 @@ impl Put for (NodeKind, usize) {
 pub trait TraceSink: Send {
     /// Record one serialized JSONL line (no trailing newline).
     fn record_line(&mut self, line: &str);
-    /// Record one structured event. The default serializes into `scratch`
-    /// (a caller-owned buffer reused across events — no per-event
-    /// allocation) and forwards the line; sinks that can store the event
-    /// more compactly (e.g. [`FlightRecorder`]) override this and skip
-    /// serialization entirely.
-    fn record_event(&mut self, seq: u64, t_ps: u64, event: &TraceEvent, scratch: &mut String) {
-        scratch.clear();
-        event.write_json(scratch, seq, t_ps);
-        self.record_line(scratch);
-    }
     /// Flush any buffering to the backing store.
     fn flush(&mut self) {}
     /// The filesystem path this sink writes to, when it has one. Lets the
@@ -746,100 +734,25 @@ impl TraceSink for JsonlWriter {
     }
 }
 
-/// One retained flight-recorder record: either an already-serialized line
-/// (from [`TraceSink::record_line`]) or a compact structured event that is
-/// serialized lazily at dump time — recording costs no JSON formatting and,
-/// for every variant but `Warn`, no allocation.
-#[derive(Debug)]
-enum FlightEntry {
-    Line(String),
-    Event(u64, u64, TraceEvent),
-}
+/// An unbounded in-memory sink: it holds exactly the JSONL bytes a
+/// [`JsonlWriter`] would write. Clones share the buffer, so a test keeps one
+/// clone to read while the telemetry handle owns the other.
+#[derive(Debug, Clone, Default)]
+pub struct MemorySink(Arc<Mutex<String>>);
 
-impl FlightEntry {
-    fn render(&self) -> String {
-        match self {
-            FlightEntry::Line(l) => l.clone(),
-            FlightEntry::Event(seq, t_ps, ev) => ev.to_json(*seq, *t_ps),
-        }
+impl MemorySink {
+    /// Take the JSONL text recorded so far (one `\n`-terminated line per
+    /// event), leaving the sink empty.
+    pub fn take(&self) -> String {
+        std::mem::take(&mut self.0.lock().unwrap())
     }
 }
 
-#[derive(Debug, Default)]
-struct FlightBuf {
-    lines: VecDeque<FlightEntry>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl FlightBuf {
-    fn push(&mut self, entry: FlightEntry) {
-        if self.lines.len() == self.capacity {
-            self.lines.pop_front();
-            self.dropped += 1;
-        }
-        self.lines.push_back(entry);
-    }
-}
-
-/// A ring buffer holding the most recent trace lines ("flight recorder").
-///
-/// Cheap to clone — clones share the same buffer, so a test can keep one
-/// clone for inspection while the telemetry handle owns the other.
-#[derive(Debug, Clone)]
-pub struct FlightRecorder {
-    buf: Arc<Mutex<FlightBuf>>,
-}
-
-impl FlightRecorder {
-    /// A recorder keeping the last `capacity` lines.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0);
-        FlightRecorder {
-            buf: Arc::new(Mutex::new(FlightBuf {
-                lines: VecDeque::with_capacity(capacity.min(4096)),
-                capacity,
-                dropped: 0,
-            })),
-        }
-    }
-
-    /// Snapshot of the retained lines, oldest first. Structured entries are
-    /// serialized here, not at record time.
-    pub fn dump(&self) -> Vec<String> {
-        let buf = self.buf.lock().unwrap();
-        buf.lines.iter().map(FlightEntry::render).collect()
-    }
-
-    /// Lines currently retained.
-    pub fn len(&self) -> usize {
-        self.buf.lock().unwrap().lines.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Lines evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.buf.lock().unwrap().dropped
-    }
-}
-
-impl TraceSink for FlightRecorder {
+impl TraceSink for MemorySink {
     fn record_line(&mut self, line: &str) {
-        self.buf
-            .lock()
-            .unwrap()
-            .push(FlightEntry::Line(line.to_string()));
-    }
-
-    fn record_event(&mut self, seq: u64, t_ps: u64, event: &TraceEvent, _scratch: &mut String) {
-        self.buf
-            .lock()
-            .unwrap()
-            .push(FlightEntry::Event(seq, t_ps, event.clone()));
+        let mut text = self.0.lock().unwrap();
+        text.push_str(line);
+        text.push('\n');
     }
 }
 
@@ -1007,14 +920,20 @@ mod tests {
     }
 
     #[test]
-    fn flight_recorder_keeps_last_n() {
-        let mut fr = FlightRecorder::new(3);
-        let reader = fr.clone();
-        for i in 0..5 {
-            fr.record_line(&format!("l{i}"));
+    fn memory_sink_holds_what_the_jsonl_writer_writes() {
+        let dir = std::env::temp_dir().join(format!("aequitas-memsink-{}", std::process::id()));
+        let path = dir.join("t.jsonl");
+        let mut file = JsonlWriter::create(&path).unwrap();
+        let mut mem = MemorySink::default();
+        let reader = mem.clone();
+        for line in ["l0", "l1 \"quoted\""] {
+            file.record_line(line);
+            mem.record_line(line);
         }
-        assert_eq!(reader.dump(), vec!["l2", "l3", "l4"]);
-        assert_eq!(reader.dropped(), 2);
+        file.flush();
+        assert_eq!(reader.take(), std::fs::read_to_string(&path).unwrap());
+        assert_eq!(reader.take(), "", "take empties the sink");
+        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
@@ -1047,22 +966,5 @@ mod tests {
             ev.write_json(&mut scratch, seq, 99);
             assert_eq!(scratch, ev.to_json(seq, 99));
         }
-    }
-
-    #[test]
-    fn flight_recorder_lazy_events_render_like_lines() {
-        let mut fr = FlightRecorder::new(2);
-        let reader = fr.clone();
-        let ev = TraceEvent::FaultLinkUp {
-            node: NodeKind::Switch,
-            node_id: 1,
-            port: 3,
-        };
-        let mut scratch = String::new();
-        fr.record_event(5, 1000, &ev, &mut scratch);
-        // The compact path must not have touched the scratch buffer's
-        // contract (default impl uses it; the recorder stores structs).
-        fr.record_line("raw");
-        assert_eq!(reader.dump(), vec![ev.to_json(5, 1000), "raw".to_string()]);
     }
 }

@@ -35,7 +35,7 @@ pub use swift::SwiftCc;
 
 use aequitas_netsim::{FlowKey, HostCtx, HostId, Packet, PacketKind};
 use aequitas_sim_core::{SimDuration, SimTime};
-use aequitas_telemetry::{Telemetry, TraceEvent};
+use aequitas_telemetry::{labels, MetricId, MetricKind, Telemetry, TraceEvent};
 use connection::Connection;
 
 /// Timer tokens at or above this value belong to the transport; the RPC
@@ -113,7 +113,7 @@ pub struct Transport {
     telemetry: Telemetry,
     /// Interned handle for `transport.retransmits`; registered on first
     /// retransmission so slot creation matches the old string-keyed path.
-    retransmits_id: Option<aequitas_telemetry::MetricId>,
+    retransmits_id: Option<MetricId>,
 }
 
 impl Transport {
@@ -310,16 +310,13 @@ impl Transport {
                         },
                     );
                     let host = self.host.0;
-                    let cached = &mut self.retransmits_id;
-                    self.telemetry.with_metrics(|m| {
-                        let id = *cached.get_or_insert_with(|| {
-                            m.counter_id(
-                                "transport.retransmits",
-                                aequitas_telemetry::labels(&[("host", &host.to_string())]),
-                            )
-                        });
-                        m.counter_add_id(id, 1);
-                    });
+                    self.telemetry.bump(
+                        &mut self.retransmits_id,
+                        MetricKind::Counter,
+                        "transport.retransmits",
+                        || labels(&[("host", &host.to_string())]),
+                        1,
+                    );
                 }
             }
             self.pump(ctx, idx);

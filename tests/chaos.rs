@@ -4,7 +4,7 @@
 
 use aequitas_experiments::chaos;
 use aequitas_experiments::harness::RunCtx;
-use aequitas_telemetry::{FlightRecorder, Telemetry, TelemetryConfig};
+use aequitas_telemetry::{MemorySink, Telemetry, TelemetryConfig};
 use aequitas_sim_core::SimDuration;
 
 /// The whole point of the seeded fault layer: two runs of the same chaos
@@ -89,41 +89,38 @@ fn quota_outage_degrades_gracefully_and_recovers() {
 /// recorded quota-outage run carries the outage transitions.
 #[test]
 fn fault_events_reach_the_flight_recorder() {
-    let recorder = FlightRecorder::new(4_000_000);
-    let tel = Telemetry::with_sink(
-        recorder.clone(),
-        TelemetryConfig {
-            sample_every: SimDuration::from_ms(1),
-        },
-    );
-    chaos::link_flap(&RunCtx {
-        telemetry: tel,
-        ..RunCtx::quick()
+    let traced = |run: &dyn Fn(&RunCtx)| {
+        let sink = MemorySink::default();
+        let telemetry = Telemetry::with_sink(
+            sink.clone(),
+            TelemetryConfig {
+                sample_every: SimDuration::from_ms(1),
+            },
+        );
+        run(&RunCtx {
+            telemetry,
+            ..RunCtx::quick()
+        });
+        sink.take()
+    };
+    let text = traced(&|ctx| {
+        chaos::link_flap(ctx);
     });
-    let lines = recorder.dump();
-    assert!(!lines.is_empty(), "no trace lines recorded");
+    assert!(!text.is_empty(), "no trace lines recorded");
     for required in ["\"fault_link_down\"", "\"fault_link_up\"", "\"fault_pkt_drop\""] {
         assert!(
-            lines.iter().any(|l| l.contains(required)),
+            text.contains(required),
             "no {required} event in {} trace lines",
-            lines.len()
+            text.lines().count()
         );
     }
+    drop(text); // one whole trace in memory at a time
 
-    let recorder = FlightRecorder::new(4_000_000);
-    let tel = Telemetry::with_sink(
-        recorder.clone(),
-        TelemetryConfig {
-            sample_every: SimDuration::from_ms(1),
-        },
-    );
-    chaos::quota_outage(&RunCtx {
-        telemetry: tel,
-        ..RunCtx::quick()
+    let text = traced(&|ctx| {
+        chaos::quota_outage(ctx);
     });
-    let lines = recorder.dump();
-    let outages: Vec<&String> = lines
-        .iter()
+    let outages: Vec<&str> = text
+        .lines()
         .filter(|l| l.contains("\"fault_quota_outage\""))
         .collect();
     assert!(

@@ -12,8 +12,7 @@ use aequitas_experiments::harness::{run_macro, MacroSetup, PolicyChoice};
 use aequitas_experiments::slo::{fig11, fig11_invariance_probe, Fig11Result};
 use aequitas_experiments::RunCtx;
 use aequitas_sim_core::SimDuration;
-use aequitas_telemetry::{FlightRecorder, Telemetry, TelemetryConfig, TraceSink};
-use std::sync::{Arc, Mutex};
+use aequitas_telemetry::{MemorySink, Telemetry, TelemetryConfig};
 
 fn on_threads(threads: usize) -> RunCtx {
     RunCtx {
@@ -110,7 +109,7 @@ fn telemetry_does_not_perturb_the_simulation() {
         )
     };
     let disabled = run(Telemetry::disabled());
-    let recorder = FlightRecorder::new(1024);
+    let recorder = MemorySink::default();
     let enabled = run(Telemetry::with_sink(
         recorder.clone(),
         TelemetryConfig::default(),
@@ -120,19 +119,7 @@ fn telemetry_does_not_perturb_the_simulation() {
         "enabling telemetry changed the simulation"
     );
     // And the traced run did actually record something.
-    assert!(!recorder.is_empty());
-}
-
-/// The whole JSONL stream, in memory.
-#[derive(Clone, Default)]
-struct MemSink(Arc<Mutex<Vec<u8>>>);
-
-impl TraceSink for MemSink {
-    fn record_line(&mut self, line: &str) {
-        let mut bytes = self.0.lock().unwrap();
-        bytes.extend_from_slice(line.as_bytes());
-        bytes.push(b'\n');
-    }
+    assert!(!recorder.take().is_empty());
 }
 
 /// A sweep traced through the run context writes one canonical stream: the
@@ -144,7 +131,7 @@ impl TraceSink for MemSink {
 #[test]
 fn traced_sweep_is_deterministic_and_replays() {
     let traced_sweep = |threads: usize| {
-        let sink = MemSink::default();
+        let sink = MemorySink::default();
         let ctx = RunCtx {
             telemetry: Telemetry::with_sink(sink.clone(), TelemetryConfig::default()),
             ..on_threads(threads)
@@ -154,8 +141,7 @@ fn traced_sweep_is_deterministic_and_replays() {
             (r.issued, r.completions.len(), r.events)
         });
         ctx.telemetry.flush();
-        let bytes = std::mem::take(&mut *sink.0.lock().unwrap());
-        (counts, bytes)
+        (counts, sink.take())
     };
     let (counts_1, trace_1) = traced_sweep(1);
     let (counts_4, trace_4) = traced_sweep(4);
@@ -167,7 +153,7 @@ fn traced_sweep_is_deterministic_and_replays() {
         trace_4.len()
     );
 
-    let recon = aequitas_replay::Reconstruction::from_reader(&trace_1[..]).unwrap();
+    let recon = aequitas_replay::Reconstruction::from_reader(trace_1.as_bytes()).unwrap();
     assert_eq!(recon.integrity.seq_gaps, 0);
     assert_eq!(recon.epochs, 3, "one epoch per sweep point");
     assert_eq!(recon.integrity.time_regressions, 2);

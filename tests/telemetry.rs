@@ -9,7 +9,7 @@ use aequitas_netsim::EngineConfig;
 use aequitas_replay::trace::parse_line;
 use aequitas_rpc::{ArrivalProcess, Priority, PrioritySpec, TrafficPattern, WorkloadSpec};
 use aequitas_sim_core::SimDuration;
-use aequitas_telemetry::{FlightRecorder, Telemetry, TelemetryConfig};
+use aequitas_telemetry::{MemorySink, Telemetry, TelemetryConfig};
 use aequitas_workloads::{QosMapping, SizeDist};
 use std::collections::BTreeSet;
 
@@ -49,7 +49,7 @@ fn traced_setup(tel: Telemetry) -> MacroSetup {
 
 #[test]
 fn traced_run_emits_valid_monotone_jsonl_and_metrics() {
-    let recorder = FlightRecorder::new(4_000_000);
+    let recorder = MemorySink::default();
     let tel = Telemetry::with_sink(
         recorder.clone(),
         TelemetryConfig {
@@ -59,8 +59,8 @@ fn traced_run_emits_valid_monotone_jsonl_and_metrics() {
     let result = run_macro(traced_setup(tel.clone()));
     assert!(result.completions.len() > 100, "{}", result.completions.len());
 
-    let lines = recorder.dump();
-    assert_eq!(recorder.dropped(), 0, "ring buffer sized for the whole run");
+    let text = recorder.take();
+    let lines: Vec<&str> = text.lines().collect();
     assert!(lines.len() > 1000, "only {} trace lines", lines.len());
 
     let mut last_seq: Option<u64> = None;
@@ -153,7 +153,7 @@ fn traced_run_emits_valid_monotone_jsonl_and_metrics() {
 #[test]
 fn traced_run_output_is_byte_identical_across_runs() {
     let run_once = || {
-        let recorder = FlightRecorder::new(4_000_000);
+        let recorder = MemorySink::default();
         let tel = Telemetry::with_sink(
             recorder.clone(),
             TelemetryConfig {
@@ -165,11 +165,12 @@ fn traced_run_output_is_byte_identical_across_runs() {
         run_macro(setup);
         let mut csv = Vec::new();
         tel.write_metrics_csv(&mut csv).unwrap();
-        (recorder.dump(), String::from_utf8(csv).unwrap())
+        (recorder.take(), String::from_utf8(csv).unwrap())
     };
     let (trace_a, csv_a) = run_once();
     let (trace_b, csv_b) = run_once();
-    assert!(trace_a.len() > 100, "only {} trace lines", trace_a.len());
+    let lines = trace_a.lines().count();
+    assert!(lines > 100, "only {lines} trace lines");
     assert_eq!(trace_a, trace_b, "trace streams diverged");
     assert!(csv_a.lines().count() > 50, "thin CSV: {}", csv_a.len());
     assert_eq!(csv_a, csv_b, "metrics CSVs diverged");
