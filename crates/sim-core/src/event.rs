@@ -595,6 +595,18 @@ mod tests {
         assert_eq!(expect, (0..200).collect::<Vec<_>>());
     }
 
+    /// A tie-heavy schedule delay from one raw draw: half the draws are 0 or
+    /// 5 ns, so events share instants with events already queued (often in
+    /// the bucket being drained, where the sorted insert must break the tie
+    /// on `seq`); the rest are the draw itself.
+    fn tie_heavy_delay(raw: u64) -> u64 {
+        match raw % 4 {
+            0 => 0,
+            1 => 5_000,
+            _ => raw,
+        }
+    }
+
     proptest! {
         /// Events always come out sorted by (time, insertion order).
         #[test]
@@ -621,8 +633,9 @@ mod tests {
         ) {
             let mut cal = EventQueue::new();
             let mut heap = HeapModel::new();
-            for (payload, &(dt, pops)) in ops.iter().enumerate() {
+            for (payload, &(raw, pops)) in ops.iter().enumerate() {
                 // Schedule relative to `now` so both clocks stay in step.
+                let dt = tie_heavy_delay(raw);
                 let at = SimTime::from_ps(cal.now().as_ps().saturating_add(dt));
                 cal.schedule(at, payload as u64);
                 heap.schedule(at, payload as u64);
@@ -656,7 +669,8 @@ mod tests {
         ) {
             let mut cal = EventQueue::new();
             let mut heap = HeapModel::new();
-            for (payload, &(dt, bound_dt, pops)) in ops.iter().enumerate() {
+            for (payload, &(raw, bound_dt, pops)) in ops.iter().enumerate() {
+                let dt = tie_heavy_delay(raw);
                 let at = SimTime::from_ps(cal.now().as_ps().saturating_add(dt));
                 cal.schedule(at, payload as u64);
                 heap.schedule(at, payload as u64);
