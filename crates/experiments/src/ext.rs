@@ -143,7 +143,9 @@ pub(crate) fn quota_round(
 pub fn quota(ctx: &RunCtx) -> QuotaResult {
     let scale = ctx.scale;
     let guarantee_gbps = 10.0;
-    let build = |with_quota: bool, seed: u64| MacroSetup {
+    // One seed for both arms: the gap between them is the policy's alone.
+    let seed = 71;
+    let build = |with_quota: bool| MacroSetup {
         duration: scale.pick(SimDuration::from_ms(120), SimDuration::from_ms(600)),
         warmup: scale.pick(SimDuration::from_ms(60), SimDuration::from_ms(300)),
         ..quota_setup(seed, with_quota)
@@ -166,12 +168,12 @@ pub fn quota(ctx: &RunCtx) -> QuotaResult {
     };
 
     // Without the quota server.
-    let plain = ctx.run_macro(build(false, 71));
+    let plain = ctx.run_macro(build(false));
 
     // With: the control loop syncs every 2 ms.
     let mut srv = quota_server(guarantee_gbps);
     let sync = SimDuration::from_ms(2);
-    let quota_run = ctx.run_macro_controlled(build(true, 72), sync, |eng, now| {
+    let quota_run = ctx.run_macro_controlled(build(true), sync, |eng, now| {
         quota_round(eng, &mut srv, sync, now, |_, grant| grant);
     });
 
@@ -681,7 +683,9 @@ pub fn core_overload(ctx: &RunCtx) -> CoreOverloadResult {
     let n = racks * per_rack;
     let slo_us = 40.0;
 
-    let run = |policy: PolicyChoice, seed: u64| {
+    // One seed for both arms: the gap between them is the policy's alone.
+    let seed = 95;
+    let run = |policy: PolicyChoice| {
         let edge = LinkSpec::default_100g();
         // Spine uplinks at half rate: aggregate core capacity is 2:1
         // oversubscribed versus the edge.
@@ -714,8 +718,8 @@ pub fn core_overload(ctx: &RunCtx) -> CoreOverloadResult {
         SloTarget::absolute(SimDuration::from_us_f64(slo_us * 1.5), 8, 99.9),
     );
     CoreOverloadResult {
-        without_us: run(PolicyChoice::Static, 95),
-        with_us: run(PolicyChoice::Aequitas(slo), 96),
+        without_us: run(PolicyChoice::Static),
+        with_us: run(PolicyChoice::Aequitas(slo)),
         slo_us,
     }
 }
