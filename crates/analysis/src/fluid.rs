@@ -14,7 +14,6 @@
 //! precisely the network-calculus delay bound used in Appendix B. This
 //! module computes it exactly from the curve kinks.
 
-
 /// Specification of a fluid WFQ scenario.
 #[derive(Debug, Clone)]
 pub struct FluidSpec {
@@ -274,7 +273,11 @@ mod tests {
         };
         let d = fluid_delays(&spec);
         assert!(d[0].abs() < 1e-9, "QoSh delay {}", d[0]);
-        assert!((d[1] - (2.0 / 3.0 - 4.0 / 9.0)).abs() < 1e-6, "QoSl {}", d[1]);
+        assert!(
+            (d[1] - (2.0 / 3.0 - 4.0 / 9.0)).abs() < 1e-6,
+            "QoSl {}",
+            d[1]
+        );
     }
 
     /// Fluid model reproduces the closed-form curves of Fig. 8 across the

@@ -13,7 +13,6 @@
 //! paper's explicit domains at the paper's parameter values and with the
 //! exact fluid model everywhere.
 
-
 /// Parameters of the 2-QoS analytical model.
 #[derive(Debug, Clone, Copy)]
 pub struct TwoQosParams {

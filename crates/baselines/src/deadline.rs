@@ -140,7 +140,13 @@ impl OutFlow {
         let now = ctx.now();
         let msg = &self.msg;
         // Low bit 0 = "request" (1 would mark a termination notice).
-        let mut pkt = ids.ctrl(msg.dst, CTRL_RATE_REQ, msg.msg_id, msg.remaining_bytes() << 1, now);
+        let mut pkt = ids.ctrl(
+            msg.dst,
+            CTRL_RATE_REQ,
+            msg.msg_id,
+            msg.remaining_bytes() << 1,
+            now,
+        );
         // Piggyback the deadline in a second ctrl word via the packet's
         // `rank` field (unused by FIFO fabrics).
         pkt.rank = msg.deadline.map(|d| d.as_ps()).unwrap_or(u64::MAX);
@@ -181,7 +187,12 @@ pub struct DeadlineHost {
 
 impl DeadlineHost {
     /// Create a host.
-    pub fn new(host: HostId, mode: DeadlineMode, gen: Option<WorkloadGen>, line_rate: BitRate) -> Self {
+    pub fn new(
+        host: HostId,
+        mode: DeadlineMode,
+        gen: Option<WorkloadGen>,
+        line_rate: BitRate,
+    ) -> Self {
         DeadlineHost {
             mode,
             line_rate,
@@ -235,7 +246,13 @@ impl DeadlineHost {
     /// its grant immediately; pushes to *all* active flows (PDQ's explicit
     /// pause/resume signalling) are rate-limited to one broadcast per
     /// 500 µs so large fan-ins do not generate O(flows²) control traffic.
-    fn allocate_and_grant(&mut self, ctx: &mut HostCtx, requester: usize, msg_id: u64, force_broadcast: bool) {
+    fn allocate_and_grant(
+        &mut self,
+        ctx: &mut HostCtx,
+        requester: usize,
+        msg_id: u64,
+        force_broadcast: bool,
+    ) {
         let now = ctx.now();
         // Age out silent flows (ended senders).
         let stale = SimDuration::from_ms(2);
@@ -314,8 +331,8 @@ impl DeadlineHost {
                 }
             }
         }
-        let broadcast =
-            force_broadcast || now.saturating_since(self.last_broadcast) >= SimDuration::from_us(500);
+        let broadcast = force_broadcast
+            || now.saturating_since(self.last_broadcast) >= SimDuration::from_us(500);
         if broadcast {
             self.last_broadcast = now;
         }
@@ -547,13 +564,29 @@ mod tests {
             DeadlineHost::new(
                 HostId(0),
                 mode,
-                Some(test_gen(0, 3, load, Priority::PerformanceCritical, SizeDist::Fixed(32_768), stop_ms, 1)),
+                Some(test_gen(
+                    0,
+                    3,
+                    load,
+                    Priority::PerformanceCritical,
+                    SizeDist::Fixed(32_768),
+                    stop_ms,
+                    1,
+                )),
                 rate(),
             ),
             DeadlineHost::new(
                 HostId(1),
                 mode,
-                Some(test_gen(1, 3, load, Priority::PerformanceCritical, SizeDist::Fixed(32_768), stop_ms, 2)),
+                Some(test_gen(
+                    1,
+                    3,
+                    load,
+                    Priority::PerformanceCritical,
+                    SizeDist::Fixed(32_768),
+                    stop_ms,
+                    2,
+                )),
                 rate(),
             ),
             DeadlineHost::new(HostId(2), mode, None, rate()),
@@ -573,7 +606,11 @@ mod tests {
         assert!(done.len() > 50);
         let terminated = done.iter().filter(|c| c.terminated).count();
         let frac = terminated as f64 / done.len() as f64;
-        assert!(frac < 0.05, "{terminated}/{} terminated at low load", done.len());
+        assert!(
+            frac < 0.05,
+            "{terminated}/{} terminated at low load",
+            done.len()
+        );
         // Completed RPCs finish within their 250 us deadline.
         for c in done.iter().filter(|c| !c.terminated) {
             assert!(
@@ -662,7 +699,13 @@ mod tests {
     /// rewrite must not move a single completion by a picosecond.
     #[test]
     fn completion_streams_match_the_pre_rewrite_goldens() {
-        assert_eq!(stream_digest(DeadlineMode::D3), (2132, 0xc1f2_9653_5bf8_6423));
-        assert_eq!(stream_digest(DeadlineMode::Pdq), (2132, 0xa679_9832_5205_278e));
+        assert_eq!(
+            stream_digest(DeadlineMode::D3),
+            (2132, 0xc1f2_9653_5bf8_6423)
+        );
+        assert_eq!(
+            stream_digest(DeadlineMode::Pdq),
+            (2132, 0xa679_9832_5205_278e)
+        );
     }
 }

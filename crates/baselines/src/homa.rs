@@ -217,7 +217,11 @@ impl HomaHost {
             if target > entry.granted_upto {
                 entry.granted_upto = target;
                 let b = target as u64 | (prio as u64) << 16 | (received as u64) << 32;
-                ctx.send(self.tx.ids.ctrl(HostId(key.0), CTRL_GRANT, key.1, b, ctx.now()));
+                ctx.send(
+                    self.tx
+                        .ids
+                        .ctrl(HostId(key.0), CTRL_GRANT, key.1, b, ctx.now()),
+                );
             }
         }
     }
@@ -346,7 +350,10 @@ mod tests {
         let sizes = SizeDist::Empirical(vec![(1_000, 0.4), (32_768, 0.4), (300_000, 0.2)]);
         let topo = Topology::star(3, LinkSpec::default_100g());
         let agents = vec![
-            HomaHost::new(HostId(0), Some(test_gen(0, 3, 0.4, PC, sizes.clone(), 3, 1))),
+            HomaHost::new(
+                HostId(0),
+                Some(test_gen(0, 3, 0.4, PC, sizes.clone(), 3, 1)),
+            ),
             HomaHost::new(HostId(1), Some(test_gen(1, 3, 0.4, PC, sizes, 3, 2))),
             HomaHost::new(HostId(2), None),
         ];
@@ -370,8 +377,14 @@ mod tests {
         let sizes = SizeDist::Empirical(vec![(4_096, 0.5), (500_000, 0.5)]);
         let topo = Topology::star(4, LinkSpec::default_100g());
         let agents = vec![
-            HomaHost::new(HostId(0), Some(test_gen(0, 4, 0.6, PC, sizes.clone(), 5, 3))),
-            HomaHost::new(HostId(1), Some(test_gen(1, 4, 0.6, PC, sizes.clone(), 5, 4))),
+            HomaHost::new(
+                HostId(0),
+                Some(test_gen(0, 4, 0.6, PC, sizes.clone(), 5, 3)),
+            ),
+            HomaHost::new(
+                HostId(1),
+                Some(test_gen(1, 4, 0.6, PC, sizes.clone(), 5, 4)),
+            ),
             HomaHost::new(HostId(2), Some(test_gen(2, 4, 0.6, PC, sizes, 5, 5))),
             HomaHost::new(HostId(3), None),
         ];

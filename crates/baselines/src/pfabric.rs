@@ -185,8 +185,14 @@ mod tests {
     fn completes_all_under_moderate_load() {
         let topo = Topology::star(3, LinkSpec::default_100g());
         let agents = vec![
-            PfabricHost::new(HostId(0), Some(test_gen(0, 3, 0.4, PC, SizeDist::Fixed(32_768), 2, 1))),
-            PfabricHost::new(HostId(1), Some(test_gen(1, 3, 0.4, PC, SizeDist::Fixed(32_768), 2, 2))),
+            PfabricHost::new(
+                HostId(0),
+                Some(test_gen(0, 3, 0.4, PC, SizeDist::Fixed(32_768), 2, 1)),
+            ),
+            PfabricHost::new(
+                HostId(1),
+                Some(test_gen(1, 3, 0.4, PC, SizeDist::Fixed(32_768), 2, 2)),
+            ),
             PfabricHost::new(HostId(2), None),
         ];
         let mut eng = Engine::new(topo, agents, engine_config());
@@ -246,9 +252,18 @@ mod tests {
         // are guaranteed; completions must still happen.
         let topo = Topology::star(4, LinkSpec::default_100g());
         let agents = vec![
-            PfabricHost::new(HostId(0), Some(test_gen(0, 4, 0.9, PC, SizeDist::Fixed(65_536), 2, 5))),
-            PfabricHost::new(HostId(1), Some(test_gen(1, 4, 0.9, PC, SizeDist::Fixed(65_536), 2, 6))),
-            PfabricHost::new(HostId(2), Some(test_gen(2, 4, 0.9, PC, SizeDist::Fixed(65_536), 2, 7))),
+            PfabricHost::new(
+                HostId(0),
+                Some(test_gen(0, 4, 0.9, PC, SizeDist::Fixed(65_536), 2, 5)),
+            ),
+            PfabricHost::new(
+                HostId(1),
+                Some(test_gen(1, 4, 0.9, PC, SizeDist::Fixed(65_536), 2, 6)),
+            ),
+            PfabricHost::new(
+                HostId(2),
+                Some(test_gen(2, 4, 0.9, PC, SizeDist::Fixed(65_536), 2, 7)),
+            ),
             PfabricHost::new(HostId(3), None),
         ];
         let mut eng = Engine::new(topo, agents, engine_config());

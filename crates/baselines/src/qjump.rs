@@ -230,7 +230,15 @@ mod tests {
         let agents = vec![
             QjumpHost::new(
                 HostId(0),
-                Some(test_gen(0, 2, 0.9, Priority::PerformanceCritical, SizeDist::Fixed(32_768), 10, 1)),
+                Some(test_gen(
+                    0,
+                    2,
+                    0.9,
+                    Priority::PerformanceCritical,
+                    SizeDist::Fixed(32_768),
+                    10,
+                    1,
+                )),
                 rate(),
             ),
             QjumpHost::new(HostId(1), None, rate()),
@@ -255,7 +263,15 @@ mod tests {
         let agents = vec![
             QjumpHost::new(
                 HostId(0),
-                Some(test_gen(0, 2, 0.8, Priority::BestEffort, SizeDist::Fixed(32_768), 10, 2)),
+                Some(test_gen(
+                    0,
+                    2,
+                    0.8,
+                    Priority::BestEffort,
+                    SizeDist::Fixed(32_768),
+                    10,
+                    2,
+                )),
                 rate(),
             ),
             QjumpHost::new(HostId(1), None, rate()),
@@ -280,12 +296,28 @@ mod tests {
         let agents = vec![
             QjumpHost::new(
                 HostId(0),
-                Some(test_gen(0, 3, 0.15, Priority::PerformanceCritical, SizeDist::Fixed(32_768), 10, 3)),
+                Some(test_gen(
+                    0,
+                    3,
+                    0.15,
+                    Priority::PerformanceCritical,
+                    SizeDist::Fixed(32_768),
+                    10,
+                    3,
+                )),
                 rate(),
             ),
             QjumpHost::new(
                 HostId(1),
-                Some(test_gen(1, 3, 0.15, Priority::PerformanceCritical, SizeDist::Fixed(32_768), 10, 4)),
+                Some(test_gen(
+                    1,
+                    3,
+                    0.15,
+                    Priority::PerformanceCritical,
+                    SizeDist::Fixed(32_768),
+                    10,
+                    4,
+                )),
                 rate(),
             ),
             QjumpHost::new(HostId(2), None, rate()),

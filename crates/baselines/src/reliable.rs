@@ -330,7 +330,12 @@ impl Unacked {
         let Some(at) = seq.checked_sub(self.base) else {
             return false;
         };
-        if self.slots.get_mut(at as usize).and_then(Option::take).is_none() {
+        if self
+            .slots
+            .get_mut(at as usize)
+            .and_then(Option::take)
+            .is_none()
+        {
             return false;
         }
         self.count -= 1;
@@ -447,7 +452,14 @@ impl OutMsg {
     }
 
     /// Build the data packet for `seq` with the given PIFO `rank`.
-    pub fn data_packet(&self, packet_id: u64, seq: u32, rank: u64, now: SimTime, src: HostId) -> Packet {
+    pub fn data_packet(
+        &self,
+        packet_id: u64,
+        seq: u32,
+        rank: u64,
+        now: SimTime,
+        src: HostId,
+    ) -> Packet {
         Packet {
             id: packet_id,
             flow: FlowKey {
@@ -471,7 +483,8 @@ impl OutMsg {
         if self.unacked.capacity() == 0 {
             // Sized at the first transmission, so a message that waits
             // for its rate costs no window.
-            self.unacked.reserve(self.total_segs.min(UNACKED_SPAN_HINT) as usize);
+            self.unacked
+                .reserve(self.total_segs.min(UNACKED_SPAN_HINT) as usize);
         }
         self.unacked.mark_sent(seq, now);
         if seq == self.next_seg {
@@ -587,7 +600,10 @@ mod tests {
             }
             prop_assert_eq!(table.len(), oracle.len());
             prop_assert!(
-                table.iter().map(|(&k, &v)| (k, v)).eq(oracle.iter().map(|(&k, &v)| (k, v))),
+                table
+                    .iter()
+                    .map(|(&k, &v)| (k, v))
+                    .eq(oracle.iter().map(|(&k, &v)| (k, v))),
                 "walk order differs after op {} on {:?}",
                 op,
                 key

@@ -16,7 +16,10 @@ pub struct WorkloadGen(pub RpcStream);
 impl WorkloadGen {
     /// The stream of one `(priority, byte_share, sizes)` class per entry of
     /// `classes`, drawn from `seed ^ 0xB05E_11AE`.
-    #[allow(clippy::too_many_arguments, reason = "plain config-carrier constructor")]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "plain config-carrier constructor"
+    )]
     pub fn new(
         arrival: ArrivalProcess,
         pattern: TrafficPattern,
@@ -29,10 +32,25 @@ impl WorkloadGen {
     ) -> Self {
         let classes = classes
             .into_iter()
-            .map(|(priority, byte_share, sizes)| PrioritySpec { priority, byte_share, sizes })
+            .map(|(priority, byte_share, sizes)| PrioritySpec {
+                priority,
+                byte_share,
+                sizes,
+            })
             .collect();
-        let spec = WorkloadSpec { arrival, pattern, classes, stop };
-        WorkloadGen(RpcStream::new(spec, src, n_hosts, line_rate, seed ^ 0xB05E_11AE))
+        let spec = WorkloadSpec {
+            arrival,
+            pattern,
+            classes,
+            stop,
+        };
+        WorkloadGen(RpcStream::new(
+            spec,
+            src,
+            n_hosts,
+            line_rate,
+            seed ^ 0xB05E_11AE,
+        ))
     }
 
     /// Draw the next RPC, or `None` once past the stop time.

@@ -53,6 +53,5 @@ pub mod quota;
 pub use controller::{AdmissionController, AequitasConfig, IssueDecision, SloTarget};
 pub use phase1::{AppSpec, Fleet, FleetConfig};
 pub use quota::{
-    FallbackConfig, Grant, GrantKeeper, QuotaBucket, QuotaServer, QuotaSpec, TenantId,
-    UsageReport,
+    FallbackConfig, Grant, GrantKeeper, QuotaBucket, QuotaServer, QuotaSpec, TenantId, UsageReport,
 };

@@ -159,16 +159,14 @@ impl QuotaServer {
                 .specs
                 .iter()
                 .enumerate()
-                .filter_map(|(i, s)| {
-                    s.filter(|s| s.qos as usize == qos).map(|s| (i as u32, s))
-                })
+                .filter_map(|(i, s)| s.filter(|s| s.qos as usize == qos).map(|s| (i as u32, s)))
                 .collect();
             if members.is_empty() {
                 continue;
             }
             let capacity = self.capacity_bps[qos]; // bytes/sec
-            // Step 1: base = min(guarantee, demand), positionally aligned
-            // with `members`.
+                                                   // Step 1: base = min(guarantee, demand), positionally aligned
+                                                   // with `members`.
             let mut base: Vec<f64> = Vec::with_capacity(members.len());
             let mut base_total = 0.0;
             for (id, s) in &members {
@@ -435,10 +433,7 @@ mod tests {
             },
         );
         // Both fully demand their guarantees.
-        let g = srv.allocate(
-            &[report(1, 1_500_000), report(2, 500_000)],
-            secs(1.0),
-        );
+        let g = srv.allocate(&[report(1, 1_500_000), report(2, 500_000)], secs(1.0));
         let g1 = g[&TenantId(1)].rate_bps;
         let g2 = g[&TenantId(2)].rate_bps;
         assert!((g1 + g2 - 1_000_000.0).abs() < 1.0, "{g1} + {g2}");
@@ -463,10 +458,7 @@ mod tests {
             },
         );
         // Tenant 1 demands far beyond its guarantee; tenant 2 uses little.
-        let g = srv.allocate(
-            &[report(1, 2_000_000), report(2, 100_000)],
-            secs(1.0),
-        );
+        let g = srv.allocate(&[report(1, 2_000_000), report(2, 100_000)], secs(1.0));
         assert!((g[&TenantId(2)].rate_bps - 100_000.0).abs() < 1.0);
         // Tenant 1 gets its guarantee plus all slack up to its demand.
         assert!(
@@ -519,10 +511,7 @@ mod tests {
                 guaranteed_bps: 2_000_000.0,
             },
         );
-        let g = srv.allocate(
-            &[report(1, 9_000_000), report(2, 9_000_000)],
-            secs(1.0),
-        );
+        let g = srv.allocate(&[report(1, 9_000_000), report(2, 9_000_000)], secs(1.0));
         assert!((g[&TenantId(1)].rate_bps - 1_000_000.0).abs() < 1.0);
         assert!((g[&TenantId(2)].rate_bps - 2_000_000.0).abs() < 1.0);
     }

@@ -41,7 +41,10 @@ pub fn trace_demo(ctx: &RunCtx) -> DemoResult {
         &WorkloadSpec::mix(
             ArrivalProcess::Uniform { load: 0.8 },
             TrafficPattern::ManyToOne { dst: 2 },
-            [(Priority::PerformanceCritical, 0.7), (Priority::BestEffort, 0.3)],
+            [
+                (Priority::PerformanceCritical, 0.7),
+                (Priority::BestEffort, 0.3),
+            ],
             |_| SizeDist::Fixed(32_768),
         ),
     );

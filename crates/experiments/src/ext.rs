@@ -130,7 +130,9 @@ pub(crate) fn quota_round(
             let per_host = Grant {
                 rate_bps: g.rate_bps / 2.0,
             };
-            eng.agents_mut()[h].stack_mut().apply_grant(keep(h, per_host), now);
+            eng.agents_mut()[h]
+                .stack_mut()
+                .apply_grant(keep(h, per_host), now);
         }
     }
 }
@@ -242,7 +244,10 @@ pub fn ablation_md_size(ctx: &RunCtx) -> MdSizeAblation {
                     period: SimDuration::from_us(100),
                 },
                 TrafficPattern::AllToAll,
-                [(Priority::PerformanceCritical, 0.6), (Priority::BestEffort, 0.4)],
+                [
+                    (Priority::PerformanceCritical, 0.6),
+                    (Priority::BestEffort, 0.4),
+                ],
                 |_| SizeDist::Fixed(size),
             )
         });
@@ -274,7 +279,13 @@ pub fn print_ablation_md_size(r: &MdSizeAblation) {
     let rows: Vec<Vec<String>> = ["32KB", "64KB"]
         .into_iter()
         .enumerate()
-        .map(|(k, size)| vec![size.into(), pct(r.with_scaling[k]), pct(r.without_scaling[k])])
+        .map(|(k, size)| {
+            vec![
+                size.into(),
+                pct(r.with_scaling[k]),
+                pct(r.without_scaling[k]),
+            ]
+        })
         .collect();
     print_table(
         "Ablation: size-scaled multiplicative decrease (admitted QoSh fraction)",
@@ -366,9 +377,7 @@ pub fn ablation_drop(ctx: &RunCtx) -> DropAblation {
     let down = run(PolicyChoice::Aequitas(slo_config_33()));
     let drop = run(PolicyChoice::DropExcess(slo_config_33()));
     let goodput = |r: &crate::harness::MacroResult| {
-        r.completions.iter().map(|c| c.size_bytes).sum::<u64>() as f64 * 8.0
-            / r.measure_secs
-            / 1e9
+        r.completions.iter().map(|c| c.size_bytes).sum::<u64>() as f64 * 8.0 / r.measure_secs / 1e9
     };
     let issued: u64 = drop.issued_bytes.iter().sum();
     DropAblation {
@@ -389,7 +398,11 @@ pub fn print_ablation_drop(r: &DropAblation) {
         .into_iter()
         .enumerate()
         .map(|(k, policy)| {
-            vec![policy.into(), f1(goodput[k]), crate::report::opt(r.qosh_p999_us[k], 1)]
+            vec![
+                policy.into(),
+                f1(goodput[k]),
+                crate::report::opt(r.qosh_p999_us[k], 1),
+            ]
         })
         .collect();
     print_table(
@@ -440,7 +453,10 @@ pub fn ablation_floor(ctx: &RunCtx) -> FloorAblation {
             &WorkloadSpec::mix(
                 ArrivalProcess::Uniform { load: 1.0 },
                 TrafficPattern::ManyToOne { dst: 2 },
-                [(Priority::PerformanceCritical, 0.9), (Priority::BestEffort, 0.1)],
+                [
+                    (Priority::PerformanceCritical, 0.9),
+                    (Priority::BestEffort, 0.1),
+                ],
                 |_| SizeDist::Fixed(32_768),
             ),
         );
@@ -466,9 +482,10 @@ pub fn ablation_floor(ctx: &RunCtx) -> FloorAblation {
         stash.extend(r.warmup_completions.iter().copied());
         // Share of post-recovery PC RPCs admitted on QoSh.
         let (mut adm, mut tot) = (0u64, 0u64);
-        for c in stash.iter().filter(|c| {
-            c.issued_at >= warm_t && c.qos_requested == QosClass::HIGH
-        }) {
+        for c in stash
+            .iter()
+            .filter(|c| c.issued_at >= warm_t && c.qos_requested == QosClass::HIGH)
+        {
             tot += 1;
             if c.qos_run == QosClass::HIGH {
                 adm += 1;
@@ -534,7 +551,10 @@ pub fn adaptive_apps(ctx: &RunCtx) -> AdaptiveResult {
             &WorkloadSpec::mix(
                 ArrivalProcess::Uniform { load: 0.5 },
                 TrafficPattern::ManyToOne { dst: n - 1 },
-                [(Priority::PerformanceCritical, 0.8), (Priority::BestEffort, 0.2)],
+                [
+                    (Priority::PerformanceCritical, 0.8),
+                    (Priority::BestEffort, 0.2),
+                ],
                 |_| SizeDist::Fixed(32_768),
             ),
         );
@@ -551,10 +571,7 @@ pub fn adaptive_apps(ctx: &RunCtx) -> AdaptiveResult {
     let run_one = |seed: u64, adaptive: bool| -> RunOut {
         let setup = build(seed);
         let warm_t = SimTime::ZERO + setup.warmup;
-        let measure_secs = setup
-            .duration
-            .saturating_sub(setup.warmup)
-            .as_secs_f64();
+        let measure_secs = setup.duration.saturating_sub(setup.warmup).as_secs_f64();
         let mut at_warm: Option<Vec<(u64, u64)>> = None;
         let mut at_end: Vec<(u64, u64)> = vec![(0, 0); n - 1];
         let mut admitted_bytes = 0u64;
@@ -600,11 +617,7 @@ pub fn adaptive_apps(ctx: &RunCtx) -> AdaptiveResult {
             }
             at_end = counters;
         });
-        for c in r
-            .completions
-            .iter()
-            .chain(r.warmup_completions.iter())
-        {
+        for c in r.completions.iter().chain(r.warmup_completions.iter()) {
             if c.completed_at >= warm_t && c.qos_run == QosClass::HIGH {
                 admitted_bytes += c.size_bytes;
             }
@@ -702,7 +715,10 @@ pub fn core_overload(ctx: &RunCtx) -> CoreOverloadResult {
             WorkloadSpec::mix(
                 ArrivalProcess::Poisson { load: 0.55 },
                 TrafficPattern::AllToAll,
-                [(Priority::PerformanceCritical, 0.5), (Priority::BestEffort, 0.5)],
+                [
+                    (Priority::PerformanceCritical, 0.5),
+                    (Priority::BestEffort, 0.5),
+                ],
                 |_| SizeDist::Fixed(32_768),
             )
         });

@@ -3,12 +3,12 @@
 //! periodic sampling, and collecting results.
 
 use aequitas::{AequitasConfig, SloTarget};
+use aequitas_netsim::faults::FaultPlan;
+use aequitas_netsim::SchedulerKind;
 use aequitas_netsim::{Engine, EngineConfig, HostId, LinkSpec, ShardSpec, ShardedEngine, Topology};
+use aequitas_rpc::ArrivalProcess;
 use aequitas_rpc::{Policy, RpcCompletion, RpcStack, WorkloadHost, WorkloadSpec};
 use aequitas_sim_core::{BitRate, SimDuration, SimTime};
-use aequitas_netsim::SchedulerKind;
-use aequitas_rpc::ArrivalProcess;
-use aequitas_netsim::faults::FaultPlan;
 use aequitas_telemetry::{Telemetry, TraceEvent};
 use aequitas_transport::TransportConfig;
 use aequitas_workloads::QosMapping;
@@ -285,12 +285,12 @@ impl MacroSetup {
                         PolicyChoice::Aequitas(cfg) => {
                             Policy::aequitas(cfg.clone(), self.seed ^ (0xACE0 + h as u64))
                         }
-                        PolicyChoice::DropExcess(cfg) => Policy::AequitasDropExcess(
-                            aequitas::AdmissionController::new(
+                        PolicyChoice::DropExcess(cfg) => {
+                            Policy::AequitasDropExcess(aequitas::AdmissionController::new(
                                 cfg.clone(),
                                 self.seed ^ (0xD409 + h as u64),
-                            ),
-                        ),
+                            ))
+                        }
                     },
                 };
                 let mut stack = RpcStack::new(
@@ -611,15 +611,26 @@ mod tests {
     #[test]
     fn setups_place_workloads_by_host() {
         let senders = |s: &MacroSetup| s.workloads.iter().map(Option::is_some).collect::<Vec<_>>();
-        assert_eq!(senders(&small_setup(PolicyChoice::Static)), [true, true, false]);
+        assert_eq!(
+            senders(&small_setup(PolicyChoice::Static)),
+            [true, true, false]
+        );
         let times = [SimDuration::from_ms(3), SimDuration::from_ms(1)];
         let s = MacroSetup::all_senders(4, PolicyChoice::Static, 7, times, |h| WorkloadSpec {
             stop: Some(SimTime::from_us(h as u64)),
             ..pc_to_host2()
         });
         let stops: Vec<_> = s.workloads.iter().flatten().map(|w| w.stop).collect();
-        assert_eq!(stops, (0..4).map(|h| Some(SimTime::from_us(h))).collect::<Vec<_>>());
-        assert_eq!((s.seed, s.duration, s.warmup, s.name), (7, times[0], times[1], "macro"));
+        assert_eq!(
+            stops,
+            (0..4)
+                .map(|h| Some(SimTime::from_us(h)))
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(
+            (s.seed, s.duration, s.warmup, s.name),
+            (7, times[0], times[1], "macro")
+        );
     }
 
     #[test]

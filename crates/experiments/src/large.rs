@@ -6,7 +6,7 @@ use crate::slo::{admitted_mix, node33_workload, p999_rnl_us};
 use aequitas::{AequitasConfig, SloTarget};
 use aequitas_netsim::{LinkSpec, Topology};
 use aequitas_rpc::{ArrivalProcess, Priority, TrafficPattern, WorkloadSpec};
-use aequitas_sim_core::{SimDuration};
+use aequitas_sim_core::SimDuration;
 use aequitas_stats::Percentiles;
 use aequitas_workloads::{QosClass, SizeDist};
 
@@ -140,7 +140,12 @@ pub struct Fig23Result {
     pub admitted: [f64; 3],
 }
 
-fn run_testbed(ctx: &RunCtx, mix: [f64; 3], policy: PolicyChoice, seed: u64) -> crate::harness::MacroResult {
+fn run_testbed(
+    ctx: &RunCtx,
+    mix: [f64; 3],
+    policy: PolicyChoice,
+    seed: u64,
+) -> crate::harness::MacroResult {
     let ms = SimDuration::from_ms;
     let times = ctx.scale.pick([ms(20), ms(6)], [ms(100), ms(30)]);
     ctx.run_macro(MacroSetup::all_senders(20, policy, seed, times, |_| {

@@ -1,5 +1,9 @@
 #![warn(missing_docs)]
-#![allow(clippy::print_stdout, clippy::print_stderr, reason = "experiments print their tables")]
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "experiments print their tables"
+)]
 
 //! One experiment per table/figure of the paper's evaluation (§6).
 //!

@@ -38,9 +38,12 @@ pub fn fig14(ctx: &RunCtx) -> Fig14Result {
     let points = ctx.sweep(sweep, |share| {
         let x = share / 100.0;
         let mix = [x, 0.25, (1.0_f64 - x - 0.25).max(0.0)];
-        let r = ctx.run_macro(setup_33(scale, PolicyChoice::Static, 1400 + share as u64, |_| {
-            node33_workload(mix, None)
-        }));
+        let r = ctx.run_macro(setup_33(
+            scale,
+            PolicyChoice::Static,
+            1400 + share as u64,
+            |_| node33_workload(mix, None),
+        ));
         Fig14Point {
             share_pct: share,
             p999_us: p999_rnl_per_qos(&r.completions),
@@ -171,23 +174,22 @@ pub struct Fig16Result {
 
 /// One Fig. 16 run: the 33-node Aequitas run with burst load `rho`.
 fn fig16_setup(scale: Scale, rho: f64, seed: u64) -> MacroSetup {
-    setup_33(scale, PolicyChoice::Aequitas(slo_config_33()), seed, |_| WorkloadSpec {
-        arrival: ArrivalProcess::BurstOnOff {
-            mu: 0.8,
-            rho,
-            period: SimDuration::from_us(100),
-        },
-        ..node33_workload([0.6, 0.3, 0.1], None)
+    setup_33(scale, PolicyChoice::Aequitas(slo_config_33()), seed, |_| {
+        WorkloadSpec {
+            arrival: ArrivalProcess::BurstOnOff {
+                mu: 0.8,
+                rho,
+                period: SimDuration::from_us(100),
+            },
+            ..node33_workload([0.6, 0.3, 0.1], None)
+        }
     })
 }
 
 /// Fig. 16: vary the burst load ρ and record the admitted QoSh-share.
 pub fn fig16(ctx: &RunCtx) -> Fig16Result {
     let scale = ctx.scale;
-    let sweep: Vec<(usize, f64)> = [1.4, 1.6, 1.8, 2.0, 2.2]
-        .into_iter()
-        .enumerate()
-        .collect();
+    let sweep: Vec<(usize, f64)> = [1.4, 1.6, 1.8, 2.0, 2.2].into_iter().enumerate().collect();
     let points = ctx.sweep(sweep, |(k, rho)| {
         let r = ctx.run_macro(fig16_setup(scale, rho, 1600 + k as u64));
         let adm = admitted_mix(&r.completions, 3);
@@ -216,13 +218,7 @@ pub fn print_fig16(r: &Fig16Result) {
     let rows: Vec<Vec<String>> = r
         .points
         .iter()
-        .map(|p| {
-            vec![
-                f1(p.rho),
-                f1(p.share_pct),
-                f1(r.fit_c / p.rho),
-            ]
-        })
+        .map(|p| vec![f1(p.rho), f1(p.share_pct), f1(r.fit_c / p.rho)])
         .collect();
     print_table(
         &format!(

@@ -18,7 +18,7 @@ use crate::report::{f1, print_table};
 use aequitas::{Fleet, FleetConfig};
 use aequitas_analysis::{fluid_delays, FluidSpec};
 use aequitas_rpc::{ArrivalProcess, Priority, TrafficPattern, WorkloadSpec};
-use aequitas_sim_core::{SimDuration};
+use aequitas_sim_core::SimDuration;
 use aequitas_stats::Percentiles;
 use aequitas_workloads::SizeDist;
 
@@ -58,7 +58,9 @@ pub fn fig03(ctx: &RunCtx) -> Fig3Result {
         setup.offer(
             2,
             &WorkloadSpec::mix(
-                ArrivalProcess::Poisson { load: load_x * 0.25 },
+                ArrivalProcess::Poisson {
+                    load: load_x * 0.25,
+                },
                 TrafficPattern::ManyToOne { dst: 2 },
                 [(Priority::PerformanceCritical, 1.0)],
                 |_| SizeDist::Fixed(32_768),
@@ -207,28 +209,27 @@ pub fn fig24(ctx: &RunCtx, clusters: usize) -> Fig24Result {
     // Per-cluster RNL change: each cluster is a fleet sample; the QoSh
     // worst-case delay is evaluated at the misaligned and aligned mixes.
     let weights = [8.0, 4.0, 1.0];
-    let mut rnl_change_pct =
-        ctx.sweep((0..clusters).collect(), |k: usize| {
-            let mut cluster = Fleet::synthetic(FleetConfig {
-                apps: 120,
-                seed: 9000 + k as u64,
-            });
-            let before = cluster.qos_mix();
-            cluster.align_cohort(1.0);
-            let after = cluster.qos_mix();
-            let delay = |mix: [f64; 3]| {
-                let spec = FluidSpec {
-                    weights: weights.to_vec(),
-                    shares: mix.to_vec(),
-                    mu: 0.8,
-                    rho: 1.3,
-                };
-                fluid_delays(&spec)[0].max(1e-6)
-            };
-            let d0 = delay(before);
-            let d1 = delay(after);
-            100.0 * (d1 - d0) / d0
+    let mut rnl_change_pct = ctx.sweep((0..clusters).collect(), |k: usize| {
+        let mut cluster = Fleet::synthetic(FleetConfig {
+            apps: 120,
+            seed: 9000 + k as u64,
         });
+        let before = cluster.qos_mix();
+        cluster.align_cohort(1.0);
+        let after = cluster.qos_mix();
+        let delay = |mix: [f64; 3]| {
+            let spec = FluidSpec {
+                weights: weights.to_vec(),
+                shares: mix.to_vec(),
+                mu: 0.8,
+                rho: 1.3,
+            };
+            fluid_delays(&spec)[0].max(1e-6)
+        };
+        let d0 = delay(before);
+        let d1 = delay(after);
+        100.0 * (d1 - d0) / d0
+    });
     rnl_change_pct.sort_by(|a, b| a.partial_cmp(b).unwrap());
     Fig24Result {
         weeks,
@@ -309,6 +310,9 @@ mod tests {
         // The typical cluster improves (negative change); a small number of
         // regressions is expected (paper reports the same).
         let mean = r.rnl_change_pct.iter().sum::<f64>() / r.rnl_change_pct.len() as f64;
-        assert!(mean < 0.0, "mean RNL change {mean}% should be an improvement");
+        assert!(
+            mean < 0.0,
+            "mean RNL change {mean}% should be an improvement"
+        );
     }
 }

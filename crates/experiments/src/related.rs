@@ -64,11 +64,7 @@ pub fn score(name: &'static str, run: &SchemeRun) -> SchemeScore {
     let mut good_bytes = 0u64;
     let mut qosh_meeting = 0u64;
     let mut qosm_meeting = 0u64;
-    let mut per_qos = [
-        Percentiles::new(),
-        Percentiles::new(),
-        Percentiles::new(),
-    ];
+    let mut per_qos = [Percentiles::new(), Percentiles::new(), Percentiles::new()];
     for r in &run.completions {
         let latency_us = r.latency().as_us_f64();
         if !r.terminated {
@@ -106,11 +102,7 @@ pub fn score(name: &'static str, run: &SchemeRun) -> SchemeScore {
             offered_qosh_bytes + offered_qosm_bytes,
         ),
         utilization_pct: pct(good_bytes, offered_total_bytes),
-        p999_us: [
-            per_qos[0].p999(),
-            per_qos[1].p999(),
-            per_qos[2].p999(),
-        ],
+        p999_us: [per_qos[0].p999(), per_qos[1].p999(), per_qos[2].p999()],
     }
 }
 

@@ -47,13 +47,20 @@ fn maybe_write_csv(title: &str, headers: &[&str], rows: &[Vec<String>]) {
         writeln!(
             f,
             "{}",
-            headers.iter().map(|h| csv_escape(h)).collect::<Vec<_>>().join(",")
+            headers
+                .iter()
+                .map(|h| csv_escape(h))
+                .collect::<Vec<_>>()
+                .join(",")
         )?;
         for row in rows {
             writeln!(
                 f,
                 "{}",
-                row.iter().map(|c| csv_escape(c)).collect::<Vec<_>>().join(",")
+                row.iter()
+                    .map(|c| csv_escape(c))
+                    .collect::<Vec<_>>()
+                    .join(",")
             )?;
         }
         Ok(())
@@ -91,7 +98,10 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
         "{}",
         fmt_row(headers.iter().map(|s| s.to_string()).collect())
     );
-    println!("{}", "-".repeat(widths.iter().sum::<usize>() + 2 * (ncols - 1)));
+    println!(
+        "{}",
+        "-".repeat(widths.iter().sum::<usize>() + 2 * (ncols - 1))
+    );
     for row in rows {
         println!("{}", fmt_row(row.clone()));
     }
@@ -166,10 +176,7 @@ mod tests {
         print_table(
             "test",
             &["a", "bb"],
-            &[
-                vec!["1".into(), "2".into()],
-                vec!["333".into(), "4".into()],
-            ],
+            &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
         );
     }
 

@@ -14,8 +14,8 @@
 
 use crate::harness::{host_seed, MacroSetup, RunCtx};
 use aequitas_baselines::{
-    deadline, homa, pfabric, qjump, BaselineCompletion, BaselineHost, DeadlineHost,
-    DeadlineMode, HomaHost, PfabricHost, QjumpHost, WorkloadGen,
+    deadline, homa, pfabric, qjump, BaselineCompletion, BaselineHost, DeadlineHost, DeadlineMode,
+    HomaHost, PfabricHost, QjumpHost, WorkloadGen,
 };
 use aequitas_netsim::faults::FaultPlan;
 use aequitas_netsim::{Engine, EngineConfig, HostId};
@@ -79,7 +79,13 @@ impl Scheme {
         // The stream `MacroSetup` hands Aequitas's host `h`.
         let gen = |h: HostId| {
             setup.workloads[h.0].clone().map(|spec| {
-                WorkloadGen(WorkloadHost::stream(spec, h.0, n, rate, host_seed(setup.seed, h.0)))
+                WorkloadGen(WorkloadHost::stream(
+                    spec,
+                    h.0,
+                    n,
+                    rate,
+                    host_seed(setup.seed, h.0),
+                ))
             })
         };
         match self {
@@ -140,8 +146,14 @@ fn baseline<A: BaselineHost>(
     config: EngineConfig,
     host: impl Fn(HostId) -> A,
 ) -> SchemeRun {
-    let agents = (0..setup.topo.num_hosts()).map(|h| host(HostId(h))).collect();
-    let mut eng = Engine::new(setup.topo.clone(), agents, EngineConfig { faults, ..config });
+    let agents = (0..setup.topo.num_hosts())
+        .map(|h| host(HostId(h)))
+        .collect();
+    let mut eng = Engine::new(
+        setup.topo.clone(),
+        agents,
+        EngineConfig { faults, ..config },
+    );
     eng.run_until(SimTime::ZERO + setup.duration);
     let (lost, corrupted) = eng.fault_loss_totals();
     let mut run = SchemeRun {

@@ -61,7 +61,10 @@ fn fig11_workload() -> WorkloadSpec {
     WorkloadSpec::mix(
         ArrivalProcess::Uniform { load: 1.0 },
         TrafficPattern::ManyToOne { dst: 2 },
-        [(Priority::PerformanceCritical, 0.7), (Priority::BestEffort, 0.3)],
+        [
+            (Priority::PerformanceCritical, 0.7),
+            (Priority::BestEffort, 0.3),
+        ],
         |_| SizeDist::Fixed(32_768),
     )
 }
@@ -216,7 +219,13 @@ pub(crate) fn setup_33(
     spec: impl Fn(usize) -> WorkloadSpec,
 ) -> MacroSetup {
     let ms = SimDuration::from_ms;
-    MacroSetup::all_senders(33, policy, seed, scale.pick([ms(44), ms(26)], [ms(150), ms(80)]), spec)
+    MacroSetup::all_senders(
+        33,
+        policy,
+        seed,
+        scale.pick([ms(44), ms(26)], [ms(150), ms(80)]),
+        spec,
+    )
 }
 
 /// The paper's SLO settings for the 33-node runs: 15 µs / 25 µs at 99.9p
@@ -232,7 +241,9 @@ pub fn slo_config_33() -> AequitasConfig {
 /// is the policy's alone.
 fn run_33node(ctx: &RunCtx, policy: PolicyChoice) -> (MacroResult, Percentiles, Percentiles) {
     let n = 33;
-    let setup = setup_33(ctx.scale, policy, 1001, |_| node33_workload([0.6, 0.3, 0.1], None));
+    let setup = setup_33(ctx.scale, policy, 1001, |_| {
+        node33_workload([0.6, 0.3, 0.1], None)
+    });
     let warm = SimTime::ZERO + setup.warmup;
     let mut out_hm = Percentiles::new();
     let mut out_l = Percentiles::new();
@@ -283,7 +294,10 @@ pub fn print_fig13(r: &mut Fig12Result) {
     let row = |classes: &str, a: &mut Percentiles, b: &mut Percentiles| {
         let mut row = vec![classes.to_string()];
         for p in [a, b] {
-            row.extend([crate::report::opt(p.p50(), 2), crate::report::opt(p.p99(), 2)]);
+            row.extend([
+                crate::report::opt(p.p50(), 2),
+                crate::report::opt(p.p99(), 2),
+            ]);
         }
         row
     };

@@ -11,7 +11,9 @@
 
 use crate::harness::RunCtx;
 use crate::report::{f3, print_table};
-use aequitas_analysis::{delay_h, delay_l, fluid_delays, guaranteed_share, FluidSpec, TwoQosParams};
+use aequitas_analysis::{
+    delay_h, delay_l, fluid_delays, guaranteed_share, FluidSpec, TwoQosParams,
+};
 use aequitas_netsim::{
     Engine, EngineConfig, FlowKey, HostAgent, HostCtx, HostId, LinkSpec, Packet, PacketKind,
     SchedulerKind, Topology,
@@ -182,7 +184,9 @@ impl BurstBlaster {
     ) -> Self {
         // Emit gap so that this sender's burst-phase rate is
         // per_sender_rate * 100 Gbps.
-        let wire = LinkSpec::default_100g().rate.serialize_time(PKT_BYTES as u64);
+        let wire = LinkSpec::default_100g()
+            .rate
+            .serialize_time(PKT_BYTES as u64);
         BurstBlaster {
             dst: Some(dst),
             sent_bytes: vec![0.0; shares.len()],

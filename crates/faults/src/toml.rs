@@ -34,7 +34,9 @@ impl Value {
     fn as_u64(&self, key: &str) -> Result<u64, String> {
         match self {
             Value::Int(i) if *i >= 0 => Ok(*i as u64),
-            _ => Err(format!("key {key:?}: expected a non-negative integer, got {self:?}")),
+            _ => Err(format!(
+                "key {key:?}: expected a non-negative integer, got {self:?}"
+            )),
         }
     }
 
@@ -93,7 +95,9 @@ fn parse_value(raw: &str, line_no: usize) -> Result<Value, String> {
             .strip_suffix('"')
             .ok_or_else(|| format!("line {line_no}: unterminated string"))?;
         if inner.contains('"') || inner.contains('\\') {
-            return Err(format!("line {line_no}: escapes are not supported in strings"));
+            return Err(format!(
+                "line {line_no}: escapes are not supported in strings"
+            ));
         }
         return Ok(Value::Str(inner.to_string()));
     }
@@ -179,7 +183,9 @@ fn require<'a>(table: &'a Table, section: &str, key: &str) -> Result<&'a Value, 
 fn reject_unknown(table: &Table, section: &str, known: &[&str]) -> Result<(), String> {
     for (k, _) in table {
         if !known.contains(&k.as_str()) {
-            return Err(format!("[[{section}]]: unknown key {k:?} (known: {known:?})"));
+            return Err(format!(
+                "[[{section}]]: unknown key {k:?} (known: {known:?})"
+            ));
         }
     }
     Ok(())
@@ -196,7 +202,9 @@ fn us_duration(table: &Table, section: &str, key: &str) -> Result<SimDuration, S
 
 /// A `*_ns` duration; nanoseconds truncate to whole picoseconds.
 fn ns_duration(value: &Value, key: &str) -> Result<SimDuration, String> {
-    Ok(SimDuration::from_ps((value.as_duration(key, 1e3)? * 1000.0) as u64))
+    Ok(SimDuration::from_ps(
+        (value.as_duration(key, 1e3)? * 1000.0) as u64,
+    ))
 }
 
 fn window_of(table: &Table, section: &str) -> Result<Window, String> {
@@ -313,7 +321,13 @@ pub fn plan_from_toml(text: &str) -> Result<FaultPlan, String> {
                 reject_unknown(
                     table,
                     name,
-                    &["link", "prob", "burst_period_us", "burst_frac", "burst_prob"],
+                    &[
+                        "link",
+                        "prob",
+                        "burst_period_us",
+                        "burst_frac",
+                        "burst_prob",
+                    ],
                 )?;
                 let burst = match get(table, "burst_period_us")? {
                     Some(p) => Some(BurstLoss {
@@ -325,10 +339,8 @@ pub fn plan_from_toml(text: &str) -> Result<FaultPlan, String> {
                         if get(table, "burst_frac")?.is_some()
                             || get(table, "burst_prob")?.is_some()
                         {
-                            return Err(
-                                "[[loss]]: burst_frac/burst_prob require burst_period_us"
-                                    .to_string(),
-                            );
+                            return Err("[[loss]]: burst_frac/burst_prob require burst_period_us"
+                                .to_string());
                         }
                         None
                     }
@@ -542,7 +554,11 @@ jitter_ramp_ns = 500.0
         assert_eq!(plan.gray[0].jitter_ramp, SimDuration::from_ps(500_000));
         assert_eq!(
             plan.pod_layout,
-            Some(PodLayout { pods: 2, leaves_per_pod: 2, spines_per_pod: 2 })
+            Some(PodLayout {
+                pods: 2,
+                leaves_per_pod: 2,
+                spines_per_pod: 2
+            })
         );
         // Switch 3 (a leaf of pod 1) is down during its own window and the
         // pod outage alike; switch 0 (pod 0) is untouched.

@@ -10,7 +10,15 @@ use aequitas_sim_core::{SimDuration, SimTime};
 
 /// One of every table, every key set to a sane value.
 const BASE: &[(&str, &[(&str, &str)])] = &[
-    ("", &[("seed", "42"), ("pods", "2"), ("leaves_per_pod", "2"), ("spines_per_pod", "2")]),
+    (
+        "",
+        &[
+            ("seed", "42"),
+            ("pods", "2"),
+            ("leaves_per_pod", "2"),
+            ("spines_per_pod", "2"),
+        ],
+    ),
     (
         "link_flap",
         &[
@@ -33,9 +41,22 @@ const BASE: &[(&str, &[(&str, &str)])] = &[
     ),
     ("corrupt", &[("link", "\"host:0\""), ("prob", "0.001")]),
     ("jitter", &[("link", "\"any\""), ("max_ns", "500.0")]),
-    ("quota_outage", &[("start_us", "5000.0"), ("end_us", "9000.0")]),
-    ("switch_outage", &[("switch", "3"), ("start_us", "4000.0"), ("end_us", "8000.0")]),
-    ("pod_outage", &[("pod", "1"), ("start_us", "5000.0"), ("end_us", "6000.0")]),
+    (
+        "quota_outage",
+        &[("start_us", "5000.0"), ("end_us", "9000.0")],
+    ),
+    (
+        "switch_outage",
+        &[
+            ("switch", "3"),
+            ("start_us", "4000.0"),
+            ("end_us", "8000.0"),
+        ],
+    ),
+    (
+        "pod_outage",
+        &[("pod", "1"), ("start_us", "5000.0"), ("end_us", "6000.0")],
+    ),
     (
         "gray_degrade",
         &[
@@ -75,7 +96,11 @@ fn plan_text(table: &str, key: &str, value: &str) -> String {
             text.push_str(&format!("[[{name}]]\n"));
         }
         for (k, v) in *keys {
-            let v = if *name == table && *k == key { value } else { v };
+            let v = if *name == table && *k == key {
+                value
+            } else {
+                v
+            };
             text.push_str(&format!("{k} = {v}\n"));
         }
     }
@@ -150,7 +175,10 @@ fn every_numeric_key_survives_every_hostile_number() {
         }
     }
     // Both outcomes occur: zero is a valid seed or count, infinity never is.
-    assert!(accepted > 0 && rejected > 0, "{accepted} accepted, {rejected} rejected");
+    assert!(
+        accepted > 0 && rejected > 0,
+        "{accepted} accepted, {rejected} rejected"
+    );
 }
 
 #[test]
@@ -190,7 +218,10 @@ fn a_flap_ending_past_the_clock_is_rejected_by_name() {
         ..FaultPlan::default()
     };
     let err = plan.validated().unwrap_err();
-    assert!(err.contains("[[link_flap]] #0") && err.contains("last down window"), "{err}");
+    assert!(
+        err.contains("[[link_flap]] #0") && err.contains("last down window"),
+        "{err}"
+    );
 
     // The same flap with the count that fits is accepted and down at once.
     let plan = FaultPlan {
@@ -219,5 +250,8 @@ fn extra_delays_that_cannot_be_added_are_rejected() {
     let text = "[[gray_degrade]]\nlink = \"any\"\nstart_us = 1.0\nend_us = 1.8e13\n\
                 jitter_ramp_ns = 1e15\n";
     let err = FaultPlan::from_toml_str(text).unwrap_err();
-    assert!(err.contains("[[gray_degrade]] #0") && err.contains("jitter ramp"), "{err}");
+    assert!(
+        err.contains("[[gray_degrade]] #0") && err.contains("jitter ramp"),
+        "{err}"
+    );
 }

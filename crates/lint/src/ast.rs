@@ -227,10 +227,15 @@ pub fn parse_file(toks: &[Tok], whole_file_test: bool) -> ParsedFile {
         .collect();
     let mut out = ParsedFile::default();
     let p = Parser { toks, code: &code };
-    p.parse_items(0, code.len(), &ItemCtx {
-        in_test: whole_file_test,
-        impl_ty: None,
-    }, &mut out);
+    p.parse_items(
+        0,
+        code.len(),
+        &ItemCtx {
+            in_test: whole_file_test,
+            impl_ty: None,
+        },
+        &mut out,
+    );
     out
 }
 
@@ -330,8 +335,7 @@ impl<'a> Parser<'a> {
                     }
                     if j < end && self.text(j) == "[" {
                         let close = self.match_bracket(j, end);
-                        let body: Vec<&str> =
-                            (j + 1..close).map(|k| self.text(k)).collect();
+                        let body: Vec<&str> = (j + 1..close).map(|k| self.text(k)).collect();
                         if body.first() == Some(&"cfg") && body.contains(&"test") {
                             attr_test = true;
                         }
@@ -698,72 +702,73 @@ impl<'a> Parser<'a> {
         let mut has_self = false;
         let mut start = i;
         let mut j = i;
-        let flush = |p: &Parser, s: usize, e: usize, params: &mut Vec<Param>, has_self: &mut bool| {
-            if s >= e {
-                return;
-            }
-            let texts: Vec<&str> = (s..e).map(|k| p.text(k)).collect();
-            if texts.contains(&"self") {
-                *has_self = true;
-                return;
-            }
-            // Split at the first top-level `:` that is not part of `::`.
-            let mut colon = None;
-            let mut k = s;
-            let mut idx = 0usize;
-            while k < e {
-                match p.text(k) {
-                    ":" => {
-                        let part_of_path = (k + 1 < e && p.text(k + 1) == ":")
-                            || (k > s && p.text(k - 1) == ":");
-                        if !part_of_path {
-                            colon = Some(idx);
-                            break;
+        let flush =
+            |p: &Parser, s: usize, e: usize, params: &mut Vec<Param>, has_self: &mut bool| {
+                if s >= e {
+                    return;
+                }
+                let texts: Vec<&str> = (s..e).map(|k| p.text(k)).collect();
+                if texts.contains(&"self") {
+                    *has_self = true;
+                    return;
+                }
+                // Split at the first top-level `:` that is not part of `::`.
+                let mut colon = None;
+                let mut k = s;
+                let mut idx = 0usize;
+                while k < e {
+                    match p.text(k) {
+                        ":" => {
+                            let part_of_path = (k + 1 < e && p.text(k + 1) == ":")
+                                || (k > s && p.text(k - 1) == ":");
+                            if !part_of_path {
+                                colon = Some(idx);
+                                break;
+                            }
+                            k += 1;
+                            idx += 1;
                         }
-                        k += 1;
-                        idx += 1;
-                    }
-                    "<" => {
-                        let n = p.skip_generics(k, e);
-                        idx += n - k;
-                        k = n;
-                    }
-                    "(" | "[" | "{" => {
-                        let n = p.match_bracket(k, e) + 1;
-                        idx += n - k;
-                        k = n;
-                    }
-                    _ => {
-                        k += 1;
-                        idx += 1;
+                        "<" => {
+                            let n = p.skip_generics(k, e);
+                            idx += n - k;
+                            k = n;
+                        }
+                        "(" | "[" | "{" => {
+                            let n = p.match_bracket(k, e) + 1;
+                            idx += n - k;
+                            k = n;
+                        }
+                        _ => {
+                            k += 1;
+                            idx += 1;
+                        }
                     }
                 }
-            }
-            let Some(c) = colon else { return };
-            let pat = &texts[..c];
-            let ty = texts[c + 1..].join(" ");
-            // Binding name: the last ident of a simple pattern; complex
-            // patterns (tuples, structs) get "".
-            let name = pat
-                .iter()
-                .rev()
-                .find(|t| {
-                    t.chars()
-                        .next()
-                        .map(|ch| ch.is_ascii_alphabetic() || ch == '_')
-                        .unwrap_or(false)
-                        && !matches!(**t, "mut" | "ref")
-                })
-                .map(|t| t.to_string())
-                .unwrap_or_default();
-            let simple = pat
-                .iter()
-                .all(|t| !matches!(*t, "(" | ")" | "{" | "}" | "[" | "]"));
-            params.push(Param {
-                name: if simple { name } else { String::new() },
-                ty,
-            });
-        };
+                let Some(c) = colon else { return };
+                let pat = &texts[..c];
+                let ty = texts[c + 1..].join(" ");
+                // Binding name: the last ident of a simple pattern; complex
+                // patterns (tuples, structs) get "".
+                let name = pat
+                    .iter()
+                    .rev()
+                    .find(|t| {
+                        t.chars()
+                            .next()
+                            .map(|ch| ch.is_ascii_alphabetic() || ch == '_')
+                            .unwrap_or(false)
+                            && !matches!(**t, "mut" | "ref")
+                    })
+                    .map(|t| t.to_string())
+                    .unwrap_or_default();
+                let simple = pat
+                    .iter()
+                    .all(|t| !matches!(*t, "(" | ")" | "{" | "}" | "[" | "]"));
+                params.push(Param {
+                    name: if simple { name } else { String::new() },
+                    ty,
+                });
+            };
         while j < end {
             match self.text(j) {
                 "," => {

@@ -64,7 +64,13 @@ const MAP_ITER_METHODS: &[&str] = &[
 ];
 
 /// Ambient-RNG constructors/helpers.
-const RNG_SOURCES: &[&str] = &["thread_rng", "from_entropy", "os_rng", "getrandom", "random"];
+const RNG_SOURCES: &[&str] = &[
+    "thread_rng",
+    "from_entropy",
+    "os_rng",
+    "getrandom",
+    "random",
+];
 
 /// The hot region AQ014 protects: the per-packet simulation path plus the
 /// admission-control decision makers whose outputs feed every figure.
@@ -157,11 +163,19 @@ fn taint_sources(ws: &Workspace, file: usize, id: usize, def: &FnDef) -> Vec<(u3
         }
     }
     for &(line, col) in &def.body.ptr_casts {
-        srcs.push((line, col, "pointer-address cast (allocation-dependent)".into()));
+        srcs.push((
+            line,
+            col,
+            "pointer-address cast (allocation-dependent)".into(),
+        ));
     }
     for w in &def.body.watched {
         if w.name == "RandomState" {
-            srcs.push((w.line, w.col, "`RandomState` seeds per-process hashing".into()));
+            srcs.push((
+                w.line,
+                w.col,
+                "`RandomState` seeds per-process hashing".into(),
+            ));
         }
     }
     srcs.retain(|&(line, _, _)| !ws.justified(file, line, "det:"));
@@ -174,9 +188,7 @@ fn aq014_determinism_taint(ws: &Workspace, out: &mut Vec<Finding>) {
     let mut queue: VecDeque<usize> = VecDeque::new();
     for id in 0..ws.fns.len() {
         let node = &ws.fns[id];
-        if let Some(&(line, col, ref desc)) =
-            taint_sources(ws, node.file, id, &node.def).first()
-        {
+        if let Some(&(line, col, ref desc)) = taint_sources(ws, node.file, id, &node.def).first() {
             taint.insert(
                 id,
                 Taint::Source {
@@ -445,21 +457,14 @@ fn aq015_unit_safety(ws: &Workspace, out: &mut Vec<Finding>) {
             // Only trust unambiguous resolutions: every same-call candidate
             // must agree on the param units, which holds trivially when the
             // edge set for this call has one target.
-            if node
-                .callees
-                .iter()
-                .filter(|e2| e2.call == e.call)
-                .count()
-                != 1
-            {
+            if node.callees.iter().filter(|e2| e2.call == e.call).count() != 1 {
                 continue;
             }
             for (ai, arg) in site.args.iter().enumerate() {
                 let Some(param) = callee.def.params.get(ai) else {
                     break;
                 };
-                let (Some(au), Some(pu)) = (unit_of_operand(arg), unit_of_name(&param.name))
-                else {
+                let (Some(au), Some(pu)) = (unit_of_operand(arg), unit_of_name(&param.name)) else {
                     continue;
                 };
                 if !units_clash(au, pu) || ws.justified(node.file, site.line, "unit:") {
@@ -490,7 +495,14 @@ fn aq015_unit_safety(ws: &Workspace, out: &mut Vec<Finding>) {
 /// `Engine::run_until`. Telemetry is deliberately absent: domains own
 /// per-domain handles and the determinism tests pin its behavior.
 const DOMAIN_CRATES: &[&str] = &[
-    "sim-core", "netsim", "qdisc", "transport", "rpc", "core", "faults", "workloads",
+    "sim-core",
+    "netsim",
+    "qdisc",
+    "transport",
+    "rpc",
+    "core",
+    "faults",
+    "workloads",
 ];
 
 /// Method/atomic names that imply shared-state access.
@@ -579,7 +591,8 @@ fn aq016_shard_isolation(ws: &Workspace, out: &mut Vec<Finding>) {
             {
                 report(c.line, c.col, format!("calls `.{}()`", c.name));
             }
-            if c.name == "spawn" || (c.kind == CallKind::Qualified("thread".into()) && c.name == "scope")
+            if c.name == "spawn"
+                || (c.kind == CallKind::Qualified("thread".into()) && c.name == "scope")
             {
                 report(c.line, c.col, format!("creates threads via `{}`", c.name));
             }

@@ -259,7 +259,11 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
                     j = k;
                 }
             }
-            let kind = if is_float { TokKind::Float } else { TokKind::Int };
+            let kind = if is_float {
+                TokKind::Float
+            } else {
+                TokKind::Int
+            };
             push(&mut toks, kind, &src[i..j], l0, c0);
             advance(b, i, j - i, &mut line, &mut col);
             i = j;
@@ -330,10 +334,7 @@ mod tests {
     #[test]
     fn nested_block_comments() {
         let toks = kinds("/* outer /* inner */ still comment */ code");
-        assert_eq!(
-            toks.iter().filter(|(k, _)| *k == TokKind::Ident).count(),
-            1
-        );
+        assert_eq!(toks.iter().filter(|(k, _)| *k == TokKind::Ident).count(), 1);
         assert!(toks.iter().any(|(_, t)| t == "code"));
     }
 

@@ -15,7 +15,11 @@
 //! AQ014–AQ016. All analysis logic lives in the library (`aequitas_lint`);
 //! this binary is argument parsing and I/O.
 
-#![allow(clippy::print_stdout, clippy::print_stderr, reason = "a CLI reports on stdout/stderr")]
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a CLI reports on stdout/stderr"
+)]
 
 use aequitas_lint::debt::Debt;
 use aequitas_lint::{load_workspace_files, rules, run_analysis};
@@ -82,7 +86,10 @@ fn run() -> Result<ExitCode, String> {
         }
         if debt_gate {
             let baseline = std::fs::read_to_string(&baseline_path).map_err(|e| {
-                format!("cannot read {} (run --debt-baseline once): {e}", baseline_path.display())
+                format!(
+                    "cannot read {} (run --debt-baseline once): {e}",
+                    baseline_path.display()
+                )
             })?;
             match debt.gate(&baseline) {
                 Ok(msg) => eprintln!("aequitas-lint: {msg}"),

@@ -106,11 +106,7 @@ impl<'a> FileCtx<'a> {
 
     /// Is this line inside test code?
     pub fn in_test(&self, line: u32) -> bool {
-        self.whole_file_test
-            || self
-                .test_spans
-                .iter()
-                .any(|&(a, b)| line >= a && line <= b)
+        self.whole_file_test || self.test_spans.iter().any(|&(a, b)| line >= a && line <= b)
     }
 
     /// The `i`-th code token.
@@ -181,11 +177,7 @@ fn find_test_spans(toks: &[Tok], code: &[usize]) -> Vec<(u32, u32)> {
                     }
                     m += 1;
                 }
-                let end_line = if m < code.len() {
-                    t(m).line
-                } else {
-                    u32::MAX
-                };
+                let end_line = if m < code.len() { t(m).line } else { u32::MAX };
                 spans.push((start_line, end_line));
                 i = j;
                 continue;
@@ -378,7 +370,11 @@ mod tests {
         );
         assert_eq!(rules_of(&f), vec!["AQ005"]);
         // Comparisons and method calls on the raw value are fine.
-        assert!(run("crates/transport/src/swift.rs", "if a.as_ps() < b.as_ps() { }").is_empty());
+        assert!(run(
+            "crates/transport/src/swift.rs",
+            "if a.as_ps() < b.as_ps() { }"
+        )
+        .is_empty());
         assert!(run(
             "crates/transport/src/swift.rs",
             "let x = a.as_ps().saturating_mul(2);"

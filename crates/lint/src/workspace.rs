@@ -230,14 +230,8 @@ mod tests {
     #[test]
     fn resolves_cross_file_calls() {
         let files = ws_of(&[
-            (
-                "crates/a/src/lib.rs",
-                "pub fn caller() { helper(1); }",
-            ),
-            (
-                "crates/b/src/lib.rs",
-                "pub fn helper(x: u64) -> u64 { x }",
-            ),
+            ("crates/a/src/lib.rs", "pub fn caller() { helper(1); }"),
+            ("crates/b/src/lib.rs", "pub fn helper(x: u64) -> u64 { x }"),
         ]);
         let ws = Workspace::build(&files);
         let caller = ws.by_name["caller"][0];
@@ -249,14 +243,12 @@ mod tests {
 
     #[test]
     fn method_calls_only_target_methods_and_skip_test_fns() {
-        let files = ws_of(&[
-            (
-                "crates/a/src/lib.rs",
-                "impl T { pub fn go(&self) {} }\n\
+        let files = ws_of(&[(
+            "crates/a/src/lib.rs",
+            "impl T { pub fn go(&self) {} }\n\
                  pub fn drive(t: &T) { t.go(); }\n\
                  #[cfg(test)]\nmod tests { pub fn go() {} }",
-            ),
-        ]);
+        )]);
         let ws = Workspace::build(&files);
         let drive = ws.by_name["drive"][0];
         let method = ws.by_impl[&("T".to_string(), "go".to_string())][0];
@@ -266,14 +258,12 @@ mod tests {
 
     #[test]
     fn qualified_calls_prefer_the_impl_match() {
-        let files = ws_of(&[
-            (
-                "crates/a/src/lib.rs",
-                "impl A { pub fn make() -> A { A } }\n\
+        let files = ws_of(&[(
+            "crates/a/src/lib.rs",
+            "impl A { pub fn make() -> A { A } }\n\
                  impl B { pub fn make() -> B { B } }\n\
                  pub fn f() { A::make(); }",
-            ),
-        ]);
+        )]);
         let ws = Workspace::build(&files);
         let f = ws.by_name["f"][0];
         let a_make = ws.by_impl[&("A".to_string(), "make".to_string())][0];

@@ -226,11 +226,7 @@ impl<A: HostAgent> Engine<A> {
     /// Build an engine over `topo` with one agent per host.
     pub fn new(topo: impl Into<Arc<Topology>>, agents: Vec<A>, config: EngineConfig) -> Self {
         let topo = topo.into();
-        assert_eq!(
-            agents.len(),
-            topo.num_hosts(),
-            "need one agent per host"
-        );
+        assert_eq!(agents.len(), topo.num_hosts(), "need one agent per host");
         let agent_rank = (0..topo.num_hosts() as u32).collect();
         Self::build(topo, agents, agent_rank, config, None)
     }
@@ -258,11 +254,7 @@ impl<A: HostAgent> Engine<A> {
                 }
             })
             .collect();
-        assert_eq!(
-            agents.len(),
-            rank as usize,
-            "need one agent per owned host"
-        );
+        assert_eq!(agents.len(), rank as usize, "need one agent per owned host");
         let role = ShardRole {
             spec,
             domain,
@@ -482,11 +474,7 @@ impl<A: HostAgent> Engine<A> {
         debug_assert_ne!(rank, NO_AGENT, "event for unowned host {}", host.0);
         let actions = &mut self.scratch_actions;
         {
-            let mut ctx = HostCtx {
-                now,
-                host,
-                actions,
-            };
+            let mut ctx = HostCtx { now, host, actions };
             f(&mut self.agents[rank as usize], &mut ctx);
         }
         // Apply buffered actions. The vectors are moved out, drained, and
@@ -709,8 +697,7 @@ impl<A: HostAgent> Engine<A> {
                             PacketFate::Lose | PacketFate::Corrupt => {
                                 let pkt = self.packets.remove(pkt);
                                 let corrupt = fate == PacketFate::Corrupt;
-                                let class =
-                                    pkt.class().min(self.config.classes - 1);
+                                let class = pkt.class().min(self.config.classes - 1);
                                 let stats = &mut self.ports.at(node, port).stats;
                                 if corrupt {
                                     stats.fault_corrupts += 1;
@@ -746,7 +733,11 @@ impl<A: HostAgent> Engine<A> {
                 match &mut self.shard {
                     Some(role) if !role.owns(peer) => {
                         let pkt = self.packets.remove(pkt);
-                        role.outbox.push(Boundary { at, node: peer, pkt });
+                        role.outbox.push(Boundary {
+                            at,
+                            node: peer,
+                            pkt,
+                        });
                     }
                     _ => self.schedule_ev(at, Event::Arrive { node: peer, pkt }),
                 }
@@ -756,12 +747,14 @@ impl<A: HostAgent> Engine<A> {
                 self.ports.at(node, port).fault_wake_armed = false;
                 if self.telemetry.is_enabled() {
                     let (kind, node_id) = node_tag(node);
-                    self.telemetry
-                        .emit(self.queue.now(), TraceEvent::FaultLinkUp {
+                    self.telemetry.emit(
+                        self.queue.now(),
+                        TraceEvent::FaultLinkUp {
                             node: kind,
                             node_id,
                             port,
-                        });
+                        },
+                    );
                 }
                 // May immediately re-defer (and re-arm) if another down
                 // window covers this instant.
@@ -1039,7 +1032,8 @@ mod tests {
 
     #[test]
     fn leaf_spine_delivers_across_racks() {
-        let topo = Topology::leaf_spine(2, 2, 2, LinkSpec::default_100g(), LinkSpec::default_100g());
+        let topo =
+            Topology::leaf_spine(2, 2, 2, LinkSpec::default_100g(), LinkSpec::default_100g());
         let agents = vec![
             Blaster::sender(HostId(3), 50, 0, 1500),
             Blaster::sink(),
@@ -1384,13 +1378,8 @@ mod ecmp_tests {
 
     #[test]
     fn ecmp_spreads_cross_rack_traffic_over_spines() {
-        let topo = Topology::leaf_spine(
-            2,
-            8,
-            4,
-            LinkSpec::default_100g(),
-            LinkSpec::default_100g(),
-        );
+        let topo =
+            Topology::leaf_spine(2, 8, 4, LinkSpec::default_100g(), LinkSpec::default_100g());
         let agents = (0..16).map(|_| FanOut).collect();
         let mut eng = Engine::new(topo, agents, EngineConfig::default_3qos());
         eng.run_until(SimTime::from_ms(5));

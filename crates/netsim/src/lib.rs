@@ -59,9 +59,9 @@ pub mod port;
 pub mod shard;
 pub mod topology;
 
-pub use engine::{Engine, EngineConfig, HostActions, HostAgent, HostCtx};
 pub use aequitas_faults as faults;
 pub use aequitas_sim_core::QueueStats;
+pub use engine::{Engine, EngineConfig, HostActions, HostAgent, HostCtx};
 pub use packet::{FlowKey, Packet, PacketKind};
 pub use port::{PortStats, SchedulerKind};
 pub use shard::{ShardSpec, ShardStats, ShardedEngine};

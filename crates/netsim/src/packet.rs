@@ -21,11 +21,7 @@ impl FlowKey {
     /// Deterministic hash used for ECMP path selection.
     pub fn ecmp_hash(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a
-        for b in [
-            self.src.0 as u64,
-            self.dst.0 as u64,
-            self.class as u64,
-        ] {
+        for b in [self.src.0 as u64, self.dst.0 as u64, self.class as u64] {
             h ^= b;
             h = h.wrapping_mul(0x100_0000_01b3);
         }

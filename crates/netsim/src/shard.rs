@@ -409,9 +409,7 @@ impl<A: HostAgent + Send> ShardedEngine<A> {
         let domains: Vec<Engine<A>> = per_domain
             .into_iter()
             .enumerate()
-            .map(|(d, ag)| {
-                Engine::new_sharded(topo.clone(), ag, config.clone(), spec.clone(), d)
-            })
+            .map(|(d, ag)| Engine::new_sharded(topo.clone(), ag, config.clone(), spec.clone(), d))
             .collect();
         // Per-domain merge scratch, recycled every window via mem::swap
         // with the domain outboxes.
@@ -756,7 +754,7 @@ mod tests {
     fn clos_pod_partition_shape() {
         let (topo, spec) = small_clos();
         assert_eq!(spec.num_domains, 3); // 2 pods + core tier
-        // Pod 0: leaves 0-1, spines 4-5. Pod 1: leaves 2-3, spines 6-7.
+                                         // Pod 0: leaves 0-1, spines 4-5. Pod 1: leaves 2-3, spines 6-7.
         assert_eq!(&spec.domain_of_switch[..], &[0, 0, 1, 1, 0, 0, 1, 1, 2, 2]);
         // Hosts follow their leaf.
         assert_eq!(&spec.domain_of_host[..4], &[0, 0, 0, 0]);

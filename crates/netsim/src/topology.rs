@@ -302,7 +302,10 @@ impl Topology {
     /// spreads non-local traffic over its pod's spines, a spine spreads
     /// cross-pod traffic over the cores, a core spreads traffic over the
     /// destination pod's spines.
-    #[allow(clippy::too_many_arguments, reason = "a count and a link spec per Clos tier")]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "a count and a link spec per Clos tier"
+    )]
     pub fn clos(
         pods: usize,
         spines_per_pod: usize,
@@ -416,7 +419,9 @@ impl Topology {
             let core_routes: Vec<Vec<usize>> = (0..n)
                 .map(|dst| {
                     let p = host_pod(dst);
-                    (0..spines_per_pod).map(|s| p * spines_per_pod + s).collect()
+                    (0..spines_per_pod)
+                        .map(|s| p * spines_per_pod + s)
+                        .collect()
                 })
                 .collect();
             switch_ports.push(ports);
@@ -462,7 +467,7 @@ mod tests {
         let t = Topology::leaf_spine(3, 4, 2, link(), link());
         assert_eq!(t.num_hosts(), 12);
         assert_eq!(t.num_switches(), 5); // 3 ToRs + 2 spines
-        // ToR 0 has 4 host ports + 2 uplinks.
+                                         // ToR 0 has 4 host ports + 2 uplinks.
         assert_eq!(t.switch_ports[0].len(), 6);
         // Spines have 3 ports (one per rack).
         assert_eq!(t.switch_ports[3].len(), 3);
@@ -503,7 +508,7 @@ mod tests {
         let t = Topology::clos(2, 2, 3, 4, 2, link(), link(), link());
         assert_eq!(t.num_hosts(), 24);
         assert_eq!(t.num_switches(), 6 + 4 + 2); // leaves + spines + cores
-        // Leaf: 4 host ports + 2 spine uplinks.
+                                                 // Leaf: 4 host ports + 2 spine uplinks.
         assert_eq!(t.switch_ports[0].len(), 6);
         // Spine (first spine id = 6): 3 leaf ports + 2 core uplinks.
         assert_eq!(t.switch_ports[6].len(), 5);
@@ -567,7 +572,10 @@ mod tests {
                 _ => unreachable!(),
             };
             let down = t.route(sw, HostId(2), hash);
-            assert_eq!(t.switch_ports[sw.0][down].peer, NodeRef::Switch(SwitchId(1)));
+            assert_eq!(
+                t.switch_ports[sw.0][down].peer,
+                NodeRef::Switch(SwitchId(1))
+            );
         }
     }
 

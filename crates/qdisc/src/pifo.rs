@@ -57,7 +57,9 @@ impl PartialOrd for MaxKey {
 }
 impl Ord for MaxKey {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.rank.cmp(&other.rank).then_with(|| self.seq.cmp(&other.seq))
+        self.rank
+            .cmp(&other.rank)
+            .then_with(|| self.seq.cmp(&other.seq))
     }
 }
 

@@ -9,7 +9,12 @@ use proptest::prelude::*;
 
 /// Drive both schedulers with an identical continuously-backlogged workload
 /// and compare long-run per-class byte shares.
-fn service_shares<S: Scheduler<u64>>(s: &mut S, classes: usize, pkt_bytes: u32, serves: usize) -> Vec<f64> {
+fn service_shares<S: Scheduler<u64>>(
+    s: &mut S,
+    classes: usize,
+    pkt_bytes: u32,
+    serves: usize,
+) -> Vec<f64> {
     // Keep every class saturated.
     for round in 0..(serves * 2) {
         for c in 0..classes {
@@ -40,7 +45,11 @@ fn wfq_and_dwrr_converge_to_the_same_shares() {
             b[c]
         );
         let want = weights[c] / 13.0;
-        assert!((a[c] - want).abs() < 0.02, "class {c}: {:.3} vs {want:.3}", a[c]);
+        assert!(
+            (a[c] - want).abs() < 0.02,
+            "class {c}: {:.3} vs {want:.3}",
+            a[c]
+        );
     }
 }
 
@@ -52,7 +61,12 @@ fn extreme_weight_ratio_approaches_spq() {
     let mut spq = SpqScheduler::new(2, None);
     let a = service_shares(&mut wfq, 2, 1500, 2000);
     let b = service_shares(&mut spq, 2, 1500, 2000);
-    assert!((a[0] - b[0]).abs() < 0.01, "WFQ {:.4} vs SPQ {:.4}", a[0], b[0]);
+    assert!(
+        (a[0] - b[0]).abs() < 0.01,
+        "WFQ {:.4} vs SPQ {:.4}",
+        a[0],
+        b[0]
+    );
     assert!(a[0] > 0.99);
 }
 

@@ -402,7 +402,11 @@ fn region_check(recon: &Reconstruction, params: &BoundParams, opts: &AuditOption
                     .iter()
                     .map(|s| (s * 1000.0).round() / 1000.0)
                     .collect::<Vec<_>>(),
-                if free { "inversion-free" } else { "NOT inversion-free" }
+                if free {
+                    "inversion-free"
+                } else {
+                    "NOT inversion-free"
+                }
             ),
         }
     }
@@ -580,9 +584,6 @@ mod tests {
         );
         let report = run(t);
         assert_eq!(report.verdict, CheckStatus::Pass, "{:#?}", report.checks);
-        assert!(report
-            .checks
-            .iter()
-            .all(|c| c.status != CheckStatus::Fail));
+        assert!(report.checks.iter().all(|c| c.status != CheckStatus::Fail));
     }
 }

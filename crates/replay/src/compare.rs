@@ -5,8 +5,8 @@
 //! moved against a baseline run.
 
 use crate::audit::{audit, AuditOptions, AuditReport};
-use crate::report::{report_json, JsonWriter};
 use crate::reconstruct::Reconstruction;
+use crate::report::{report_json, JsonWriter};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -167,8 +167,8 @@ pub fn analyze(
     std::fs::create_dir_all(out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
     let mut summaries = Vec::new();
     for (name, path) in &runs {
-        let mut recon = Reconstruction::from_file(path)
-            .map_err(|e| format!("run '{name}': {e}"))?;
+        let mut recon =
+            Reconstruction::from_file(path).map_err(|e| format!("run '{name}': {e}"))?;
         let report = audit(&mut recon, opts);
         let doc = report_json(&mut recon, &report);
         let report_path = out.join(format!("{name}.audit.json"));
@@ -202,7 +202,11 @@ fn compare_text(summaries: &[RunSummary], base_idx: usize) -> String {
         base.name
     );
     for s in summaries {
-        let marker = if s.name == base.name { " (baseline)" } else { "" };
+        let marker = if s.name == base.name {
+            " (baseline)"
+        } else {
+            ""
+        };
         let failed = if s.failed_checks.is_empty() {
             String::new()
         } else {
@@ -342,8 +346,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         write_trace(&dir, "only", 1_000_000);
-        let err = analyze(&dir, &dir.join("x"), Some("nope"), &AuditOptions::default())
-            .unwrap_err();
+        let err =
+            analyze(&dir, &dir.join("x"), Some("nope"), &AuditOptions::default()).unwrap_err();
         assert!(err.contains("baseline run 'nope' not found"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }

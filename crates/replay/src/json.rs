@@ -324,7 +324,10 @@ impl<'a> Fields<'a> {
             At::After(end) if b.get(end) == Some(&b',') => end + 1,
             _ => return Ok(None),
         };
-        if !b.get(at..).is_some_and(|rest| rest.starts_with(key.as_bytes())) {
+        if !b
+            .get(at..)
+            .is_some_and(|rest| rest.starts_with(key.as_bytes()))
+        {
             return Ok(None);
         }
         self.value(at + key.len()).map(Some)
@@ -422,8 +425,9 @@ mod tests {
 
     #[test]
     fn decodes_escapes() {
-        let f = parse_object("{\"m\":\"a\\n\\\"b\\\"\\\\\",\"u\":\"\\u00e9\\ud800\\/\",\"p\":\"é,]\"}")
-            .unwrap();
+        let f =
+            parse_object("{\"m\":\"a\\n\\\"b\\\"\\\\\",\"u\":\"\\u00e9\\ud800\\/\",\"p\":\"é,]\"}")
+                .unwrap();
         assert!(matches!(f[0].1.as_str(), Some(Cow::Owned(s)) if s == "a\n\"b\"\\"));
         assert_eq!(f[1].1.as_str().as_deref(), Some("é\u{fffd}/"));
         // No escapes: a slice of the line, not a copy.
@@ -464,9 +468,14 @@ mod tests {
             let f = parse_object(&line).unwrap_or_else(|e| panic!("{tok}: {e}"));
             assert_eq!(f[0].1.as_f64(), tok.parse().ok(), "{tok}");
         }
-        for tok in [".", "-", "+", "e5", "1e", "1e+", "-.", "1..2", "1-2", "--1", "1e5.5", "0x10"] {
+        for tok in [
+            ".", "-", "+", "e5", "1e", "1e+", "-.", "1..2", "1-2", "--1", "1e5.5", "0x10",
+        ] {
             assert!(tok.parse::<f64>().is_err(), "{tok}");
-            assert!(parse_object(&format!("{{\"a\":{tok}}}")).is_err(), "accepted: {tok}");
+            assert!(
+                parse_object(&format!("{{\"a\":{tok}}}")).is_err(),
+                "accepted: {tok}"
+            );
         }
     }
 
@@ -501,7 +510,17 @@ mod tests {
     #[test]
     fn string_scanning_agrees_with_the_grammar_at_every_offset() {
         let specials = [
-            "\"", "\\\"", "\\\\", "\\n", "\\/", "\\u00e9", "\\u12g4", "\\x", "\\", "\u{1}", "\u{1f}",
+            "\"",
+            "\\\"",
+            "\\\\",
+            "\\n",
+            "\\/",
+            "\\u00e9",
+            "\\u12g4",
+            "\\x",
+            "\\",
+            "\u{1}",
+            "\u{1f}",
             "\u{e9}\u{7f}",
         ];
         let mut cases = 0;
@@ -541,7 +560,9 @@ mod tests {
     #[test]
     fn digit_scanning_agrees_with_the_grammar() {
         for len in 1..=24 {
-            let digits: String = (0..len).map(|i| char::from(b'1' + (i * 7 % 9) as u8)).collect();
+            let digits: String = (0..len)
+                .map(|i| char::from(b'1' + (i * 7 % 9) as u8))
+                .collect();
             for pad in 0..8 {
                 let pad = "p".repeat(pad);
                 for (next, ok) in [

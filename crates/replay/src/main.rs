@@ -18,7 +18,11 @@
 //! Exit codes: 0 = success (audit verdict PASS), 1 = audit verdict FAIL,
 //! 2 = usage, I/O, or schema error.
 
-#![allow(clippy::print_stdout, clippy::print_stderr, reason = "a CLI reports on stdout/stderr")]
+#![allow(
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "a CLI reports on stdout/stderr"
+)]
 
 use aequitas_replay::audit::{audit, AuditOptions, CheckStatus};
 use aequitas_replay::compare::analyze;

@@ -27,7 +27,8 @@ impl MetricsCsv {
         }
         let mut out = MetricsCsv::default();
         for (idx, row) in lines {
-            let cols = split_csv(row).ok_or_else(|| format!("line {}: unbalanced quotes", idx + 1))?;
+            let cols =
+                split_csv(row).ok_or_else(|| format!("line {}: unbalanced quotes", idx + 1))?;
             if cols.len() != 4 {
                 return Err(format!(
                     "line {}: expected 4 CSV fields, got {}",

@@ -60,11 +60,15 @@ pub struct RunInfo {
 impl RunInfo {
     fn from_event(ev: &RawEvent) -> RunInfo {
         RunInfo {
-            experiment: ev.str(Field::Experiment).map_or_else(|| "?".into(), String::from),
+            experiment: ev
+                .str(Field::Experiment)
+                .map_or_else(|| "?".into(), String::from),
             hosts: ev.u64(Field::Hosts).unwrap_or(0),
             classes: ev.u64(Field::Classes).unwrap_or(0),
             weights: ev.arr(Field::Weights, Value::as_f64).unwrap_or_default(),
-            slos_per_mtu_ps: ev.arr(Field::SlosPerMtuPs, Value::as_u64).unwrap_or_default(),
+            slos_per_mtu_ps: ev
+                .arr(Field::SlosPerMtuPs, Value::as_u64)
+                .unwrap_or_default(),
             slo_percentile: ev.num(Field::SloPercentile).unwrap_or(0.0),
             warmup_ps: ev.u64(Field::WarmupPs).unwrap_or(0),
             duration_ps: ev.u64(Field::DurationPs).unwrap_or(0),
@@ -821,11 +825,18 @@ mod tests {
         let r = Reconstruction::from_reader(Cursor::new(bytes)).unwrap();
         assert_eq!(r.integrity.parse_errors, 1);
         let sample = &r.integrity.parse_error_samples[0];
-        assert!(sample.starts_with("line 4: invalid UTF-8 at byte"), "{sample}");
+        assert!(
+            sample.starts_with("line 4: invalid UTF-8 at byte"),
+            "{sample}"
+        );
         assert_eq!(r.events, 3);
         let mut r = r;
         let report = crate::audit::audit(&mut r, &crate::AuditOptions::default());
-        let integrity = report.checks.iter().find(|c| c.name == "trace_integrity").unwrap();
+        let integrity = report
+            .checks
+            .iter()
+            .find(|c| c.name == "trace_integrity")
+            .unwrap();
         assert_eq!(integrity.status, crate::CheckStatus::Fail, "{integrity:?}");
     }
 
@@ -834,7 +845,10 @@ mod tests {
         let t = header() + &enq(1, 100, 0, 1000, 1000) + "\n" + &deq(2, 200, 0, 1000, 0);
         let t = t.replace('\n', "\r\n");
         let r = Reconstruction::from_reader(Cursor::new(t.trim_end().to_string())).unwrap();
-        assert_eq!((r.events, r.integrity.parse_errors, r.integrity.seq_gaps), (3, 0, 0));
+        assert_eq!(
+            (r.events, r.integrity.parse_errors, r.integrity.seq_gaps),
+            (3, 0, 0)
+        );
         assert_eq!(r.kind_counts["pkt_dequeue"], 1);
     }
 

@@ -216,7 +216,8 @@ pub fn report_json(recon: &mut Reconstruction, report: &AuditReport) -> String {
     }
     w.key("events").u64_val(recon.events);
     w.key("epochs").u64_val(recon.epochs);
-    w.key("last_t_us").f64_val(round6(recon.last_t_ps as f64 / 1e6));
+    w.key("last_t_us")
+        .f64_val(round6(recon.last_t_ps as f64 / 1e6));
     w.key("verdict").str_val(report.verdict.as_str());
     w.key("checks").begin_arr();
     for c in &report.checks {
@@ -301,10 +302,22 @@ pub fn report_json(recon: &mut Reconstruction, report: &AuditReport) -> String {
     }
     w.end_arr();
     w.key("faults").begin_obj();
-    w.key("link_windows")
-        .u64_val(recon.faults.link_windows.values().map(|v| v.len() as u64).sum());
-    w.key("quota_windows")
-        .u64_val(recon.faults.quota_windows.values().map(|v| v.len() as u64).sum());
+    w.key("link_windows").u64_val(
+        recon
+            .faults
+            .link_windows
+            .values()
+            .map(|v| v.len() as u64)
+            .sum(),
+    );
+    w.key("quota_windows").u64_val(
+        recon
+            .faults
+            .quota_windows
+            .values()
+            .map(|v| v.len() as u64)
+            .sum(),
+    );
     w.key("pkt_drops").u64_val(recon.faults.pkt_drops);
     w.key("corrupt_drops").u64_val(recon.faults.corrupt_drops);
     w.end_obj();
@@ -341,7 +354,13 @@ pub fn report_text(recon: &mut Reconstruction, report: &AuditReport) -> String {
             (Some(m), Some(l)) => format!(" [{:.4} vs {:.4}]", m, l),
             _ => String::new(),
         };
-        let _ = writeln!(out, "  {:<22} {:<4}{nums} {}", c.name, c.status.as_str(), c.detail);
+        let _ = writeln!(
+            out,
+            "  {:<22} {:<4}{nums} {}",
+            c.name,
+            c.status.as_str(),
+            c.detail
+        );
     }
     for (&q, st) in recon.qos.iter_mut() {
         if let (Some(p50), Some(p99), Some(p999)) = (
@@ -371,11 +390,7 @@ pub fn report_text(recon: &mut Reconstruction, report: &AuditReport) -> String {
     if let (Some(onset), Some(info)) = (onset, recon.run_info.as_ref()) {
         const RECOVERY_WINDOW_PS: u64 = 500_000_000; // 500 us buckets
         for (&q, points) in &recon.qos_rnl_points {
-            let slo = info
-                .slos_per_mtu_ps
-                .get(q as usize)
-                .copied()
-                .unwrap_or(0);
+            let slo = info.slos_per_mtu_ps.get(q as usize).copied().unwrap_or(0);
             if slo == 0 {
                 continue;
             }
@@ -426,7 +441,10 @@ mod tests {
         w.key("e").null_val();
         w.end_obj();
         let doc = w.finish();
-        assert_eq!(doc, "{\"a\":1,\"b\":[1,\"x\\\"y\",{\"c\":true}],\"d\":0.5,\"e\":null}");
+        assert_eq!(
+            doc,
+            "{\"a\":1,\"b\":[1,\"x\\\"y\",{\"c\":true}],\"d\":0.5,\"e\":null}"
+        );
         // Our own scanner accepts it (objects nested in arrays aside).
         let mut fields = crate::json::Fields::new("{\"a\":1,\"d\":0.5,\"e\":null}");
         while fields.next_field().unwrap().is_some() {}

@@ -94,7 +94,9 @@ pub fn windowed_until(
     horizon_ps: u64,
 ) -> Option<Vec<WindowPoint>> {
     let mut w = windowed(points, window_ps)?;
-    let mut next = w.last().map_or(Some(0), |x| x.start_ps.checked_add(window_ps));
+    let mut next = w
+        .last()
+        .map_or(Some(0), |x| x.start_ps.checked_add(window_ps));
     while let Some(start_ps) = next.filter(|&t| t < horizon_ps) {
         if w.len() as u64 >= MAX_WINDOWS {
             return None;
@@ -271,7 +273,10 @@ mod tests {
     fn spans_past_the_window_limit_are_refused() {
         // The limit is on the span, not on the number of points.
         let last = (MAX_WINDOWS - 1) * MS;
-        assert_eq!(windowed(&[(0, 1.0), (last, 1.0)], MS).unwrap().len() as u64, MAX_WINDOWS);
+        assert_eq!(
+            windowed(&[(0, 1.0), (last, 1.0)], MS).unwrap().len() as u64,
+            MAX_WINDOWS
+        );
         assert!(windowed(&[(0, 1.0), (last + MS, 1.0)], MS).is_none());
         assert!(windowed(&[(0, 1.0), (u64::MAX, 1.0)], 1).is_none());
         // Padding counts too, and stops short of u64::MAX instead of

@@ -281,7 +281,9 @@ fn resolved<'a>(
             return Ok(Some((Some(field), value)));
         }
     }
-    Ok(fields.next_field()?.map(|(key, value)| (Field::from_key(key), value)))
+    Ok(fields
+        .next_field()?
+        .map(|(key, value)| (Field::from_key(key), value)))
 }
 
 /// Parse one trace line. Errors describe what is wrong with the line, not
@@ -379,9 +381,8 @@ mod tests {
         .unwrap();
         assert!(check_header(&ev).is_err());
 
-        let ev =
-            parse_line("{\"seq\":0,\"t_ps\":100,\"type\":\"pkt_enqueue\",\"node\":\"host0\"}")
-                .unwrap();
+        let ev = parse_line("{\"seq\":0,\"t_ps\":100,\"type\":\"pkt_enqueue\",\"node\":\"host0\"}")
+            .unwrap();
         let err = check_header(&ev).unwrap_err();
         assert!(err.contains("pre-v2"), "{err}");
     }
@@ -447,7 +448,10 @@ mod tests {
         assert_eq!(ev.u64(Field::Port), Some(3));
         assert_eq!(ev.str("x").as_deref(), Some("y"));
         // The lead is not a field; a later `seq` is.
-        assert_eq!((ev.seq, ev.u64(Field::Seq), ev.u64("t_ps")), (1, Some(9), None));
+        assert_eq!(
+            (ev.seq, ev.u64(Field::Seq), ev.u64("t_ps")),
+            (1, Some(9), None)
+        );
         assert_eq!(ev.u64(Field::Class), None);
     }
 
@@ -468,13 +472,20 @@ mod tests {
     /// saturated, both without an error.
     #[test]
     fn lead_integers_are_exact_or_an_error() {
-        let line = |n: &str| format!("{{\"seq\":{n},\"t_ps\":{n},\"type\":\"warn\",\"until_ps\":{n}}}");
+        let line =
+            |n: &str| format!("{{\"seq\":{n},\"t_ps\":{n},\"type\":\"warn\",\"until_ps\":{n}}}");
         for n in [(1u64 << 53) + 1, u64::MAX] {
             let text = line(&n.to_string());
             let ev = parse_line(&text).unwrap();
             assert_eq!((ev.seq, ev.t_ps, ev.u64("until_ps")), (n, n, Some(n)));
         }
-        for bad in ["18446744073709551616", "100000000000000000000", "-1", "1.5", "\"1\""] {
+        for bad in [
+            "18446744073709551616",
+            "100000000000000000000",
+            "-1",
+            "1.5",
+            "\"1\"",
+        ] {
             let err = parse_line(&line(bad)).unwrap_err();
             assert!(err.contains("'seq' is not an unsigned"), "{bad}: {err}");
         }
@@ -490,7 +501,10 @@ mod tests {
             "{\"seq\":1,\"t_ps\":2,\"type\":3}",
         ] {
             let err = parse_line(bad).unwrap_err();
-            assert!(err.contains("does not start with seq,t_ps,type"), "{bad}: {err}");
+            assert!(
+                err.contains("does not start with seq,t_ps,type"),
+                "{bad}: {err}"
+            );
         }
         let wide = |n: usize| {
             let extra: String = (0..n).map(|i| format!(",\"k{i}\":{i}")).collect();
@@ -498,6 +512,8 @@ mod tests {
         };
         let text = wide(MAX_FIELDS);
         assert_eq!(parse_line(&text).unwrap().u64("k15"), Some(15));
-        assert!(parse_line(&wide(MAX_FIELDS + 1)).unwrap_err().contains("more than"));
+        assert!(parse_line(&wide(MAX_FIELDS + 1))
+            .unwrap_err()
+            .contains("more than"));
     }
 }

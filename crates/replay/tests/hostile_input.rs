@@ -160,7 +160,10 @@ fn exercise(bytes: &[u8]) {
         Ok(recon) => recon,
         Err(e) => {
             let header = seed_trace().swap_remove(0) + "\n";
-            assert!(!bytes.starts_with(header.as_bytes()), "refused behind a good header: {e}");
+            assert!(
+                !bytes.starts_with(header.as_bytes()),
+                "refused behind a good header: {e}"
+            );
             return;
         }
     };
@@ -355,6 +358,9 @@ fn completions_at_the_end_of_time_do_not_overflow_the_recovery_timeline() {
     assert_eq!(recon.qos_rnl_points[&0].len(), 2);
     let report = audit(&mut recon, &AuditOptions::default());
     let out = aequitas_replay::report::report_text(&mut recon, &report);
-    assert!(out.contains("qos0: SLO NOT restored within the trace"), "{out}");
+    assert!(
+        out.contains("qos0: SLO NOT restored within the trace"),
+        "{out}"
+    );
     exercise(text.as_bytes());
 }

@@ -24,17 +24,27 @@ fn assert_recovers(ev: &TraceEvent, seq: u64, t_ps: u64, line: &str) {
 
     let int = |key: &str, want: u64| assert_eq!(raw.u64(key), Some(want), "'{key}' in {line}");
     let flag = |key: &str, want: bool| assert_eq!(raw.bool(key), Some(want), "'{key}' in {line}");
-    let text =
-        |key: &str, want: &str| assert_eq!(raw.str(key).as_deref(), Some(want), "'{key}' in {line}");
+    let text = |key: &str, want: &str| {
+        assert_eq!(raw.str(key).as_deref(), Some(want), "'{key}' in {line}")
+    };
     // `{}` prints the shortest digits that parse back to the same f64.
     let exact = |key: &str, want: f64| {
-        assert_eq!(raw.num(key).map(f64::to_bits), Some(want.to_bits()), "'{key}' in {line}")
+        assert_eq!(
+            raw.num(key).map(f64::to_bits),
+            Some(want.to_bits()),
+            "'{key}' in {line}"
+        )
     };
     // `{:.N}` rounds to N decimals: half a unit in the last place.
     let rounded = |key: &str, want: f64, decimals: i32| {
-        let got = raw.num(key).unwrap_or_else(|| panic!("no number '{key}' in {line}"));
+        let got = raw
+            .num(key)
+            .unwrap_or_else(|| panic!("no number '{key}' in {line}"));
         let half_ulp = 0.5 * 10f64.powi(-decimals);
-        assert!((got - want).abs() <= half_ulp * 1.000_001, "'{key}' = {got}, wrote {want}: {line}");
+        assert!(
+            (got - want).abs() <= half_ulp * 1.000_001,
+            "'{key}' = {got}, wrote {want}: {line}"
+        );
     };
     let port = |node: &NodeKind, node_id: &usize, port: &usize| {
         let kind = match node {
@@ -72,8 +82,16 @@ fn assert_recovers(ev: &TraceEvent, seq: u64, t_ps: u64, line: &str) {
             int("hosts", u64::from(*hosts));
             int("classes", u64::from(*classes));
             let bits = |v: &[f64]| v.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
-            assert_eq!(raw.arr("weights", Value::as_f64).map(|w| bits(&w)), Some(bits(weights)), "{line}");
-            assert_eq!(raw.arr("slos_per_mtu_ps", Value::as_u64).as_ref(), Some(slos_per_mtu_ps), "{line}");
+            assert_eq!(
+                raw.arr("weights", Value::as_f64).map(|w| bits(&w)),
+                Some(bits(weights)),
+                "{line}"
+            );
+            assert_eq!(
+                raw.arr("slos_per_mtu_ps", Value::as_u64).as_ref(),
+                Some(slos_per_mtu_ps),
+                "{line}"
+            );
             exact("slo_percentile", *slo_percentile);
             int("warmup_ps", *warmup_ps);
             int("duration_ps", *duration_ps);
@@ -250,17 +268,26 @@ fn reader_recovers_every_field_of_the_golden_stream() {
 /// Build an event of variant `which` from raw material: integer words `w`
 /// (each already scaled to a random magnitude), unit floats `f`, and text.
 fn event_from(which: usize, w: &[u64], f: &[f64], text: &[String]) -> TraceEvent {
-    let node = if w[0] & 1 == 0 { NodeKind::Host } else { NodeKind::Switch };
+    let node = if w[0] & 1 == 0 {
+        NodeKind::Host
+    } else {
+        NodeKind::Switch
+    };
     let flag = w[1] & 1 == 1;
     let (a, b, c, d, e) = (w[2], w[3], w[4], w[5], w[6]);
     match which % 15 {
-        0 => TraceEvent::TraceHeader { schema_version: a as u32 },
+        0 => TraceEvent::TraceHeader {
+            schema_version: a as u32,
+        },
         1 => TraceEvent::RunInfo {
             experiment: text[0].clone(),
             hosts: a as u32,
             classes: b as u32,
             // Signed, and over many orders of magnitude.
-            weights: f.iter().map(|x| (x - 0.5) * 10f64.powi((c % 40) as i32 - 20)).collect(),
+            weights: f
+                .iter()
+                .map(|x| (x - 0.5) * 10f64.powi((c % 40) as i32 - 20))
+                .collect(),
             slos_per_mtu_ps: w.to_vec(),
             slo_percentile: f[0] * 100.0,
             warmup_ps: d,

@@ -164,12 +164,7 @@ mod tests {
         BitRate::from_gbps(100)
     }
 
-    fn mk_host(
-        host: usize,
-        spec: Option<WorkloadSpec>,
-        n_hosts: usize,
-        seed: u64,
-    ) -> WorkloadHost {
+    fn mk_host(host: usize, spec: Option<WorkloadSpec>, n_hosts: usize, seed: u64) -> WorkloadHost {
         let stack = RpcStack::new(
             HostId(host),
             QosMapping::three_level(),
@@ -304,7 +299,9 @@ mod tests {
         };
         let n = 4;
         let topo = Topology::star(n, LinkSpec::default_100g());
-        let agents = (0..n).map(|h| mk_host(h, Some(spec.clone()), n, 40)).collect();
+        let agents = (0..n)
+            .map(|h| mk_host(h, Some(spec.clone()), n, 40))
+            .collect();
         let mut eng = Engine::new(topo, agents, EngineConfig::default_3qos());
         eng.run_until(SimTime::from_ms(10));
         for (h, host) in eng.agents().iter().enumerate() {
@@ -351,11 +348,7 @@ mod tests {
         eng.run_until(SimTime::from_ms(20));
         let done = eng.agents()[0].completions();
         assert!(done.len() > 100);
-        let early: f64 = done[..20]
-            .iter()
-            .map(|c| c.rnl().as_us_f64())
-            .sum::<f64>()
-            / 20.0;
+        let early: f64 = done[..20].iter().map(|c| c.rnl().as_us_f64()).sum::<f64>() / 20.0;
         let late: f64 = done[done.len() - 20..]
             .iter()
             .map(|c| c.rnl().as_us_f64())

@@ -23,9 +23,7 @@ pub mod driver;
 pub mod stack;
 
 pub use driver::WorkloadHost;
-pub use stack::{
-    Policy, RetryConfig, RpcCompletion, RpcFailure, RpcStack, RPC_RETRY_TIMER,
-};
+pub use stack::{Policy, RetryConfig, RpcCompletion, RpcFailure, RpcStack, RPC_RETRY_TIMER};
 
 pub use aequitas_workloads::{
     ArrivalProcess, Priority, PrioritySpec, QosClass, QosMapping, TrafficPattern, WorkloadSpec,

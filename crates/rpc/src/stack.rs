@@ -1133,7 +1133,10 @@ mod retry_tests {
         let topo = Topology::star(2, LinkSpec::default_100g());
         let mut eng = Engine::new(topo, agents, cfg);
         eng.run_until(SimTime::from_ms(200));
-        let mut h = std::mem::replace(&mut eng.agents_mut()[0], RetryHost::new(0, RetryConfig::default()));
+        let mut h = std::mem::replace(
+            &mut eng.agents_mut()[0],
+            RetryHost::new(0, RetryConfig::default()),
+        );
         h.harvest();
         h.stack.sample_metrics();
         telemetry.sample(SimTime::from_ms(200));
@@ -1172,9 +1175,17 @@ mod retry_tests {
         assert_eq!(h.failed.len(), 0, "{:?}", h.failed);
         assert_eq!(h.done.len(), 1);
         let c = &h.done[0];
-        assert!(c.attempts >= 2, "expected retries, got {} attempts", c.attempts);
+        assert!(
+            c.attempts >= 2,
+            "expected retries, got {} attempts",
+            c.attempts
+        );
         assert_eq!(c.issued_at, SimTime::ZERO, "RNL must span the retry saga");
-        assert!(c.completed_at >= SimTime::from_ms(4), "{:?}", c.completed_at);
+        assert!(
+            c.completed_at >= SimTime::from_ms(4),
+            "{:?}",
+            c.completed_at
+        );
     }
 
     #[test]
@@ -1190,7 +1201,12 @@ mod retry_tests {
         let h = run_flapped(
             SimDuration::from_ms(50),
             retry,
-            vec![(HostId(1), Priority::PerformanceCritical, 32_768, Some(deadline))],
+            vec![(
+                HostId(1),
+                Priority::PerformanceCritical,
+                32_768,
+                Some(deadline),
+            )],
         );
         assert_eq!(h.done.len(), 0);
         assert_eq!(h.failed.len(), 1, "{:?}", h.failed);
@@ -1402,7 +1418,13 @@ mod counter_golden {
             SloTarget::per_mtu(SimDuration::from_ns(1), 99.0),
         );
         let script: Vec<_> = (0..300)
-            .map(|i| (HostId(1), [Priority::PerformanceCritical, Priority::NonCritical][i % 2], 32_768))
+            .map(|i| {
+                (
+                    HostId(1),
+                    [Priority::PerformanceCritical, Priority::NonCritical][i % 2],
+                    32_768,
+                )
+            })
             .collect();
         let drop_excess = metrics_csv(|tel| {
             let ctl = AdmissionController::new(impossible.clone(), 7);
@@ -1421,15 +1443,24 @@ mod counter_golden {
             };
             let send = vec![
                 (HostId(1), Priority::PerformanceCritical, 32_768, None),
-                (HostId(1), Priority::NonCritical, 8_192, Some(SimTime::from_ms(3))),
+                (
+                    HostId(1),
+                    Priority::NonCritical,
+                    8_192,
+                    Some(SimTime::from_ms(3)),
+                ),
             ];
             let h = retry_tests::run_flapped_traced(SimDuration::from_ms(100), retry, send, tel);
             assert_eq!((h.done.len(), h.failed.len()), (0, 2));
         });
-        let got = format!("# drop excess\n{drop_excess}# downgrade\n{downgrade}# flapped\n{flapped}");
+        let got =
+            format!("# drop excess\n{drop_excess}# downgrade\n{downgrade}# flapped\n{flapped}");
         if got != GOLDEN {
             eprintln!("{got}");
         }
-        assert!(got == GOLDEN, "metrics CSV differs from tests/fixtures/lazy_counters.csv (printed above)");
+        assert!(
+            got == GOLDEN,
+            "metrics CSV differs from tests/fixtures/lazy_counters.csv (printed above)"
+        );
     }
 }

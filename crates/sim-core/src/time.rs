@@ -19,15 +19,11 @@ pub const PS_PER_SEC: u64 = 1_000_000_000_000;
 
 /// An instant in simulated time, measured in picoseconds since simulation
 /// start.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 /// A span of simulated time, measured in picoseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(pub u64);
 
 impl SimTime {
@@ -371,13 +367,34 @@ mod tests {
 
     #[test]
     fn serialize_time_u64_path_matches_the_128_bit_path() {
-        let wide = |r: BitRate, bytes: u64| {
-            (bytes as u128 * 8 * PS_PER_SEC as u128 / r.0 as u128) as u64
-        };
+        let wide =
+            |r: BitRate, bytes: u64| (bytes as u128 * 8 * PS_PER_SEC as u128 / r.0 as u128) as u64;
         let gbps = |g: u64| g * 1_000_000_000;
-        let rates = [1, 3, 7_000, 999_999_937, gbps(30), gbps(100), gbps(400), u64::MAX];
+        let rates = [
+            1,
+            3,
+            7_000,
+            999_999_937,
+            gbps(30),
+            gbps(100),
+            gbps(400),
+            u64::MAX,
+        ];
         let top = 1 << 21;
-        let sizes = [0, 1, 63, 64, 1500, 4096, 4160, 65_536, top - 1, top, top + 1, 1 << 30];
+        let sizes = [
+            0,
+            1,
+            63,
+            64,
+            1500,
+            4096,
+            4160,
+            65_536,
+            top - 1,
+            top,
+            top + 1,
+            1 << 30,
+        ];
         for bps in rates {
             for bytes in sizes {
                 assert_eq!(

@@ -1,6 +1,5 @@
 //! Fixed-bucket histograms and empirical CDFs.
 
-
 /// A histogram over `[lo, hi)` with uniformly sized buckets, plus overflow
 /// and underflow counters. Doubles as an empirical CDF for figure output
 /// (e.g. outstanding-RPC CDFs in Fig. 13).

@@ -5,7 +5,6 @@
 //! memory and sort costs are trivial, and exactness means figure comparisons
 //! are not polluted by sketch approximation error.
 
-
 /// Collects `f64` samples and answers percentile queries exactly.
 #[derive(Debug, Clone, Default)]
 pub struct Percentiles {

@@ -181,9 +181,7 @@ mod tests {
     #[test]
     fn index_and_edge_roundtrip() {
         let h = LogLinearHistogram::with_sub_count(32);
-        for v in (0..4096u64)
-            .chain([1 << 20, (1 << 20) + 12345, u64::MAX / 2, u64::MAX])
-        {
+        for v in (0..4096u64).chain([1 << 20, (1 << 20) + 12345, u64::MAX / 2, u64::MAX]) {
             let idx = h.index(v);
             let hi = h.bucket_hi(idx);
             assert!(hi >= v, "upper edge {hi} below value {v}");
@@ -213,7 +211,10 @@ mod tests {
             let truth = values[rank - 1] as f64;
             let got = h.percentile(p).unwrap() as f64;
             let rel = (got - truth).abs() / truth.max(1.0);
-            assert!(rel <= 2.0 / 128.0 + 1e-9, "p{p}: got {got}, true {truth}, rel {rel}");
+            assert!(
+                rel <= 2.0 / 128.0 + 1e-9,
+                "p{p}: got {got}, true {truth}, rel {rel}"
+            );
         }
     }
 

@@ -213,10 +213,7 @@ impl Telemetry {
     }
 
     /// Write all sampled metric series to a CSV file at `path`.
-    pub fn write_metrics_csv_path(
-        &self,
-        path: impl AsRef<std::path::Path>,
-    ) -> std::io::Result<()> {
+    pub fn write_metrics_csv_path(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
         let path = path.as_ref();
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {

@@ -80,7 +80,12 @@ impl MetricsRegistry {
     /// Intern `(name, labels)` and return its dense handle, creating the
     /// slot with `init` if the key is new. Slot *type* is fixed by whoever
     /// interns first; mismatched updates are debug-asserted and ignored.
-    fn intern(&mut self, name: impl Into<String>, labels: String, init: impl FnOnce() -> Slot) -> MetricId {
+    fn intern(
+        &mut self,
+        name: impl Into<String>,
+        labels: String,
+        init: impl FnOnce() -> Slot,
+    ) -> MetricId {
         let key = (name.into(), labels);
         if let Some(&id) = self.index.get(&key) {
             return MetricId(id);

@@ -447,7 +447,9 @@ impl TraceEvent {
                 class,
                 msg_id,
                 seq,
-            } => put!(s, "host": *host, "dst": *dst, "class": *class, "msg_id": *msg_id, "seq": *seq),
+            } => {
+                put!(s, "host": *host, "dst": *dst, "class": *class, "msg_id": *msg_id, "seq": *seq)
+            }
             TraceEvent::AdmitProb {
                 host,
                 dst,
@@ -466,7 +468,11 @@ impl TraceEvent {
                 port,
                 until_ps,
             } => put!(s, "node": (*node, *node_id), "port": *port, "until_ps": *until_ps),
-            TraceEvent::FaultLinkUp { node, node_id, port } => {
+            TraceEvent::FaultLinkUp {
+                node,
+                node_id,
+                port,
+            } => {
                 put!(s, "node": (*node, *node_id), "port": *port);
             }
             TraceEvent::FaultPktDrop {
@@ -772,7 +778,10 @@ mod tests {
             backlog_bytes: 99,
         };
         let j = ev.to_json(7, 1234);
-        assert!(j.starts_with("{\"seq\":7,\"t_ps\":1234,\"type\":\"pkt_drop\""), "{j}");
+        assert!(
+            j.starts_with("{\"seq\":7,\"t_ps\":1234,\"type\":\"pkt_drop\""),
+            "{j}"
+        );
         assert!(j.ends_with('}'));
         assert!(j.contains("\"node\":\"switch3\""));
     }
@@ -808,7 +817,10 @@ mod tests {
         assert!(j.contains("\"type\":\"run_info\""), "{j}");
         assert!(j.contains("\"weights\":[4,1]"), "{j}");
         assert!(j.contains("\"slos_per_mtu_ps\":[1875,0]"), "{j}");
-        assert!(j.contains("\"mu\":0.8,\"rho\":1.2,\"period_ps\":100000000"), "{j}");
+        assert!(
+            j.contains("\"mu\":0.8,\"rho\":1.2,\"period_ps\":100000000"),
+            "{j}"
+        );
     }
 
     #[test]
@@ -820,7 +832,10 @@ mod tests {
             until_ps: 42,
         }
         .to_json(1, 10);
-        assert!(j.contains("\"type\":\"fault_link_down\"") && j.contains("\"until_ps\":42"), "{j}");
+        assert!(
+            j.contains("\"type\":\"fault_link_down\"") && j.contains("\"until_ps\":42"),
+            "{j}"
+        );
         let j = TraceEvent::FaultPktDrop {
             node: NodeKind::Host,
             node_id: 1,
@@ -831,7 +846,11 @@ mod tests {
         }
         .to_json(2, 20);
         assert!(j.contains("\"corrupt\":true"), "{j}");
-        let j = TraceEvent::FaultQuotaOutage { host: 3, down: false }.to_json(3, 30);
+        let j = TraceEvent::FaultQuotaOutage {
+            host: 3,
+            down: false,
+        }
+        .to_json(3, 30);
         assert!(j.contains("\"host\":3,\"down\":false"), "{j}");
     }
 
@@ -854,8 +873,20 @@ mod tests {
 
     /// `fixed` against `core::fmt`, at four and six decimals.
     fn matches_fmt(x: f64) -> Result<(), TestCaseError> {
-        prop_assert_eq!(fixed(x, 2), format!("{x:.4}"), "{:?} = {:#x}", x, x.to_bits());
-        prop_assert_eq!(fixed(x, 3), format!("{x:.6}"), "{:?} = {:#x}", x, x.to_bits());
+        prop_assert_eq!(
+            fixed(x, 2),
+            format!("{x:.4}"),
+            "{:?} = {:#x}",
+            x,
+            x.to_bits()
+        );
+        prop_assert_eq!(
+            fixed(x, 3),
+            format!("{x:.6}"),
+            "{:?} = {:#x}",
+            x,
+            x.to_bits()
+        );
         Ok(())
     }
 
@@ -882,7 +913,14 @@ mod tests {
         }
         let below = 9_223_372_036_854_774_784.0; // the largest f64 below 2^63
         assert_eq!(Fixed(below, 3).parts(), Some(((1 << 63) - 1024, 0)));
-        for x in [below, f64::MIN_POSITIVE, 5e-324, 4.999_999e-7, 5e-7, 5.000_001e-7] {
+        for x in [
+            below,
+            f64::MIN_POSITIVE,
+            5e-324,
+            4.999_999e-7,
+            5e-7,
+            5.000_001e-7,
+        ] {
             matches_fmt(x).unwrap();
         }
     }

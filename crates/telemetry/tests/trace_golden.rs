@@ -13,7 +13,11 @@ const GOLDEN: &str = include_str!("fixtures/trace_v2_golden.jsonl");
 fn writer_reproduces_the_golden_stream() {
     let events = golden_events::golden_events();
     let lines: Vec<&str> = GOLDEN.lines().collect();
-    assert_eq!(lines.len(), events.len(), "fixture and event list differ in length");
+    assert_eq!(
+        lines.len(),
+        events.len(),
+        "fixture and event list differ in length"
+    );
     // One reused buffer, as the telemetry handle does it.
     let mut scratch = String::new();
     for ((seq, t_ps, ev), want) in events.iter().zip(&lines) {
@@ -31,5 +35,8 @@ fn the_golden_stream_covers_every_variant() {
         seen[golden_events::variant_index(&ev)] += 1;
     }
     let missing: Vec<usize> = (0..seen.len()).filter(|&i| seen[i] == 0).collect();
-    assert!(missing.is_empty(), "variants {missing:?} have no golden line");
+    assert!(
+        missing.is_empty(),
+        "variants {missing:?} have no golden line"
+    );
 }

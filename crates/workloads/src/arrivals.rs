@@ -191,7 +191,11 @@ mod tests {
         let mu = 0.8;
         let rho = 1.6;
         let burst_len = period.mul_f64(mu / rho); // 50 us
-        let mut s = ArrivalState::new(ArrivalProcess::BurstOnOff { mu, rho, period }, RATE, 32_768.0);
+        let mut s = ArrivalState::new(
+            ArrivalProcess::BurstOnOff { mu, rho, period },
+            RATE,
+            32_768.0,
+        );
         let mut rng = SimRng::new(4);
         let arrivals = collect_until(&mut s, &mut rng, SimTime::from_ms(10));
         assert!(!arrivals.is_empty());

@@ -1,6 +1,5 @@
 //! RPC priority classes and their mapping to network QoS levels.
 
-
 /// Application-level RPC priority class (§2.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Priority {
@@ -33,9 +32,7 @@ impl Priority {
 /// A network QoS level: an index into the switch WFQ classes, `0` being the
 /// highest-weight queue. Values are small (the paper notes switches support
 /// ~10 WFQs per port).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct QosClass(pub u8);
 
 impl QosClass {

@@ -84,11 +84,7 @@ impl SizeDist {
                 .clamp(*min as f64, *max as f64),
             SizeDist::Mixture(parts) => {
                 let total: f64 = parts.iter().map(|(w, _)| w).sum();
-                parts
-                    .iter()
-                    .map(|(w, d)| w * d.mean_bytes())
-                    .sum::<f64>()
-                    / total
+                parts.iter().map(|(w, d)| w * d.mean_bytes()).sum::<f64>() / total
             }
             SizeDist::Empirical(points) => {
                 let total: f64 = points.iter().map(|(_, w)| w).sum();
@@ -168,10 +164,7 @@ mod tests {
 
     #[test]
     fn uniform_bounds_and_mean() {
-        let d = SizeDist::Uniform {
-            min: 100,
-            max: 200,
-        };
+        let d = SizeDist::Uniform { min: 100, max: 200 };
         let mut rng = SimRng::new(2);
         for _ in 0..1000 {
             let v = d.sample(&mut rng);
@@ -243,11 +236,7 @@ mod tests {
         );
         let mut nc = sample_many(&SizeDist::production_like(Priority::NonCritical), 30_000, 8);
         let mut be = sample_many(&SizeDist::production_like(Priority::BestEffort), 30_000, 9);
-        let (pc50, nc50, be50) = (
-            pc.p50().unwrap(),
-            nc.p50().unwrap(),
-            be.p50().unwrap(),
-        );
+        let (pc50, nc50, be50) = (pc.p50().unwrap(), nc.p50().unwrap(), be.p50().unwrap());
         assert!(pc50 < nc50 && nc50 < be50, "{pc50} {nc50} {be50}");
         assert!(
             pc.p999().unwrap() > nc50,

@@ -99,7 +99,10 @@ impl RpcStream {
         line_rate: BitRate,
         seed: u64,
     ) -> Self {
-        assert!(!spec.classes.is_empty(), "workload needs at least one class");
+        assert!(
+            !spec.classes.is_empty(),
+            "workload needs at least one class"
+        );
         let count_weights = count_weights(&spec.classes);
         let share_total: f64 = spec.classes.iter().map(|c| c.byte_share).sum();
         let weight_total: f64 = count_weights.iter().sum();
@@ -132,7 +135,10 @@ impl RpcStream {
     pub fn draw_rpc(&mut self, at: SimTime) -> Option<NextRpc> {
         let class = &self.spec.classes[self.rng.weighted_index(&self.count_weights)];
         let size_bytes = class.sizes.sample(&mut self.rng).max(1);
-        let dst = self.spec.pattern.pick_dst(self.src, self.n_hosts, &mut self.rng)?;
+        let dst = self
+            .spec
+            .pattern
+            .pick_dst(self.src, self.n_hosts, &mut self.rng)?;
         Some(NextRpc {
             at,
             dst,
@@ -222,7 +228,10 @@ mod tests {
         let w = WorkloadSpec::mix(
             ArrivalProcess::Uniform { load: 1.0 },
             TrafficPattern::AllToAll,
-            [(Priority::BestEffort, 1.0 - 0.7), (Priority::PerformanceCritical, 0.7)],
+            [
+                (Priority::BestEffort, 1.0 - 0.7),
+                (Priority::PerformanceCritical, 0.7),
+            ],
             |p| SizeDist::Fixed(if p == Priority::BestEffort { 64 } else { 32 }),
         );
         let classes: Vec<_> = w

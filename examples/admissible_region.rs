@@ -29,7 +29,10 @@ fn main() {
     println!("WFQ weights {weights:?}, average load mu={mu}, burst load rho={rho}\n");
 
     // Delay-bound profile: QoSm:QoSl fixed at 2:1 as QoSh-share sweeps.
-    println!("{:>10} {:>10} {:>10} {:>10}  (normalized worst-case delay)", "QoSh-share", "QoSh", "QoSm", "QoSl");
+    println!(
+        "{:>10} {:>10} {:>10} {:>10}  (normalized worst-case delay)",
+        "QoSh-share", "QoSh", "QoSm", "QoSl"
+    );
     let mut boundary = None;
     for pct in (5..=95).step_by(5) {
         let x = pct as f64 / 100.0;
@@ -69,6 +72,9 @@ fn main() {
     println!("\nmax QoSh-share admissible for a given normalized delay SLO:");
     for slo in [0.0, 0.01, 0.02, 0.05, 0.10, 0.20] {
         let share = admissible_share_for_slo(&weights, 0, &[2.0, 1.0], mu, rho, slo);
-        println!("  SLO {slo:>5.2} of a period -> QoSh-share <= {:.1}%", share * 100.0);
+        println!(
+            "  SLO {slo:>5.2} of a period -> QoSh-share <= {:.1}%",
+            share * 100.0
+        );
     }
 }

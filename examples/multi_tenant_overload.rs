@@ -84,12 +84,8 @@ fn main() {
     let (honest_aq, bulk_aq) = run(PolicyChoice::Aequitas(slo_config_33()), 22);
 
     println!("                         w/o Aequitas   w/ Aequitas");
-    println!(
-        "honest PC p99.9 RNL:    {honest_static:>10.1}us {honest_aq:>12.1}us"
-    );
-    println!(
-        "greedy bulk p99.9 RNL:  {bulk_static:>10.1}us {bulk_aq:>12.1}us"
-    );
+    println!("honest PC p99.9 RNL:    {honest_static:>10.1}us {honest_aq:>12.1}us");
+    println!("greedy bulk p99.9 RNL:  {bulk_static:>10.1}us {bulk_aq:>12.1}us");
     println!(
         "\nWithout admission control the greedy tenants' quarter-megabyte bulk\n\
          transfers ride QoSh and inflate everyone's tail. With Aequitas the\n\

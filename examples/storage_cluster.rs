@@ -58,11 +58,7 @@ fn run(policy: PolicyChoice, seed: u64) -> [Percentiles; 3] {
         setup.workloads[h] = Some(storage_workload());
     }
     let result = run_macro(setup);
-    let mut per_qos = [
-        Percentiles::new(),
-        Percentiles::new(),
-        Percentiles::new(),
-    ];
+    let mut per_qos = [Percentiles::new(), Percentiles::new(), Percentiles::new()];
     for c in &result.completions {
         // Normalized latency (per MTU) since sizes span decades.
         per_qos[c.qos_run.index().min(2)].record(c.rnl_per_mtu().as_us_f64());
@@ -88,8 +84,8 @@ fn main() {
             with[q].p999().unwrap_or(0.0),
         );
     }
-    let improvement =
-        without[QosClass::HIGH.index()].p999().unwrap() / with[QosClass::HIGH.index()].p999().unwrap();
+    let improvement = without[QosClass::HIGH.index()].p999().unwrap()
+        / with[QosClass::HIGH.index()].p999().unwrap();
     println!("\nQoSh tail improvement: {improvement:.1}x");
     assert!(improvement > 1.0);
 }

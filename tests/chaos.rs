@@ -4,8 +4,8 @@
 
 use aequitas_experiments::chaos;
 use aequitas_experiments::harness::RunCtx;
-use aequitas_telemetry::{MemorySink, Telemetry, TelemetryConfig};
 use aequitas_sim_core::SimDuration;
+use aequitas_telemetry::{MemorySink, Telemetry, TelemetryConfig};
 
 /// The whole point of the seeded fault layer: two runs of the same chaos
 /// scenario are byte-identical, and the scenario's invariants hold — the
@@ -107,7 +107,11 @@ fn fault_events_reach_the_flight_recorder() {
         chaos::link_flap(ctx);
     });
     assert!(!text.is_empty(), "no trace lines recorded");
-    for required in ["\"fault_link_down\"", "\"fault_link_up\"", "\"fault_pkt_drop\""] {
+    for required in [
+        "\"fault_link_down\"",
+        "\"fault_link_up\"",
+        "\"fault_pkt_drop\"",
+    ] {
         assert!(
             text.contains(required),
             "no {required} event in {} trace lines",

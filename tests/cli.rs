@@ -53,9 +53,16 @@ fn an_overflowing_sample_period_is_a_usage_error() {
     let out = run("18446744073710");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
-    assert!(stderr.contains("--sample-us") && stderr.contains("overflows"), "{stderr}");
+    assert!(
+        stderr.contains("--sample-us") && stderr.contains("overflows"),
+        "{stderr}"
+    );
     let out = run("18446744073709");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 /// The sharded engine writes no trace: `fleet-scale` with `--trace`,

@@ -48,10 +48,7 @@ fn aequitas_turns_slo_misses_into_downgrades() {
         run_macro(setup)
     };
     let slo = SloTarget::absolute(SimDuration::from_us(15), 8, 99.9);
-    let with = run(
-        PolicyChoice::Aequitas(AequitasConfig::two_qos(slo)),
-        1,
-    );
+    let with = run(PolicyChoice::Aequitas(AequitasConfig::two_qos(slo)), 1);
     let without = run(PolicyChoice::Static, 2);
 
     let with_h = p999_rnl_us(&with.completions, QosClass::HIGH).unwrap();
@@ -136,10 +133,7 @@ fn full_stack_is_deterministic() {
         (
             r.completions.len(),
             r.events,
-            r.completions
-                .iter()
-                .map(|c| c.rnl().as_ps())
-                .sum::<u64>(),
+            r.completions.iter().map(|c| c.rnl().as_ps()).sum::<u64>(),
         )
     };
     assert_eq!(run(), run());
@@ -169,7 +163,13 @@ fn port_counters_conserve_offered_load() {
 
     let classes = engine.classes();
     let host_tx: u64 = (0..3)
-        .map(|h| engine.host_nic_stats(HostId(h)).tx_packets.iter().sum::<u64>())
+        .map(|h| {
+            engine
+                .host_nic_stats(HostId(h))
+                .tx_packets
+                .iter()
+                .sum::<u64>()
+        })
         .sum();
     let mut switch_accounted = 0u64;
     let mut total_drops = 0u64;
@@ -178,8 +178,7 @@ fn port_counters_conserve_offered_load() {
         switch_accounted += st.tx_packets.iter().sum::<u64>() + st.total_drops();
         total_drops += st.total_drops();
         for class in 0..classes {
-            switch_accounted +=
-                engine.switch_port_class_packets(SwitchId(0), port, class) as u64;
+            switch_accounted += engine.switch_port_class_packets(SwitchId(0), port, class) as u64;
         }
     }
     let (fault_lost, fault_corrupted) = engine.fault_loss_totals();
@@ -201,7 +200,10 @@ fn port_counters_conserve_offered_load() {
         );
     }
     let hot = engine.switch_port_stats(SwitchId(0), 2);
-    assert!(hot.max_backlog_bytes > 0, "no queueing recorded at the hot port");
+    assert!(
+        hot.max_backlog_bytes > 0,
+        "no queueing recorded at the hot port"
+    );
     assert!(
         hot.max_class_depth_pkts.iter().any(|&d| d > 0),
         "no per-class depth recorded at the hot port: {:?}",

@@ -72,11 +72,7 @@ fn fig10_audit_passes_and_corruption_flips_verdict() {
     let (pre, rest) = line.split_once("\"t_ps\":").unwrap();
     let digits: String = rest.chars().take_while(|c| c.is_ascii_digit()).collect();
     let t: u64 = digits.parse().unwrap();
-    lines[victim] = format!(
-        "{pre}\"t_ps\":{}{}",
-        t + 500_000_000,
-        &rest[digits.len()..]
-    );
+    lines[victim] = format!("{pre}\"t_ps\":{}{}", t + 500_000_000, &rest[digits.len()..]);
     let corrupt = dir.join("fig10-corrupt.jsonl");
     std::fs::write(&corrupt, lines.join("\n") + "\n").unwrap();
 
@@ -168,7 +164,11 @@ fn replayed_rnl_percentiles_match_completions() {
     let tel = Telemetry::to_file(&path, TelemetryConfig::default()).unwrap();
     let result = run_macro(traced_rpc_setup(tel.clone()));
     tel.flush();
-    assert!(result.completions.len() > 100, "{}", result.completions.len());
+    assert!(
+        result.completions.len() > 100,
+        "{}",
+        result.completions.len()
+    );
 
     let mut recon = Reconstruction::from_file(&path).unwrap();
     let info = recon.run_info.clone().expect("run_info in trace");

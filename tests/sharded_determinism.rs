@@ -16,8 +16,7 @@ use aequitas_experiments::harness::{
 };
 use aequitas_experiments::slo;
 use aequitas_netsim::faults::{
-    FaultPlan, GrayDegrade, LinkFlap, LinkSel, LossRule, PodLayout, PodOutage, SwitchOutage,
-    Window,
+    FaultPlan, GrayDegrade, LinkFlap, LinkSel, LossRule, PodLayout, PodOutage, SwitchOutage, Window,
 };
 use aequitas_netsim::{HostId, LinkSpec, ShardSpec, ShardStats, Topology};
 use aequitas_sim_core::{BitRate, SimDuration, SimTime};
@@ -63,7 +62,12 @@ type Fingerprint = (u64, u64, CompletionLog, CompletionLog);
 /// Every observable of the run, at picosecond resolution. Two fingerprints
 /// are equal iff the simulations were byte-identical.
 fn fingerprint(r: &MacroResult) -> Fingerprint {
-    (r.issued, r.events, log_of(&r.completions), log_of(&r.warmup_completions))
+    (
+        r.issued,
+        r.events,
+        log_of(&r.completions),
+        log_of(&r.warmup_completions),
+    )
 }
 
 fn log_of(completions: &[aequitas_rpc::RpcCompletion]) -> CompletionLog {
@@ -226,7 +230,11 @@ fn run_engine(threads: usize, faults: Option<Arc<FaultPlan>>, step: SimDuration)
     assert_eq!(engine.workers(), threads.clamp(1, engine.num_domains()));
     let mut next = SimTime::ZERO;
     while next < end {
-        next = if step == SimDuration::MAX { end } else { end.min(next + step) };
+        next = if step == SimDuration::MAX {
+            end
+        } else {
+            end.min(next + step)
+        };
         engine.run_until(next);
     }
     let per_host = (0..hosts)

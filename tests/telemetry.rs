@@ -57,7 +57,11 @@ fn traced_run_emits_valid_monotone_jsonl_and_metrics() {
         },
     );
     let result = run_macro(traced_setup(tel.clone()));
-    assert!(result.completions.len() > 100, "{}", result.completions.len());
+    assert!(
+        result.completions.len() > 100,
+        "{}",
+        result.completions.len()
+    );
 
     let text = recorder.take();
     let lines: Vec<&str> = text.lines().collect();
@@ -122,7 +126,9 @@ fn traced_run_emits_valid_monotone_jsonl_and_metrics() {
     for row in rows {
         let cols = split_csv(row);
         assert_eq!(cols.len(), 4, "row is not 4 fields: {row}");
-        cols[0].parse::<f64>().unwrap_or_else(|_| panic!("bad t_us in {row}"));
+        cols[0]
+            .parse::<f64>()
+            .unwrap_or_else(|_| panic!("bad t_us in {row}"));
         cols[3]
             .parse::<f64>()
             .unwrap_or_else(|_| panic!("bad value in {row}"));

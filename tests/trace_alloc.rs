@@ -61,7 +61,10 @@ impl Counting {
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the only addition is a thread-local
 // counter bump that neither allocates nor unwinds.
-#[allow(unsafe_code, reason = "a counting allocator implements the unsafe GlobalAlloc trait")]
+#[allow(
+    unsafe_code,
+    reason = "a counting allocator implements the unsafe GlobalAlloc trait"
+)]
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         Counting::count();
@@ -228,7 +231,10 @@ fn reconstruction_allocs(lines: usize) -> u64 {
 #[test]
 fn reconstruction_allocates_per_growth_not_per_line() {
     const LINES: usize = 20_000;
-    let (first, both) = (reconstruction_allocs(LINES), reconstruction_allocs(2 * LINES));
+    let (first, both) = (
+        reconstruction_allocs(LINES),
+        reconstruction_allocs(2 * LINES),
+    );
     let marginal = both.saturating_sub(first);
     assert!(
         marginal * 100 < LINES as u64,
@@ -236,7 +242,10 @@ fn reconstruction_allocates_per_growth_not_per_line() {
     );
     // And building the state from nothing stays within a few per port,
     // class and channel doubling: under one per 50 lines at this size.
-    assert!(first * 50 < LINES as u64, "{first} allocations for {LINES} lines");
+    assert!(
+        first * 50 < LINES as u64,
+        "{first} allocations for {LINES} lines"
+    );
 }
 
 /// Hosts on the star both allocation runs below use.
@@ -274,7 +283,11 @@ impl HostAgent for Blaster {
                     class: self.rng.weighted_index(&[0.6, 0.3, 0.1]) as u8,
                 },
                 size_bytes: PKT_BYTES,
-                kind: PacketKind::Data { msg_id: id, seq: 0, is_last: true },
+                kind: PacketKind::Data {
+                    msg_id: id,
+                    seq: 0,
+                    is_last: true,
+                },
                 sent_at: ctx.now(),
                 rank: 0,
             });
@@ -291,7 +304,11 @@ impl HostAgent for Blaster {
 #[test]
 fn fabric_allocates_per_growth_not_per_packet() {
     let topo = Topology::star(STAR, LinkSpec::default_100g());
-    let gap = topo.host_ports[0].link.rate.serialize_time(PKT_BYTES.into()).mul_f64(1.0 / 0.8);
+    let gap = topo.host_ports[0]
+        .link
+        .rate
+        .serialize_time(PKT_BYTES.into())
+        .mul_f64(1.0 / 0.8);
     let blasters = (0..STAR)
         .map(|host| Blaster {
             host,
@@ -388,8 +405,12 @@ fn baseline_allocs_per_rpc<A: BaselineHost>(
         })
         .collect();
     let mut engine = Engine::new(topo, agents, config);
-    let done =
-        |e: &Engine<A>| e.agents().iter().map(|a| a.sender().completions().len()).sum::<usize>();
+    let done = |e: &Engine<A>| {
+        e.agents()
+            .iter()
+            .map(|a| a.sender().completions().len())
+            .sum::<usize>()
+    };
     engine.run_until(SimTime::from_us(500));
     let (rpcs, before) = (done(&engine), allocs());
     engine.run_until(SimTime::from_us(1_500));
