@@ -8,9 +8,9 @@
 #   2. The chaos scenarios are deterministic: two runs of chaos-flap print
 #      byte-identical output (the report includes a digest over every
 #      completion).
-#   3. The simsan sanitizer observes without steering: chaos-flap output is
-#      byte-identical with and without the feature (dev profile, matching
-#      the ci.sh simsan diff).
+#   3. The simulation sanitizer observes without steering: chaos-flap
+#      output is byte-identical from a debug build (checks on) and a release
+#      build (checks compiled out), like the ci.sh dev-vs-release diff.
 #   4. Gray/correlated fault plans (switch outage, pod outage, gray degrade)
 #      parse through the TOML schema, and validation rejects the malformed
 #      variants with named-rule diagnostics.
@@ -132,15 +132,11 @@ diff "$OUT/flap-1.txt" "$OUT/flap-2.txt" \
     || { echo "FAIL: chaos-flap runs differ" >&2; exit 1; }
 echo "ok: two chaos-flap runs byte-identical"
 
-echo "== chaos-flap simsan diff =="
-# Dev profile like the ci.sh simsan diff: both artifact trees are warm when
-# this runs after the test jobs.
+echo "== chaos-flap dev-vs-release diff =="
 cargo run -q --offline -p aequitas-experiments --bin aequitas-sim \
-    run chaos-flap > "$OUT/flap-san-off.txt"
-cargo run -q --offline -p aequitas-experiments --features simsan --bin aequitas-sim \
-    run chaos-flap > "$OUT/flap-san-on.txt"
-diff "$OUT/flap-san-off.txt" "$OUT/flap-san-on.txt" \
-    || { echo "FAIL: simsan perturbed the chaos run" >&2; exit 1; }
-echo "ok: simsan on/off byte-identical"
+    run chaos-flap > "$OUT/flap-dev.txt"
+diff "$OUT/flap-1.txt" "$OUT/flap-dev.txt" \
+    || { echo "FAIL: debug and release builds disagree on the chaos run" >&2; exit 1; }
+echo "ok: debug and release builds byte-identical"
 
 echo "chaos smoke passed"
