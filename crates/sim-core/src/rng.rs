@@ -55,13 +55,6 @@ impl SimRng {
         out
     }
 
-    /// Derive an independent child generator; useful for giving each host its
-    /// own stream so that adding hosts does not perturb existing ones.
-    pub fn fork(&mut self, salt: u64) -> SimRng {
-        let s = self.next_u64();
-        SimRng::new(s ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
     /// Uniform in `[0, 1)` with 53 random bits.
     pub fn uniform(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -224,15 +217,6 @@ mod tests {
         let f2 = counts[2] as f64 / 100_000.0;
         assert!((f1 - 0.3).abs() < 0.02);
         assert!((f2 - 0.6).abs() < 0.02);
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut root = SimRng::new(5);
-        let mut a = root.fork(1);
-        let mut b = root.fork(2);
-        let matches = (0..64).filter(|_| a.uniform() == b.uniform()).count();
-        assert!(matches < 4);
     }
 
     #[test]

@@ -40,50 +40,6 @@ impl TimeSeries {
     pub fn last_value(&self) -> Option<f64> {
         self.points.last().map(|&(_, v)| v)
     }
-
-    /// Mean of values at or after `t0` (steady-state averaging after a
-    /// convergence transient).
-    pub fn mean_after(&self, t0: SimTime) -> Option<f64> {
-        let vals: Vec<f64> = self
-            .points
-            .iter()
-            .filter(|&&(t, _)| t >= t0)
-            .map(|&(_, v)| v)
-            .collect();
-        if vals.is_empty() {
-            None
-        } else {
-            Some(vals.iter().sum::<f64>() / vals.len() as f64)
-        }
-    }
-
-    /// First time at which the value stays within `tol` (absolute) of
-    /// `target` for the remainder of the series — the convergence-time metric
-    /// of §6.6. Returns `None` if the series never settles.
-    pub fn convergence_time(&self, target: f64, tol: f64) -> Option<SimTime> {
-        let mut candidate: Option<SimTime> = None;
-        for &(t, v) in &self.points {
-            if (v - target).abs() <= tol {
-                if candidate.is_none() {
-                    candidate = Some(t);
-                }
-            } else {
-                candidate = None;
-            }
-        }
-        candidate
-    }
-
-    /// Downsample to at most `n` evenly spaced points (for compact printing).
-    pub fn downsample(&self, n: usize) -> Vec<(SimTime, f64)> {
-        if self.points.len() <= n || n == 0 {
-            return self.points.clone();
-        }
-        let step = self.points.len() as f64 / n as f64;
-        (0..n)
-            .map(|i| self.points[(i as f64 * step) as usize])
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -101,41 +57,5 @@ mod tests {
         s.push(t(2), 0.7);
         assert_eq!(s.len(), 2);
         assert_eq!(s.last_value(), Some(0.7));
-    }
-
-    #[test]
-    fn mean_after_filters() {
-        let mut s = TimeSeries::new();
-        s.push(t(0), 100.0);
-        s.push(t(10), 1.0);
-        s.push(t(20), 3.0);
-        assert_eq!(s.mean_after(t(10)), Some(2.0));
-        assert_eq!(s.mean_after(t(30)), None);
-    }
-
-    #[test]
-    fn convergence_time_finds_settle_point() {
-        let mut s = TimeSeries::new();
-        s.push(t(0), 0.0);
-        s.push(t(1), 0.9);
-        s.push(t(2), 0.4); // excursion resets the candidate
-        s.push(t(3), 0.95);
-        s.push(t(4), 1.0);
-        s.push(t(5), 0.98);
-        assert_eq!(s.convergence_time(1.0, 0.1), Some(t(3)));
-        assert_eq!(s.convergence_time(0.0, 0.01), None);
-    }
-
-    #[test]
-    fn downsample_keeps_bounds() {
-        let mut s = TimeSeries::new();
-        for i in 0..100 {
-            s.push(t(i), i as f64);
-        }
-        let d = s.downsample(10);
-        assert_eq!(d.len(), 10);
-        assert_eq!(d[0].1, 0.0);
-        // Short series pass through untouched.
-        assert_eq!(s.downsample(1000).len(), 100);
     }
 }

@@ -13,7 +13,6 @@ pub struct ThroughputMeter {
     window: SimDuration,
     window_start: SimTime,
     window_bytes: u64,
-    total_bytes: u64,
     series: TimeSeries,
 }
 
@@ -25,7 +24,6 @@ impl ThroughputMeter {
             window,
             window_start: SimTime::ZERO,
             window_bytes: 0,
-            total_bytes: 0,
             series: TimeSeries::new(),
         }
     }
@@ -36,7 +34,6 @@ impl ThroughputMeter {
     pub fn record(&mut self, now: SimTime, bytes: u64) {
         self.roll_to(now);
         self.window_bytes += bytes;
-        self.total_bytes += bytes;
     }
 
     /// Close windows up to `now` without recording new bytes.
@@ -48,19 +45,6 @@ impl ThroughputMeter {
             self.window_start = end;
             self.window_bytes = 0;
         }
-    }
-
-    /// Total bytes recorded over the meter's lifetime.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
-    }
-
-    /// Average Gbps between time zero and `now`.
-    pub fn average_gbps(&self, now: SimTime) -> f64 {
-        if now == SimTime::ZERO {
-            return 0.0;
-        }
-        self.total_bytes as f64 * 8.0 / now.as_secs_f64() / 1e9
     }
 
     /// The per-window Gbps trace.
@@ -99,8 +83,10 @@ mod tests {
     fn average_accounts_everything() {
         let mut m = ThroughputMeter::new(SimDuration::from_ms(1));
         m.record(SimTime::from_us(1), 125_000_000); // 1 Gbit
-        let avg = m.average_gbps(SimTime::from_ms(10));
+        m.roll_to(SimTime::from_ms(10));
+        let windows = m.series().points();
+        assert_eq!(windows.len(), 10);
+        let avg = windows.iter().map(|&(_, gbps)| gbps).sum::<f64>() / 10.0;
         assert!((avg - 100.0).abs() < 1e-9); // 1 Gbit / 10 ms = 100 Gbps
-        assert_eq!(m.total_bytes(), 125_000_000);
     }
 }
