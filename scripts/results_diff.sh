@@ -7,7 +7,7 @@
 # A change that must not move a figure passes unchanged; a change that
 # should move one regenerates the golden as results/README.md says and
 # commits the new files with it. Output is byte-identical for every
-# `--threads` value, so the script uses all cores: about 11 minutes on 2.
+# `--threads` value, so the script uses all cores: about 6 minutes on 2.
 #
 # Usage: scripts/results_diff.sh
 set -euo pipefail
